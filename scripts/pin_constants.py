@@ -1,53 +1,26 @@
 #!/usr/bin/env python3
 """Re-measure the pinned regression constants on their full grids.
 
-Prints the observed maxima next to the values pinned in
-kloosterlab.vdc_lab.  Run after any change to the sum evaluators; if a
+Prints each pinned check's observed maxima at full precision next to the
+value it is allowed to reach (the pins in kloosterlab.vdc_lab, capped by
+any analytic bound).  Run after any change to the sum evaluators; if a
 measured maximum moves above its pin, either the change broke something
 or the pin needs a deliberate, reviewed update.
 
-Usage: python scripts/pin_constants.py [--p-max P]
+Usage: python scripts/pin_constants.py
 """
 
-import argparse
-import time
-
-from kloosterlab.vdc_lab import (
-    PINNED_COMPLETEEXP_EVEN_B0,
-    PINNED_COMPLETEEXP_GENERIC,
-    PINNED_ONEDIFF_RATIO,
-    completeexp_scan,
-    onediff_scan,
-)
+from kloosterlab.cli import check_magnitudes, check_onediff
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser()
-    parser.add_argument("--p-max", type=int, default=199)
-    args = parser.parse_args()
-
-    t0 = time.time()
-    scan = completeexp_scan(args.p_max)
-    print(f"complete product-sum grid: {scan.cells} cells, {time.time()-t0:.1f}s")
-    print(f"  generic |sum|/p^((j+1)/2) maxima: "
-          f"{ {j: f'{v:.9f}' for j, v in scan.max_generic.items()} }")
-    print(f"  pinned:                          {PINNED_COMPLETEEXP_GENERIC}")
-    print(f"  even-multiplicity b=0 maxima:    "
-          f"{ {j: f'{v:.9f}' for j, v in scan.max_even_b0.items()} }")
-    print(f"  pinned:                          {PINNED_COMPLETEEXP_EVEN_B0}")
-
-    t0 = time.time()
-    worst, cells = onediff_scan()
-    print(f"one-step differencing grid: {cells} cells, {time.time()-t0:.1f}s")
-    print(f"  max |T|^2/rhs_core: {worst:.9f}  (pinned {PINNED_ONEDIFF_RATIO})")
-
-    ok = (
-        all(scan.max_generic[j] <= PINNED_COMPLETEEXP_GENERIC[j]
-            for j in scan.max_generic)
-        and all(scan.max_even_b0[j] <= PINNED_COMPLETEEXP_EVEN_B0[j]
-                for j in scan.max_even_b0)
-        and worst <= PINNED_ONEDIFF_RATIO
-    )
+    ok = True
+    for check in (check_magnitudes, check_onediff):
+        r = check("full")
+        ok &= r.ok
+        print(f"{r.name}: {r.cells} cells")
+        for key, value in r.observed.items():
+            print(f"  {key}: observed {value!r}, allowed {r.allowed[key]!r}")
     print("all within pins" if ok else "PINS EXCEEDED")
     return 0 if ok else 1
 

@@ -13,11 +13,8 @@ from .arith import (
     FactoredInteger,
     ModulusSplit,
     SmoothnessSpec,
-    crt_pair,
     factorize,
-    inv_mod,
     multiplicative_profile,
-    nearest_int_distance,
     smooth_squarefree_moduli,
 )
 from .bounds_opt import (
@@ -41,7 +38,6 @@ from .errors import (
     DomainError,
     KloosterlabError,
     NotCoprime,
-    NotInvertible,
     NotSquarefree,
 )
 from .kloosterman import (
@@ -50,7 +46,6 @@ from .kloosterman import (
     complete_kloosterman,
     incomplete_kloosterman,
     kloosterman_crt,
-    normalized_kl,
 )
 from .vdc_lab import (
     ShiftVector,
@@ -73,7 +68,6 @@ __all__ = [
     "KloosterlabError",
     "ModulusSplit",
     "NotCoprime",
-    "NotInvertible",
     "NotSquarefree",
     "ShiftVector",
     "SmoothnessSpec",
@@ -82,7 +76,6 @@ __all__ = [
     "admissible",
     "complete_kloosterman",
     "completion_check",
-    "crt_pair",
     "divisor_main_term",
     "divisor_sum_ap",
     "divisorthm_rhs",
@@ -92,11 +85,8 @@ __all__ = [
     "factorize_to_windows",
     "incomplete_kloosterman",
     "interval_fourier",
-    "inv_mod",
     "kloosterman_crt",
     "multiplicative_profile",
-    "nearest_int_distance",
-    "normalized_kl",
     "onediff_ratio",
     "partial_sum_max",
     "shifted_product_complete_sum",

@@ -1,10 +1,10 @@
 """Exact integer and multiplicative-function primitives.
 
 Everything here is pure integer arithmetic: factorization, modular
-inverses, CRT recombination, the standard multiplicative functions
-(Mobius, Euler phi, generalized divisor counts tau_l), distance to the
-nearest integer, and sieves for smooth squarefree moduli.  All heavier
-modules build on these.
+inverse tables, overflow-safe modular products of int64 arrays, the
+standard multiplicative functions (Mobius, Euler phi, generalized
+divisor counts tau_l), and sieves for smooth squarefree moduli.  All
+heavier modules build on these.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
-from .errors import DomainError, NotCoprime, NotInvertible, NotSquarefree
+from .errors import DomainError, NotSquarefree
 
 MAX_VALUE = 1 << 62
 
@@ -192,30 +192,6 @@ class ModulusSplit:
         return len(self.parts) - 1
 
 
-def inv_mod(a: int, q: int) -> int:
-    """Inverse of a modulo q, in [1, q).  Requires gcd(a, q) = 1 and q >= 2."""
-    if q < 2:
-        raise DomainError(f"modulus {q} must be >= 2")
-    g = math.gcd(a, q)
-    if g != 1:
-        raise NotInvertible(f"gcd({a}, {q}) = {g}")
-    return pow(a, -1, q)
-
-
-def crt_pair(r1: int, q1: int, r2: int, q2: int) -> int:
-    """The unique x in [0, q1*q2) with x = r1 (mod q1) and x = r2 (mod q2)."""
-    if q1 < 1 or q2 < 1:
-        raise DomainError("moduli must be positive")
-    if math.gcd(q1, q2) != 1:
-        raise NotCoprime(f"gcd({q1}, {q2}) > 1")
-    if q1 == 1:
-        return r2 % q2
-    if q2 == 1:
-        return r1 % q1
-    m = inv_mod(q1, q2)
-    return (r1 + (r2 - r1) * m % q2 * q1) % (q1 * q2)
-
-
 def factorize(n: int) -> FactoredInteger:
     """Full prime factorization of n, 1 <= n <= 2^62.
 
@@ -279,13 +255,6 @@ def multiplicative_profile(n: FactoredInteger, l: int = 2) -> tuple[int, int, in
         phi *= (p - 1) * p ** (e - 1)
         tau_l *= math.comb(e + l - 1, l - 1)
     return mu, phi, tau_l
-
-
-def nearest_int_distance(x: float) -> float:
-    """Distance from x to the nearest integer, in [0, 1/2]."""
-    if not math.isfinite(x):
-        raise DomainError("x must be finite")
-    return min(abs(x - math.floor(x)), abs(math.ceil(x) - x), 0.5)
 
 
 def smooth_squarefree_moduli(
@@ -369,3 +338,15 @@ def unit_mask(q: int) -> np.ndarray:
     mask = inverse_table(q) >= 0
     mask.flags.writeable = False
     return mask
+
+
+def mulmod(x: np.ndarray, y, q: int) -> np.ndarray:
+    """x * y % q for an int64 array x and an int or int64 array y, both in [0, q).
+
+    While q*q < 2^63 the int64 product cannot overflow; above that the
+    products are formed exactly in Python ints (an object array).
+    """
+    if q * q < 1 << 63:
+        return x * y % q
+    y = np.asarray(y, dtype=object) if np.ndim(y) else int(y)
+    return (np.asarray(x, dtype=object) * y % q).astype(np.int64)

@@ -1,13 +1,16 @@
 """Command-line front end: single queries, grid sweeps, lemma-check suites.
 
 Reports are long-lived experiment artifacts: CSV files carry a leading
-``# schema=1`` comment and JSON files a top-level ``schema`` field;
+``# schema=2`` comment and JSON files a top-level ``schema`` field;
 rationals are written as exact "num/den" strings and reals as
 17-significant-digit decimals.  A sweep rerun with the same config and
 seed produces a byte-identical report (per-cell RNG streams are derived
-as seed XOR cell-index, so the worker count cannot change the output;
-per-row wall times are recorded only when timings are explicitly
-enabled, since real timings would break reproducibility).
+as seed XOR cell-index, so the worker count cannot change the output).
+Schema 1 reports also carried a ``runtime_ms`` column; they still load.
+
+Each lemma check is declared once here, as a ``check_*`` function that
+runs its whole grid and returns a ``CheckResult``; the lemma suites, the
+acceptance tests and ``scripts/pin_constants.py`` all call these.
 """
 
 from __future__ import annotations
@@ -19,9 +22,8 @@ import json
 import math
 import random
 import sys
-import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence
@@ -76,12 +78,12 @@ from .vdc_lab import (
     vanishing_lemma_check,
 )
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 EXIT_OK, EXIT_FAIL, EXIT_USAGE = 0, 1, 2
 
 CSV_COLUMNS = [
     "x", "q", "a", "E_exact", "abs_E", "scaled_E", "bound_total", "ratio",
-    "q0", "q1", "q2", "q3", "Q0", "Q1", "Q2", "Q3", "runtime_ms", "error",
+    "q0", "q1", "q2", "q3", "Q0", "Q1", "Q2", "Q3", "error",
 ]
 
 
@@ -119,11 +121,17 @@ class SweepConfig:
     jobs: int = 1
     format: str = "csv"
     out: Optional[str] = None
-    record_timings: bool = False
 
     def __post_init__(self) -> None:
         if not self.x_values:
             raise DomainError("x_values must be non-empty")
+        for name in ("x_values", "q_list"):
+            values = getattr(self, name)
+            if values is not None and not (
+                isinstance(values, (list, tuple))
+                and all(type(v) is int and v >= 1 for v in values)
+            ):
+                raise DomainError(f"{name} entries must be ints >= 1, got {values!r}")
         if self.q_list is None and (self.q_lo_exp is None or self.q_hi_exp is None):
             raise DomainError("config needs q_list or q_lo_exp/q_hi_exp")
         if not 0 < self.delta < 1 / 12:
@@ -158,8 +166,28 @@ class SweepConfig:
 
     @classmethod
     def from_file(cls, path: str) -> "SweepConfig":
-        raw = json.loads(Path(path).read_text())
-        return cls(**raw)
+        return cls(**_read_config(path))
+
+
+def _read_text(path: str) -> str:
+    try:
+        return Path(path).read_text()
+    except OSError as exc:
+        raise DomainError(f"cannot read {path}: {exc.strerror or exc}") from None
+
+
+def _read_config(path: str) -> dict:
+    """The SweepConfig fields set by a JSON config file."""
+    try:
+        raw = json.loads(_read_text(path))
+    except json.JSONDecodeError as exc:
+        raise DomainError(f"{path} is not valid JSON: {exc}") from None
+    if not isinstance(raw, dict):
+        raise DomainError(f"{path} must hold a JSON object")
+    unknown = sorted(set(raw) - {f.name for f in fields(SweepConfig)})
+    if unknown:
+        raise DomainError(f"unknown config key(s) in {path}: {', '.join(unknown)}")
+    return raw
 
 
 def _cell_moduli(config: SweepConfig, x: int) -> list[int]:
@@ -175,7 +203,7 @@ def _compute_cell(payload: tuple) -> list[dict]:
     """All rows of one (x, q) cell.  Must stay a top-level function so
     process pools can pickle it; determinism does not depend on which
     worker runs it."""
-    (idx, x, q, seed, sample, delta, eps, eta, timings) = payload
+    (idx, x, q, seed, sample, delta, eps, eta) = payload
     units = [a for a in range(q) if math.gcd(a, q) == 1] or [0]
     if sample is not None and sample < len(units):
         rng = random.Random(seed ^ idx)
@@ -213,14 +241,13 @@ def _compute_cell(payload: tuple) -> list[dict]:
         cell_error = f"{type(exc).__name__}: {exc}"
     rows = []
     for a in units:
-        t0 = time.perf_counter()
         row: dict = {
             "x": x, "q": q, "a": a,
             "E_exact": None, "abs_E": None, "scaled_E": None,
             "bound_total": bound_total, "ratio": None,
             "q0": None, "q1": None, "q2": None, "q3": None,
             "Q0": qs[0], "Q1": qs[1], "Q2": qs[2], "Q3": qs[3],
-            "runtime_ms": 0.0, "error": split_error,
+            "error": split_error,
         }
         if split is not None:
             row["q0"], row["q1"], row["q2"], row["q3"] = split.parts
@@ -241,8 +268,6 @@ def _compute_cell(payload: tuple) -> list[dict]:
         except KloosterlabError as exc:
             msg = cell_error or f"{type(exc).__name__}: {exc}"
             row["error"] = msg
-        if timings:
-            row["runtime_ms"] = (time.perf_counter() - t0) * 1e3
         rows.append(row)
     return rows
 
@@ -256,7 +281,7 @@ def run_sweep(config: SweepConfig) -> tuple[list[dict], dict]:
     payloads = [
         (
             idx, x, q, config.seed, config.sample_size,
-            config.delta, config.eps, config.eta, config.record_timings,
+            config.delta, config.eps, config.eta,
         )
         for idx, (x, q) in enumerate(cells)
     ]
@@ -327,7 +352,6 @@ def render_report(config: SweepConfig, rows: list[dict], summary: dict) -> str:
             r["q3"] if r["q3"] is not None else "",
             _fmt_real(r["Q0"]), _fmt_real(r["Q1"]),
             _fmt_real(r["Q2"]), _fmt_real(r["Q3"]),
-            _fmt_real(r["runtime_ms"]),
             r["error"],
         ])
     buf.write("# summary=" + json.dumps(summary, sort_keys=True,
@@ -336,8 +360,12 @@ def render_report(config: SweepConfig, rows: list[dict], summary: dict) -> str:
 
 
 def load_report(path: str) -> list[dict]:
-    """Rows of a CSV or JSON report, as dicts with x, q, a, E_exact, error."""
-    text = Path(path).read_text()
+    """Rows of a CSV or JSON report, as dicts with x, q, a, E_exact, error.
+
+    Columns are read by name, so schema 1 reports (which also carry
+    runtime_ms) load as well.
+    """
+    text = _read_text(path)
     if text.lstrip().startswith("{"):
         return json.loads(text)["rows"]
     rows = []
@@ -382,36 +410,59 @@ def verify_report(path: str, seed: int = 0, fraction: float = 0.01) -> tuple[boo
 # --------------------------------------------------------------------------
 
 
-def _primes(limit: int) -> list[int]:
-    return list(primes_up_to(limit))
+@dataclass(frozen=True)
+class CheckResult:
+    """One lemma check over its whole grid.
+
+    observed and allowed share their keys: each bounded quantity (a pin,
+    tolerance or cap) maps to its observed value and to the largest value
+    the check accepts; ok says every observed value is within its allowed
+    one.  line is the check's one-line report.
+    """
+
+    name: str
+    cells: int
+    observed: dict[str, float]
+    allowed: dict[str, float]
+    ok: bool
+    line: str
 
 
-def run_weil_suite(size: str = "small") -> tuple[bool, list[str]]:
+def _within(observed: dict[str, float], allowed: dict[str, float]) -> bool:
+    return all(observed[k] <= allowed[k] for k in allowed)
+
+
+def check_weil(size: str = "small") -> CheckResult:
     """|S(a,b;p)| <= 2 sqrt(p) and Im S within err, exhaustive over (a, b)."""
     p_max = 199 if size == "small" else 499
     max_ratio = 0.0
     max_im = 0.0
+    # largest signed excess over each cap: <= 0 exactly when no cell exceeds it
+    observed = {"max |S| - (2 sqrt p + err)": -math.inf, "max |Im S| - err": -math.inf}
     violations = 0
-    for p in _primes(p_max):
+    cells = 0
+    for p in primes_up_to(p_max):
         err = table_err(p)
         weil = 2 * math.sqrt(p)
         for a in range(1, p):
             tab = kloosterman_table(a, p)
             im = float(np.abs(tab.imag).max())
-            max_im = max(max_im, im)
-            if im > err:
-                violations += 1
             mags = np.abs(tab[1:])
             top = float(mags.max()) if mags.size else 0.0
-            if top > weil + err:
-                violations += 1
+            excess = (top - (weil + err), im - err)
+            violations += sum(e > 0 for e in excess)
+            for key, e in zip(observed, excess):
+                observed[key] = max(observed[key], e)
+            max_im = max(max_im, im)
             max_ratio = max(max_ratio, top / weil)
-    ok = violations == 0
-    return ok, [
+            cells += p
+    allowed = dict.fromkeys(observed, 0.0)
+    ok = _within(observed, allowed)
+    return CheckResult("weil", cells, observed, allowed, ok, (
         f"weil: p <= {p_max} exhaustive over (a,b), p not dividing ab: "
         f"max |S|/(2*sqrt p) = {max_ratio:.12f}, max |Im S| = {max_im:.3g}, "
         f"violations = {violations}"
-    ]
+    ))
 
 
 def completion_grid_intervals(q: int, count: int = 20) -> list[IntegerInterval]:
@@ -423,7 +474,7 @@ def completion_grid_intervals(q: int, count: int = 20) -> list[IntegerInterval]:
     ]
 
 
-def run_completion_suite(size: str = "small") -> tuple[bool, list[str]]:
+def check_completion(size: str = "small") -> CheckResult:
     """Completion identity deviation over a full (q, a, interval) grid."""
     q_max = 100 if size == "small" else 300
     worst = 0.0
@@ -435,49 +486,60 @@ def run_completion_suite(size: str = "small") -> tuple[bool, list[str]]:
             for interval in intervals:
                 worst = max(worst, completion_check(a, q, interval))
                 checks += 1
-    ok = worst <= 1e-8
-    return ok, [
+    observed = {"max deviation": worst}
+    allowed = {"max deviation": 1e-8}
+    ok = _within(observed, allowed)
+    return CheckResult("completion", checks, observed, allowed, ok, (
         f"completion: q <= {q_max}, all coprime a, 20 seeded intervals each "
         f"({checks} checks): max deviation = {worst:.3g} (tolerance 1e-08)"
-    ]
+    ))
 
 
-def run_vanishing_suite(size: str = "small") -> tuple[bool, list[str]]:
+def check_vanishing(size: str = "small") -> CheckResult:
+    """Exhaustive search for all-even subset-sum multiplicities over F_p^*."""
     ls = (1, 2) if size == "small" else (1, 2, 3)
+    primes = (3, 5, 7, 11, 13)
     total = 0
-    for p in (3, 5, 7, 11, 13):
+    for p in primes:
         for l in ls:
             total += len(vanishing_lemma_check(p, l))
-    ok = total == 0
-    return ok, [
+    observed = {"counterexamples": total}
+    allowed = {"counterexamples": 0}
+    cells = sum((p - 1) ** l for p in primes for l in ls)
+    ok = _within(observed, allowed)
+    return CheckResult("vanishing", cells, observed, allowed, ok, (
         f"vanishing: {total} counterexamples, p in {{3,5,7,11,13}}, "
         f"l <= {max(ls)} (exhaustive)"
-    ]
+    ))
 
 
-def run_product_sums_suite(size: str = "small") -> tuple[bool, list[str]]:
-    """Orthogonality exact values, CRT vs direct, pinned magnitude ratios."""
-    lines = []
-    ok = True
-
+def check_orthogonality(size: str = "small") -> CheckResult:
+    """sum_k S(a,k;p) = 0 and sum_k S(a,k;p)^2 = p^2 - p, for every prime p and a."""
     p_max = 101 if size == "small" else 199
     worst_first = 0.0
     worst_second = 0.0
-    for p in _primes(p_max):
+    cells = 0
+    for p in primes_up_to(p_max):
         scale = p * p - p
         for a in range(1, p):
             s1 = shifted_product_complete_sum(a, (0,), 0, p)
             s2 = shifted_product_complete_sum(a, (0, 0), 0, p)
             worst_first = max(worst_first, s1.magnitude / p)
             worst_second = max(worst_second, abs(s2.as_complex - scale) / scale)
-    orth_ok = worst_first <= 1e-6 and worst_second <= 1e-6
-    ok &= orth_ok
-    lines.append(
+            cells += 1
+    observed = {"max |sum S|/p": worst_first,
+                "max rel.dev of sum S^2 from p^2-p": worst_second}
+    allowed = dict.fromkeys(observed, 1e-6)
+    ok = _within(observed, allowed)
+    return CheckResult("product-sums orthogonality", cells, observed, allowed, ok, (
         f"product-sums orthogonality: p <= {p_max}, all a: "
         f"max |sum S|/p = {worst_first:.3g}, "
         f"max rel.dev of sum S^2 from p^2-p = {worst_second:.3g}"
-    )
+    ))
 
+
+def check_multiplicativity(size: str = "small") -> CheckResult:
+    """CRT evaluation of squarefree product sums against direct summation."""
     q_max = 105 if size == "small" else 210
     worst_crt = 0.0
     pairs = 0
@@ -500,34 +562,36 @@ def run_product_sums_suite(size: str = "small") -> tuple[bool, list[str]]:
                     budget = max(c.err + d.err, 1e-12)
                     worst_crt = max(worst_crt, dev / budget)
                     pairs += 1
-    crt_ok = worst_crt <= 1.0
-    ok &= crt_ok
-    lines.append(
+    observed = {"max deviation/err": worst_crt}
+    allowed = {"max deviation/err": 1.0}
+    ok = _within(observed, allowed)
+    return CheckResult("product-sums multiplicativity", pairs, observed, allowed, ok, (
         f"product-sums multiplicativity: squarefree q <= {q_max}, j <= 2 "
         f"({pairs} comparisons): max deviation/err = {worst_crt:.3g}"
-    )
+    ))
 
-    scan = completeexp_scan(p_max if size == "small" else 199)
-    reg_ok = True
-    for j, r in scan.max_generic.items():
-        if r > PINNED_COMPLETEEXP_GENERIC[j]:
-            reg_ok = False
+
+def check_magnitudes(size: str = "small") -> CheckResult:
+    """Product-sum magnitude ratios against their pins and the 2^j caps."""
+    scan = completeexp_scan(101 if size == "small" else 199)
+    observed = {f"generic j={j}": r for j, r in scan.max_generic.items()}
+    allowed = {f"generic j={j}": PINNED_COMPLETEEXP_GENERIC[j] for j in scan.max_generic}
     for j, r in scan.max_even_b0.items():
-        if r > PINNED_COMPLETEEXP_EVEN_B0.get(j, 2.0**j) or r > 2.0**j:
-            reg_ok = False
-    ok &= reg_ok
-    lines.append(
+        observed[f"even b=0 j={j}"] = r
+        allowed[f"even b=0 j={j}"] = min(PINNED_COMPLETEEXP_EVEN_B0.get(j, 2.0**j), 2.0**j)
+    ok = _within(observed, allowed)
+    return CheckResult("product-sums magnitudes", scan.cells, observed, allowed, ok, (
         f"product-sums magnitudes ({scan.cells} cells): generic ratios "
         f"{ {j: round(v, 6) for j, v in scan.max_generic.items()} } vs pinned "
         f"{PINNED_COMPLETEEXP_GENERIC}; even b=0 "
         f"{ {j: round(v, 6) for j, v in scan.max_even_b0.items()} } vs pinned "
         f"{PINNED_COMPLETEEXP_EVEN_B0} (hard caps 2^j): "
-        f"{'ok' if reg_ok else 'EXCEEDED'}"
-    )
-    return ok, lines
+        f"{'ok' if ok else 'EXCEEDED'}"
+    ))
 
 
-def run_onediff_suite(size: str = "small") -> tuple[bool, list[str]]:
+def check_onediff(size: str = "small") -> CheckResult:
+    """One-step differencing ratio |T|^2 / rhs_core against its pin."""
     worst = 0.0
     cells = 0
     for q0, q1, K, M, a, shifts in onediff_grid_cells():
@@ -536,11 +600,47 @@ def run_onediff_suite(size: str = "small") -> tuple[bool, list[str]]:
         rep = onediff_ratio(a, q0, q1, M, IntegerInterval(0, K), shifts)
         worst = max(worst, rep.ratio)
         cells += 1
-    ok = worst <= PINNED_ONEDIFF_RATIO
-    return ok, [
+    observed = {"max |T|^2/rhs_core": worst}
+    allowed = {"max |T|^2/rhs_core": PINNED_ONEDIFF_RATIO}
+    ok = _within(observed, allowed)
+    return CheckResult("onediff", cells, observed, allowed, ok, (
         f"onediff: {cells} grid cells: max |T|^2/rhs_core = {worst:.9f} "
         f"vs pinned {PINNED_ONEDIFF_RATIO} ({'ok' if ok else 'EXCEEDED'})"
-    ]
+    ))
+
+
+SUITE_CHECKS = {
+    "weil": (check_weil,),
+    "completion": (check_completion,),
+    "vanishing": (check_vanishing,),
+    "product-sums": (check_orthogonality, check_multiplicativity, check_magnitudes),
+    "onediff": (check_onediff,),
+}
+
+
+def _run_checks(suite: str, size: str) -> tuple[bool, list[str]]:
+    results = [check(size) for check in SUITE_CHECKS[suite]]
+    return all(r.ok for r in results), [r.line for r in results]
+
+
+def run_weil_suite(size: str = "small") -> tuple[bool, list[str]]:
+    return _run_checks("weil", size)
+
+
+def run_completion_suite(size: str = "small") -> tuple[bool, list[str]]:
+    return _run_checks("completion", size)
+
+
+def run_vanishing_suite(size: str = "small") -> tuple[bool, list[str]]:
+    return _run_checks("vanishing", size)
+
+
+def run_product_sums_suite(size: str = "small") -> tuple[bool, list[str]]:
+    return _run_checks("product-sums", size)
+
+
+def run_onediff_suite(size: str = "small") -> tuple[bool, list[str]]:
+    return _run_checks("onediff", size)
 
 
 SUITES = {
@@ -663,14 +763,20 @@ def cmd_bound(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    base: dict = {}
-    if args.config:
-        base = json.loads(Path(args.config).read_text())
+    base = _read_config(args.config) if args.config else {}
     overrides: dict = {}
-    if args.x:
-        overrides["x_values"] = [int(float(t)) for t in args.x.split(",")]
+    try:
+        if args.x:
+            overrides["x_values"] = [int(float(t)) for t in args.x.split(",")]
+        if args.q:
+            overrides["q_list"] = [int(t) for t in args.q.split(",")]
+        if args.residues is not None:
+            overrides["residues"] = (
+                "all" if args.residues == "all" else {"sample": int(args.residues)}
+            )
+    except (ValueError, OverflowError) as exc:
+        raise DomainError(f"bad sweep flag value: {exc}") from None
     if args.q:
-        overrides["q_list"] = [int(t) for t in args.q.split(",")]
         overrides.setdefault("q_lo_exp", None)
         overrides.setdefault("q_hi_exp", None)
     if args.q_lo_exp is not None or args.q_hi_exp is not None:
@@ -681,12 +787,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         v = getattr(args, name)
         if v is not None:
             overrides[name] = v
-    if args.residues is not None:
-        overrides["residues"] = (
-            "all" if args.residues == "all" else {"sample": int(args.residues)}
-        )
-    if args.timings:
-        overrides["record_timings"] = True
     base.update(overrides)
     config = SweepConfig(**base)
 
@@ -800,8 +900,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("csv", "json"))
     p.add_argument("--out", type=str)
     p.add_argument("--residues", type=str, help='"all" or a sample size')
-    p.add_argument("--timings", action="store_true",
-                   help="record real per-row times (breaks byte reproducibility)")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("lemma-suite", help="run an exhaustive identity/bound grid")

@@ -9,10 +9,6 @@ class DomainError(KloosterlabError):
     """An argument is outside the operation's domain (bad range, bad shape)."""
 
 
-class NotInvertible(KloosterlabError):
-    """Modular inverse requested for a residue sharing a factor with the modulus."""
-
-
 class NotCoprime(KloosterlabError):
     """Two integers required to be coprime are not."""
 

@@ -24,7 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .arith import ModulusSplit, factorize, inverse_table, is_prime, unit_mask
+from .arith import ModulusSplit, factorize, inverse_table, is_prime, mulmod
 from .errors import DomainError, NotCoprime
 
 _TERM_EPS = 4 * float(np.finfo(np.float64).eps)
@@ -107,40 +107,27 @@ def _base_table(q: int) -> np.ndarray:
     return t
 
 
-@lru_cache(maxsize=4096)
-def _twisted_table(a: int, q: int) -> np.ndarray:
-    """S(a, k, q) for all k, for a sharing a factor with q (no unit rescale)."""
-    inv = inverse_table(q)
-    units = inv >= 0
-    y = np.zeros(q, dtype=np.complex128)
-    y[units] = np.exp(2j * np.pi * (a * inv[units] % q) / q)
-    t = np.fft.ifft(y) * q
-    t.flags.writeable = False
-    return t
-
-
 def table_err(q: int) -> float:
     """Per-entry absolute error bound for cached Kloosterman tables."""
     return _TERM_EPS * q
 
 
 def kloosterman_table(a: int, q: int) -> np.ndarray:
-    """Read-only array of S(a, k, q) for k = 0..q-1.
+    """Read-only array of S(a, k, q) for k = 0..q-1; requires gcd(a, q) = 1.
 
-    For a coprime to q this is a permuted view of the base table, via
-    S(a, k, q) = S(1, a*k, q); otherwise a dedicated table is built.
+    This is a permuted view of the base table, via S(a, k, q) = S(1, a*k, q).
     """
     if q < 1:
         raise DomainError("modulus must be positive")
     a %= q
     if q == 1:
         return _base_table(1)
-    if math.gcd(a, q) == 1:
-        idx = a * np.arange(q, dtype=np.int64) % q
-        t = _base_table(q)[idx]
-        t.flags.writeable = False
-        return t
-    return _twisted_table(a, q)
+    if math.gcd(a, q) != 1:
+        raise NotCoprime(f"gcd({a}, {q}) > 1")
+    idx = a * np.arange(q, dtype=np.int64) % q
+    t = _base_table(q)[idx]
+    t.flags.writeable = False
+    return t
 
 
 def _direct_sum(a: int, b: int, q: int) -> SumValue:
@@ -245,25 +232,6 @@ def incomplete_kloosterman(a: int, q: int, interval: IntegerInterval) -> SumValu
     invs = invs[invs >= 0]
     if len(invs) == 0:
         return SumValue(0.0, 0.0, 0.0)
-    phases = a * invs % q
+    phases = mulmod(invs, a, q)
     z = complex(np.exp(2j * np.pi * phases / q).sum())
     return _from_complex(z, _TERM_EPS * len(invs))
-
-
-def coprime_count(q: int, interval: IntegerInterval) -> int:
-    """Number of integers in the interval coprime to q."""
-    if interval.length == 0:
-        return 0
-    mask = unit_mask(q)
-    residues = (interval.offset + np.arange(interval.length, dtype=np.int64)) % q
-    return int(mask[residues].sum())
-
-
-def normalized_kl(a: int, p: int) -> float:
-    """S(a, 1; p) / sqrt(p) for prime p not dividing a; lies in [-2, 2]."""
-    if not is_prime(p):
-        raise DomainError(f"{p} is not prime")
-    if a % p == 0:
-        raise DomainError(f"{p} divides a = {a}")
-    value = complete_kloosterman(a, 1, p)
-    return value.re / math.sqrt(p)

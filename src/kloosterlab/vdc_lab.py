@@ -31,7 +31,14 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .arith import FactoredInteger, ModulusSplit, factorize, is_prime
+from .arith import (
+    FactoredInteger,
+    ModulusSplit,
+    factorize,
+    is_prime,
+    mulmod,
+    primes_up_to,
+)
 from .errors import DomainError, NotCoprime, NotSquarefree
 from .kloosterman import (
     IntegerInterval,
@@ -45,9 +52,11 @@ from .kloosterman import (
 # --------------------------------------------------------------------------
 # Pinned regression constants.
 #
-# Measured by scripts/pin_constants.py on the full deterministic grids
-# (2026-08-09).  Tests assert the grids never exceed these maxima; they
-# are observations, not analytic bounds, except where noted.
+# Measured on the full deterministic grids (2026-08-09); re-measure with
+# scripts/pin_constants.py, which prints each pinned check's observed
+# maxima (cli.check_magnitudes, cli.check_onediff at size "full") beside
+# these pins.  The checks assert the grids never exceed these maxima;
+# they are observations, not analytic bounds, except where noted.
 # --------------------------------------------------------------------------
 
 # max |sum| / p^{(j+1)/2} over the generic cells (b != 0 or shift
@@ -101,7 +110,7 @@ def interval_fourier(interval: IntegerInterval, q: int, k: int) -> SumValue:
     if n == 0:
         return SumValue(0.0, 0.0, 0.0)
     residues = (interval.offset + np.arange(n, dtype=np.int64)) % q
-    phases = residues * k % q
+    phases = mulmod(residues, k, q)
     z = complex(np.exp(-2j * np.pi * phases / q).sum())
     return SumValue(z.real, z.imag, _TERM_EPS * n)
 
@@ -141,7 +150,7 @@ def partial_sum_max(a: int, q: int, M: int, K: int, r: int) -> float:
     start = (r - 1) * K
     ks = start + 1 + np.arange(K, dtype=np.int64)
     table = kloosterman_table(a, q)
-    weights = np.exp(-2j * np.pi * ((M % q) * (ks % q) % q) / q)
+    weights = np.exp(-2j * np.pi * mulmod(ks % q, M % q, q) / q)
     running = np.cumsum(weights * table[ks % q])
     return float(np.abs(running).max(initial=0.0))
 
@@ -290,15 +299,6 @@ def vanishing_lemma_check(p: int, l: int) -> list[tuple[int, ...]]:
     return counterexamples
 
 
-def subset_sum_multiplicities(p: int, h: tuple[int, ...]) -> Counter:
-    """Multiset of the 2^l subset sums of h over F_p."""
-    c: Counter = Counter()
-    for mask in range(1 << len(h)):
-        s = sum(h[i] for i in range(len(h)) if mask >> i & 1)
-        c[s % p] += 1
-    return c
-
-
 def onediff_ratio(
     a: int,
     q0: int,
@@ -336,7 +336,7 @@ def onediff_ratio(
     table_q = kloosterman_table(a, q)
     ks = np.array(list(J.values()), dtype=np.int64)
     prod = _product_over_shifts(table_q, ks, tuple(s % q for s in shifts), q)
-    weights = np.exp(-2j * np.pi * ((M % q) * (ks % q) % q) / q)
+    weights = np.exp(-2j * np.pi * mulmod(ks % q, M % q, q) / q)
     t_val = complex((weights * prod).sum())
     lhs = abs(t_val) ** 2
 
@@ -425,7 +425,7 @@ def completeexp_scan(p_max: int = 199, j_values: tuple[int, ...] = (1, 2, 3)) ->
     max_generic = {j: 0.0 for j in j_values}
     max_even_b0 = {j: 0.0 for j in j_values if j % 2 == 0}
     cells = 0
-    for p in _primes_iter(p_max):
+    for p in primes_up_to(p_max):
         for j in j_values:
             for shifts, b in completeexp_shift_grid(p, j):
                 for a in (1, 2 % p):
@@ -442,12 +442,6 @@ def completeexp_scan(p_max: int = 199, j_values: tuple[int, ...] = (1, 2, 3)) ->
                         r = mag / p ** ((j + 1) / 2)
                         max_generic[j] = max(max_generic[j], r)
     return CompleteexpScan(max_generic, max_even_b0, cells)
-
-
-def _primes_iter(limit: int) -> Iterator[int]:
-    for p in range(2, limit + 1):
-        if is_prime(p):
-            yield p
 
 
 def onediff_grid_cells() -> Iterator[tuple[int, int, int, int, int, tuple[int, ...]]]:
@@ -472,14 +466,3 @@ def onediff_grid_cells() -> Iterator[tuple[int, int, int, int, int, tuple[int, .
                                 continue
                             for shifts in ((0,), (1,)):
                                 yield q0, q1, K, M, a, shifts
-
-
-def onediff_scan() -> tuple[float, int]:
-    """Max observed |T|^2 / rhs_core over the deterministic grid."""
-    worst = 0.0
-    cells = 0
-    for q0, q1, K, M, a, shifts in onediff_grid_cells():
-        rep = onediff_ratio(a, q0, q1, M, IntegerInterval(0, K), shifts)
-        worst = max(worst, rep.ratio)
-        cells += 1
-    return worst, cells

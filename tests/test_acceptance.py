@@ -11,12 +11,7 @@ import math
 import random
 from fractions import Fraction
 
-from kloosterlab.arith import (
-    ModulusSplit,
-    factorize,
-    multiplicative_profile,
-    primes_up_to,
-)
+from kloosterlab.arith import ModulusSplit, factorize, multiplicative_profile
 from kloosterlab.bounds_opt import (
     admissible,
     factorize_to_windows,
@@ -26,10 +21,13 @@ from kloosterlab.bounds_opt import (
 )
 from kloosterlab.cli import (
     SweepConfig,
+    check_completion,
+    check_magnitudes,
+    check_orthogonality,
+    check_vanishing,
+    check_weil,
     render_report,
-    run_completion_suite,
     run_sweep,
-    run_weil_suite,
     verify_report,
 )
 from kloosterlab.divisor_ap import (
@@ -40,13 +38,6 @@ from kloosterlab.divisor_ap import (
     error_term,
 )
 from kloosterlab.kloosterman import complete_kloosterman, kloosterman_crt
-from kloosterlab.vdc_lab import (
-    PINNED_COMPLETEEXP_EVEN_B0,
-    PINNED_COMPLETEEXP_GENERIC,
-    completeexp_scan,
-    shifted_product_complete_sum,
-    vanishing_lemma_check,
-)
 
 from oracles import assignment_products, window_assignment_oracle
 
@@ -57,8 +48,8 @@ def _report(criterion: int, ok: bool, detail: str) -> None:
 
 
 def test_c01_weil_suite():
-    ok, lines = run_weil_suite("full")
-    _report(1, ok, lines[0])
+    r = check_weil("full")
+    _report(1, r.ok, r.line)
 
 
 def test_c02_twisted_multiplicativity():
@@ -96,8 +87,8 @@ def test_c02_twisted_multiplicativity():
 
 
 def test_c03_completion_identity():
-    ok, lines = run_completion_suite("full")
-    _report(3, ok, lines[0])
+    r = check_completion("full")
+    _report(3, r.ok, r.line)
 
 
 def test_c04_divisor_dual_algorithms():
@@ -158,57 +149,18 @@ def test_c05_hand_values():
 
 
 def test_c06_vanishing_lemma():
-    total = 0
-    for p in (3, 5, 7, 11, 13):
-        for l in (1, 2, 3):
-            total += len(vanishing_lemma_check(p, l))
-    _report(
-        6,
-        total == 0,
-        f"{total} counterexamples, p in {{3,5,7,11,13}}, l in {{1,2,3}} (exhaustive)",
-    )
+    r = check_vanishing("full")
+    _report(6, r.ok, r.line)
 
 
 def test_c07_product_sum_orthogonality():
-    worst_first = 0.0
-    worst_second = 0.0
-    for p in primes_up_to(199):
-        scale = p * p - p
-        for a in range(1, p):
-            s1 = shifted_product_complete_sum(a, (0,), 0, p)
-            s2 = shifted_product_complete_sum(a, (0, 0), 0, p)
-            worst_first = max(worst_first, s1.magnitude / p)
-            worst_second = max(worst_second, abs(s2.as_complex - scale) / scale)
-    ok = worst_first <= 1e-6 and worst_second <= 1e-6
-    _report(
-        7,
-        ok,
-        f"p <= 199, all a: max |sum_k S|/p = {worst_first:.3g}, "
-        f"max rel.dev of sum_k S^2 from p^2-p = {worst_second:.3g} "
-        f"(tolerance 1e-06)",
-    )
+    r = check_orthogonality("full")
+    _report(7, r.ok, r.line)
 
 
 def test_c08_completeexp_regression():
-    scan = completeexp_scan(199)
-    over = []
-    for j, r in scan.max_generic.items():
-        if r > PINNED_COMPLETEEXP_GENERIC[j]:
-            over.append(f"generic j={j}: {r} > {PINNED_COMPLETEEXP_GENERIC[j]}")
-    for j, r in scan.max_even_b0.items():
-        if r > PINNED_COMPLETEEXP_EVEN_B0[j]:
-            over.append(f"even b=0 j={j}: {r} > {PINNED_COMPLETEEXP_EVEN_B0[j]}")
-        if r > 2.0**j:
-            over.append(f"even b=0 j={j}: {r} above analytic cap {2**j}")
-    ok = not over
-    _report(
-        8,
-        ok,
-        f"{scan.cells} cells, p <= 199, j <= 3: generic ratios "
-        f"{ {j: round(v, 6) for j, v in scan.max_generic.items()} }, "
-        f"even-b0 { {j: round(v, 6) for j, v in scan.max_even_b0.items()} } "
-        f"within pins and 2^j caps" + ("" if ok else "; " + "; ".join(over)),
-    )
+    r = check_magnitudes("full")
+    _report(8, r.ok, r.line)
 
 
 def _window_specs_for(q: int, primes: tuple[int, ...], count: int = 50):

@@ -1,5 +1,7 @@
 import math
+import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,64 +10,16 @@ from kloosterlab.arith import (
     FactoredInteger,
     ModulusSplit,
     SmoothnessSpec,
-    crt_pair,
     factorize,
-    inv_mod,
     inverse_table,
+    mulmod,
     multiplicative_profile,
-    nearest_int_distance,
     smooth_squarefree_moduli,
     unit_mask,
 )
-from kloosterlab.errors import DomainError, NotCoprime, NotInvertible, NotSquarefree
+from kloosterlab.errors import DomainError, NotSquarefree
 
 from oracles import mobius_brute, tau_l_brute, totient_brute
-
-
-class TestInvMod:
-    def test_identity(self):
-        for q in (2, 3, 15, 97):
-            assert inv_mod(1, q) == 1
-
-    def test_worked_example(self):
-        assert inv_mod(7, 15) == 13
-
-    def test_not_invertible(self):
-        with pytest.raises(NotInvertible):
-            inv_mod(6, 15)
-
-    def test_small_modulus_rejected(self):
-        with pytest.raises(DomainError):
-            inv_mod(1, 1)
-
-    @given(st.integers(-10**6, 10**6), st.integers(2, 10**5))
-    def test_roundtrip(self, a, q):
-        if math.gcd(a, q) != 1:
-            with pytest.raises(NotInvertible):
-                inv_mod(a, q)
-        else:
-            b = inv_mod(a, q)
-            assert 1 <= b < q
-            assert a * b % q == 1
-
-
-class TestCrtPair:
-    def test_zero(self):
-        assert crt_pair(0, 7, 0, 9) == 0
-
-    def test_worked_example(self):
-        assert crt_pair(1, 3, 2, 5) == 7
-
-    def test_not_coprime(self):
-        with pytest.raises(NotCoprime):
-            crt_pair(1, 4, 1, 6)
-
-    @given(st.integers(1, 1000), st.integers(1, 1000), st.integers(0, 10**6))
-    def test_reconstruction(self, q1, q2, n):
-        if math.gcd(q1, q2) != 1:
-            return
-        n %= q1 * q2
-        assert crt_pair(n % q1, q1, n % q2, q2) == n
 
 
 class TestFactorize:
@@ -166,24 +120,6 @@ class TestMultiplicativeProfile:
             assert multiplicative_profile(f, 3)[2] == tau3
 
 
-class TestNearestIntDistance:
-    @pytest.mark.parametrize(
-        "x,expect", [(0.0, 0.0), (1.7, 0.3), (0.5, 0.5), (-2.25, 0.25)]
-    )
-    def test_values(self, x, expect):
-        assert nearest_int_distance(x) == pytest.approx(expect, abs=1e-15)
-
-    @given(st.floats(-1e9, 1e9))
-    def test_symmetries(self, x):
-        d = nearest_int_distance(x)
-        assert 0.0 <= d <= 0.5
-        assert nearest_int_distance(-x) == pytest.approx(d, abs=1e-9)
-        if abs(x) < 1e9:
-            assert nearest_int_distance(x + 1.0) == pytest.approx(
-                d, abs=1e-6 * max(1.0, abs(x) * 1e-9)
-            )
-
-
 class TestSmoothSquarefree:
     def test_no_primes_allowed(self):
         assert smooth_squarefree_moduli(2, 100, SmoothnessSpec(1)) == []
@@ -242,3 +178,17 @@ class TestResidueTables:
                     assert n * inv[n] % q == 1
             else:
                 assert not mask[n] and inv[n] == -1
+
+
+class TestMulmod:
+    @pytest.mark.parametrize("q", [97, 3037000499, 10**10 + 19, 10**12 + 39])
+    def test_matches_python_ints(self, q):
+        rng = random.Random(q)
+        xs = [0, 1, q - 1, q - 2] + [rng.randrange(q) for _ in range(200)]
+        ys = [q - 1, 1, q - 3, 0] + [rng.randrange(q) for _ in range(200)]
+        x = np.array(xs, dtype=np.int64)
+        got = mulmod(x, np.array(ys, dtype=np.int64), q)
+        assert got.dtype == np.int64
+        assert got.tolist() == [a * b % q for a, b in zip(xs, ys)]
+        for y in (q - 1, ys[-1]):
+            assert mulmod(x, y, q).tolist() == [a * y % q for a in xs]

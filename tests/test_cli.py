@@ -1,7 +1,11 @@
 import json
 import math
 
+import pytest
+
 from kloosterlab.cli import (
+    SUITE_CHECKS,
+    SUITES,
     SweepConfig,
     load_report,
     main,
@@ -91,6 +95,43 @@ class TestSingleQueries:
         out = capsys.readouterr().out
         assert "0 counterexamples" in out and "PASS" in out
 
+    @pytest.mark.parametrize("suite", sorted(SUITES))
+    def test_lemma_suite(self, suite, capsys, monkeypatch):
+        results = []
+
+        def recorded(check):
+            def run(size):
+                results.append(check(size))
+                return results[-1]
+            return run
+
+        monkeypatch.setitem(SUITE_CHECKS, suite, tuple(map(recorded, SUITE_CHECKS[suite])))
+        assert main(["lemma-suite", suite, "--size", "small"]) == 0
+        assert f"PASS {suite} (small)" in capsys.readouterr().out
+        assert len(results) == len(SUITE_CHECKS[suite])
+        for r in results:
+            assert r.ok and r.cells > 0 and r.observed.keys() == r.allowed.keys()
+            assert all(r.observed[k] <= r.allowed[k] for k in r.allowed), r
+
+    @pytest.mark.parametrize("config, argv, needle", [
+        ('{"x_values": [2000], "q_list": [15], "bogus": 1}',
+         ["sweep", "--config", "{cfg}"], "bogus"),
+        ('{"x_values": [2000], ', ["sweep", "--config", "{cfg}"], "not valid JSON"),
+        (None, ["sweep", "--x", "1e3,abc", "--q", "15"], "abc"),
+        ('{"x_values": [-5], "q_list": [15]}', ["sweep", "--config", "{cfg}"], "x_values"),
+        ('{"x_values": [2000], "q_list": [0]}', ["sweep", "--config", "{cfg}"], "q_list"),
+        (None, ["verify-report", "{missing}"], "missing.csv"),
+    ], ids=["unknown-key", "invalid-json", "bad-x-flag", "negative-x", "zero-q",
+            "missing-report"])
+    def test_malformed_input_exits_2(self, tmp_path, capsys, config, argv, needle):
+        cfg = tmp_path / "config.json"
+        if config is not None:
+            cfg.write_text(config)
+        argv = [a.format(cfg=cfg, missing=tmp_path / "missing.csv") for a in argv]
+        assert main(argv) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and needle in lines[0]
+
 
 def _config(tmp_path, **kw):
     base = dict(
@@ -146,7 +187,7 @@ class TestSweep:
         config = _config(tmp_path, format="json")
         text = render_report(config, *run_sweep(config))
         doc = json.loads(text)
-        assert doc["schema"] == 1
+        assert doc["schema"] == 2
         assert doc["config"]["q_list"] == [15, 101]
         assert "jobs" not in doc["config"]
         assert len(doc["rows"]) > 0
@@ -155,8 +196,9 @@ class TestSweep:
         config = _config(tmp_path)
         text = render_report(config, *run_sweep(config))
         lines = text.splitlines()
-        assert lines[0] == "# schema=1"
+        assert lines[0] == "# schema=2"
         assert lines[3].startswith("x,q,a,E_exact")
+        assert "runtime_ms" not in lines[3]
 
     def test_cli_end_to_end_with_config_file(self, tmp_path, capsys):
         cfg = {
@@ -177,11 +219,6 @@ class TestSweep:
         rows = load_report(str(tmp_path / "r2.csv"))
         assert {r["q"] for r in rows} == {21}
 
-    def test_timings_break_reproducibility_only_when_asked(self, tmp_path):
-        config = _config(tmp_path, record_timings=True, q_list=[101], x_values=[3000])
-        rows, _ = run_sweep(config)
-        assert any(r["runtime_ms"] > 0 for r in rows)
-
 
 class TestVerifyReport:
     def test_roundtrip(self, tmp_path):
@@ -201,6 +238,22 @@ class TestVerifyReport:
         ok, lines = verify_report(str(path), seed=0, fraction=1.0)
         assert not ok
         assert any("MISMATCH" in ln for ln in lines)
+
+    def test_schema_1_report_verifies(self, tmp_path):
+        # schema 1 reports carried a runtime_ms column
+        path = tmp_path / "schema1.csv"
+        path.write_text(
+            "# schema=1\n"
+            "# version=0.1.0\n"
+            '# config={"x_values":[10],"q_list":[3]}\n'
+            "x,q,a,E_exact,abs_E,scaled_E,bound_total,ratio,"
+            "q0,q1,q2,q3,Q0,Q1,Q2,Q3,runtime_ms,error\n"
+            "10,3,1,1/1,1,0.29999999999999999,,,,,,,,,,,0.0123,\n"
+            "10,3,2,-1/1,1,0.29999999999999999,,,,,,,,,,,0.0087,\n"
+        )
+        ok, lines = verify_report(str(path), seed=0, fraction=1.0)
+        assert ok, lines
+        assert lines[-1] == "verify: 2/2 rows recomputed, all exact"
 
     def test_json_report_verifies(self, tmp_path):
         config = _config(tmp_path, format="json", q_list=[15], x_values=[500])

@@ -11,11 +11,9 @@ from kloosterlab.kloosterman import (
     IntegerInterval,
     SumValue,
     complete_kloosterman,
-    coprime_count,
     incomplete_kloosterman,
     kloosterman_crt,
     kloosterman_table,
-    normalized_kl,
     table_err,
 )
 
@@ -90,11 +88,16 @@ class TestCompleteKloosterman:
 class TestKloostermanTable:
     def test_matches_pointwise(self):
         for q in (2, 5, 6, 30, 97):
-            for a in (0, 1, 3):
+            for a in (1, 3):
+                if math.gcd(a, q) != 1:
+                    continue
                 tab = kloosterman_table(a, q)
                 for b in range(q):
                     want = kloosterman_brute(a, b, q)
                     assert abs(complex(tab[b]) - want) <= table_err(q)
+        for a, q in ((0, 5), (3, 6), (3, 30)):
+            with pytest.raises(NotCoprime):
+                kloosterman_table(a, q)
 
     def test_read_only(self):
         tab = kloosterman_table(1, 13)
@@ -175,27 +178,8 @@ class TestIncomplete:
         n = min(n, q)
         interval = IntegerInterval(m, n)
         v = incomplete_kloosterman(a, q, interval)
-        assert v.magnitude <= coprime_count(q, interval) + v.err
-
-
-class TestNormalized:
-    def test_value(self):
-        assert normalized_kl(1, 3) == pytest.approx(-1 / math.sqrt(3), abs=1e-12)
-
-    def test_range(self):
-        for p in (2, 3, 5, 7, 97, 499):
-            for a in (1, 2, p - 1):
-                if a % p == 0:
-                    continue
-                assert abs(normalized_kl(a, p)) <= 2.0
-
-    def test_rejects_composite(self):
-        with pytest.raises(DomainError):
-            normalized_kl(1, 6)
-
-    def test_rejects_divisible(self):
-        with pytest.raises(DomainError):
-            normalized_kl(14, 7)
+        coprime = sum(math.gcd(k, q) == 1 for k in interval.values())
+        assert v.magnitude <= coprime + v.err
 
 
 class TestSumValue:
