@@ -1,10 +1,10 @@
 """Exact integer and multiplicative-function primitives.
 
-Everything here is pure integer arithmetic: factorization, modular
-inverse tables, overflow-safe modular products of int64 arrays, the
-standard multiplicative functions (Mobius, Euler phi, generalized
-divisor counts tau_l), and sieves for smooth squarefree moduli.  All
-heavier modules build on these.
+Everything here is pure integer arithmetic: factorization, vectorized
+modular inverses and inverse tables, overflow-safe modular products of
+int64 arrays, the standard multiplicative functions (Mobius, Euler phi,
+generalized divisor counts tau_l), and sieves for smooth squarefree
+moduli.  All heavier modules build on these.
 """
 
 from __future__ import annotations
@@ -23,6 +23,9 @@ MAX_VALUE = 1 << 62
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 _SMALL_SIEVE_LIMIT = 10**6
+
+# inverse_table holds q int64 entries: at most 80 MB.
+INVERSE_TABLE_CAP = 10**7
 
 
 def is_prime(n: int) -> bool:
@@ -307,25 +310,46 @@ def smooth_squarefree_moduli(
     return out
 
 
+def inverse_mod(u, m) -> np.ndarray:
+    """u^-1 mod m elementwise, in [0, m), and -1 where gcd(u, m) > 1.
+
+    u and m are ints or int64 arrays (broadcast together), m >= 1.  A
+    vectorized extended Euclid: each step updates only the entries whose
+    remainder is still nonzero.  The Bezout coefficients stay below m in
+    absolute value, so nothing overflows for m < 2^63.
+    """
+    u, m = np.broadcast_arrays(np.asarray(u, dtype=np.int64), np.asarray(m, dtype=np.int64))
+    if np.any(m < 1):
+        raise DomainError("modulus must be positive")
+    old_r, r = m.flatten(), (u % m).ravel()
+    old_s, s = np.zeros_like(old_r), np.ones_like(old_r)
+    idx = np.flatnonzero(r)
+    while idx.size:
+        rq, ra = old_r[idx], r[idx]
+        quot = rq // ra
+        old_r[idx], r[idx] = ra, rq - quot * ra
+        sq, sa = old_s[idx], s[idx]
+        old_s[idx], s[idx] = sa, sq - quot * sa
+        idx = idx[r[idx] != 0]
+    return np.where(old_r.reshape(u.shape) == 1, old_s.reshape(u.shape) % m, -1)
+
+
 @lru_cache(maxsize=512)
 def inverse_table(q: int) -> np.ndarray:
-    """inv[n] for n in [0, q) with n invertible mod q, and -1 elsewhere."""
+    """inv[n] for n in [0, q) with n invertible mod q, and -1 elsewhere.
+
+    O(q) memory, so q is capped at INVERSE_TABLE_CAP.  Built in blocks of
+    2^20 residues to bound the Euclid temporaries.
+    """
     if q < 1:
         raise DomainError("modulus must be positive")
-    inv = np.full(q, -1, dtype=np.int64)
-    if q == 1:
-        inv[0] = 0
-        inv.flags.writeable = False
-        return inv
-    if is_prime(q):
-        # O(q) recurrence valid for prime modulus.
-        inv[1] = 1
-        for i in range(2, q):
-            inv[i] = (q - (q // i) * inv[q % i]) % q
-    else:
-        for n in range(1, q):
-            if math.gcd(n, q) == 1:
-                inv[n] = pow(n, -1, q)
+    if q > INVERSE_TABLE_CAP:
+        raise DomainError(f"inverse table limited to q <= {INVERSE_TABLE_CAP}")
+    step = 1 << 20
+    inv = np.concatenate([
+        inverse_mod(np.arange(lo, min(lo + step, q), dtype=np.int64), q)
+        for lo in range(0, q, step)
+    ])
     inv.flags.writeable = False
     return inv
 
@@ -335,7 +359,7 @@ def unit_mask(q: int) -> np.ndarray:
     """Boolean mask over [0, q) marking residues coprime to q."""
     if q < 1:
         raise DomainError("modulus must be positive")
-    mask = inverse_table(q) >= 0
+    mask = np.gcd(np.arange(q, dtype=np.int64), q) == 1
     mask.flags.writeable = False
     return mask
 

@@ -132,6 +132,16 @@ class SweepConfig:
                 and all(type(v) is int and v >= 1 for v in values)
             ):
                 raise DomainError(f"{name} entries must be ints >= 1, got {values!r}")
+        for name in ("eta", "delta", "eps", "q_lo_exp", "q_hi_exp"):
+            v = getattr(self, name)
+            if name.startswith("q_") and v is None:
+                continue
+            if isinstance(v, bool) or not isinstance(v, (int, float)):
+                raise DomainError(f"{name} must be a number, got {v!r}")
+        for name in ("seed", "jobs"):
+            v = getattr(self, name)
+            if type(v) is not int:
+                raise DomainError(f"{name} must be an int, got {v!r}")
         if self.q_list is None and (self.q_lo_exp is None or self.q_hi_exp is None):
             raise DomainError("config needs q_list or q_lo_exp/q_hi_exp")
         if not 0 < self.delta < 1 / 12:
@@ -229,7 +239,7 @@ def _compute_cell(payload: tuple) -> list[dict]:
             bound_total = None
 
     # one tau table amortizes all residues of the cell; fall back to
-    # per-query lattice counting above the sieve cap
+    # per-query hyperbola counts above the sieve cap
     main = None
     d_all = None
     cell_error = ""

@@ -2,11 +2,12 @@
 
 D(x, q, a) sums tau(n) over n <= x with n = a (mod q).  The `hyperbola`
 algorithm counts lattice points (u, v) with u*v <= x and u*v = a (mod q)
-directly, one residue class of u at a time; the `sieve` algorithm
-tabulates tau up to x and adds along the progression.  The main term
-D(x, q) and the error E(x, q, a) = D(x, q, a) - D(x, q) are exact
-rationals with denominator dividing phi(q), so zero-sum identities over
-residue classes can be asserted exactly.
+by Dirichlet's hyperbola method, in O(sqrt x) time and memory for x up
+to 10^12; the `sieve` algorithm tabulates tau up to x (at most 10^8)
+and adds along the progression.  The main term D(x, q) and the error
+E(x, q, a) = D(x, q, a) - D(x, q) are exact rationals with denominator
+dividing phi(q), so zero-sum identities over residue classes can be
+asserted exactly.
 """
 
 from __future__ import annotations
@@ -19,12 +20,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .arith import factorize, multiplicative_profile, unit_mask
+from .arith import factorize, inverse_mod, mulmod, multiplicative_profile, unit_mask
 from .errors import DomainError, NotCoprime
 
-HYPERBOLA_X_CAP = 10**9
+HYPERBOLA_X_CAP = 10**12
 SIEVE_X_CAP = 10**8
-_CHUNK = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -49,7 +49,7 @@ class ExactValue(NamedTuple):
     real: float
 
 
-@lru_cache(maxsize=4)
+@lru_cache(maxsize=1)
 def tau_table(x: int) -> np.ndarray:
     """tau(n) for n = 0..x (tau(0) set to 0)."""
     if x > SIEVE_X_CAP:
@@ -61,70 +61,42 @@ def tau_table(x: int) -> np.ndarray:
     return tau
 
 
-@lru_cache(maxsize=256)
-def _progression_tables(q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per residue class c mod q: g = gcd(c, q), q' = q/g, inv((c/g) mod q').
-
-    These turn the per-u solvability and solution class of
-    u*v = a (mod q) into O(1) table lookups.
-    """
-    classes = np.arange(q, dtype=np.int64)
-    g = np.gcd(classes, q)
-    g[0] = q
-    qp = q // g
-    invp = np.zeros(q, dtype=np.int64)
-    for c in range(q):
-        m = int(qp[c])
-        if m > 1:
-            invp[c] = pow(int(c // g[c]), -1, m)
-    for arr in (g, qp, invp):
-        arr.flags.writeable = False
-    return g, qp, invp
-
-
-@lru_cache(maxsize=32)
-def _x_over_u(x: int, lo: int) -> np.ndarray:
-    u = np.arange(lo, min(lo + _CHUNK, x + 1), dtype=np.int64)
-    r = x // u
-    r.flags.writeable = False
-    return r
-
-
-@lru_cache(maxsize=24)
-def _residue_chunk(x: int, q: int, lo: int) -> np.ndarray:
-    u = np.arange(lo, min(lo + _CHUNK, x + 1), dtype=np.int64)
-    c = u % q
-    c.flags.writeable = False
-    return c
+def _hyperbola_split(x: int) -> tuple[int, np.ndarray, np.ndarray]:
+    """The split point y = isqrt(x), u = 1..y and x // u, for x <= HYPERBOLA_X_CAP."""
+    if x > HYPERBOLA_X_CAP:
+        raise DomainError(f"hyperbola limited to x <= {HYPERBOLA_X_CAP}")
+    y = math.isqrt(x)
+    u = np.arange(1, y + 1, dtype=np.int64)
+    return y, u, x // u
 
 
 def _hyperbola_count(x: int, q: int, a: int) -> int:
-    """Number of pairs u*v <= x with u*v = a (mod q), by lattice counting."""
+    """Number of pairs u*v <= x with u*v = a (mod q), by Dirichlet's hyperbola.
+
+    Pairs have u <= y or v <= y (y = isqrt(x)), so the count is
+    2 * sum_{u<=y} #{v <= x/u} - sum_{u<=y} #{v <= y}.  For g = gcd(u, q)
+    the congruence is solvable iff g | a, and then v runs over the class
+    v0 = (a * inv(u/g mod q/g) mod q) / g modulo q/g.
+    """
+    y, u, big_x = _hyperbola_split(x)
     a %= q
-    g_tab, qp_tab, invp_tab = _progression_tables(q)
-    # smallest admissible v per residue class of u; x + 1 marks classes
-    # where u*v = a (mod q) has no solution
-    solvable = a % g_tab == 0
-    v0 = (a // g_tab) * invp_tab % qp_tab
-    first = np.where(v0 == 0, qp_tab, v0)
-    first = np.where(solvable, first, x + 1)
-    total = 0
-    for lo in range(1, x + 1, _CHUNK):
-        c = _residue_chunk(x, q, lo)
-        big_x = _x_over_u(x, lo)
-        f = first[c]
-        qp = qp_tab[c]
-        cnt = np.where(f <= big_x, (big_x - f) // qp + 1, 0)
-        total += int(cnt.sum())
-    return total
+    g = np.gcd(u, q)
+    solvable = a % g == 0
+    u, big_x, g = u[solvable], big_x[solvable], g[solvable]
+    qp = q // g
+    v0 = mulmod(inverse_mod(u // g, qp), a, q) // g
+
+    def count(limit):
+        # v in [1, limit] with v = v0 (mod qp)
+        return (limit - v0) // qp - (-v0) // qp
+
+    return int(2 * count(big_x).sum() - count(y).sum())
 
 
 def divisor_sum_ap(query: ApQuery, method: str = "hyperbola") -> int:
     """Exact D(x, q, a) by the requested algorithm."""
     x, q, a = query.x, query.q, query.a
     if method == "hyperbola":
-        if x > HYPERBOLA_X_CAP:
-            raise DomainError(f"hyperbola limited to x <= {HYPERBOLA_X_CAP}")
         return _hyperbola_count(x, q, a)
     if method == "sieve":
         tau = tau_table(x)
@@ -149,32 +121,29 @@ def divisor_sum_ap_all(x: int, q: int) -> list[int]:
 def coprime_tau_sum(x: int, q: int, method: str = "hyperbola") -> int:
     """Sum of tau(n) over n <= x with gcd(n, q) = 1.
 
-    The `hyperbola` route counts lattice points with both coordinates
-    coprime to q (inner counts are Mobius sums over the squarefree
-    divisors of q); `sieve` masks a tau table.
+    The `hyperbola` route counts pairs u*v <= x with both coordinates
+    coprime to q as 2 * sum_{u<=y, (u,q)=1} C(x/u) - C(y)^2, y = isqrt(x),
+    where C(X) = sum_{d | rad q} mu(d) * floor(X/d) counts the v <= X
+    coprime to q; `sieve` masks a tau table.
     """
     if x < 1:
         return 0
-    units = unit_mask(q)
     if method == "sieve":
         tau = tau_table(x)
-        keep = units[np.arange(x + 1, dtype=np.int64) % q]
+        keep = unit_mask(q)[np.arange(x + 1, dtype=np.int64) % q]
         return int(tau[keep].sum())
     if method != "hyperbola":
         raise DomainError(f"unknown method {method!r}")
-    fq = factorize(q)
+    y, u, big_x = _hyperbola_split(x)
     sf_divs: list[tuple[int, int]] = [(1, 1)]
-    for p in fq.primes:
+    for p in factorize(q).primes:
         sf_divs += [(d * p, -s) for d, s in sf_divs]
-    total = 0
-    for lo in range(1, x + 1, _CHUNK):
-        keep = units[_residue_chunk(x, q, lo)]
-        big_x = _x_over_u(x, lo)[keep]
-        acc = np.zeros(len(big_x), dtype=np.int64)
-        for d, s in sf_divs:
-            acc += s * (big_x // d)
-        total += int(acc.sum())
-    return total
+
+    def coprime_count(limit):
+        return sum(s * (limit // d) for d, s in sf_divs)
+
+    big_x = big_x[np.gcd(u, q) == 1]
+    return int(2 * coprime_count(big_x).sum() - coprime_count(y) ** 2)
 
 
 def divisor_main_term(x: int, q: int, method: str = "hyperbola") -> ExactValue:

@@ -17,7 +17,6 @@ so the bound is very conservative.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -28,9 +27,6 @@ from .arith import ModulusSplit, factorize, inverse_table, is_prime, mulmod
 from .errors import DomainError, NotCoprime
 
 _TERM_EPS = 4 * float(np.finfo(np.float64).eps)
-
-# Direct phase arithmetic a*inv + b*n is done in int64; q*q must fit.
-_DIRECT_MODULUS_CAP = 1 << 31
 
 
 @dataclass(frozen=True)
@@ -124,8 +120,8 @@ def kloosterman_table(a: int, q: int) -> np.ndarray:
         return _base_table(1)
     if math.gcd(a, q) != 1:
         raise NotCoprime(f"gcd({a}, {q}) > 1")
-    idx = a * np.arange(q, dtype=np.int64) % q
-    t = _base_table(q)[idx]
+    base = _base_table(q)  # raises DomainError above the inverse-table cap
+    t = base[a * np.arange(q, dtype=np.int64) % q]
     t.flags.writeable = False
     return t
 
@@ -136,22 +132,11 @@ def _direct_sum(a: int, b: int, q: int) -> SumValue:
         return SumValue(1.0, 0.0, 0.0)
     a %= q
     b %= q
-    if q <= _DIRECT_MODULUS_CAP:
-        inv = inverse_table(q)
-        units = np.nonzero(inv >= 0)[0]
-        phases = (a * inv[units] + b * units) % q
-        z = complex(np.exp(2j * np.pi * phases / q).sum())
-        n_terms = len(units)
-    else:
-        z = 0j
-        n_terms = 0
-        for n in range(1, q):
-            if math.gcd(n, q) != 1:
-                continue
-            phases = (a * pow(n, -1, q) + b * n) % q
-            z += cmath.exp(2j * cmath.pi * phases / q)
-            n_terms += 1
-    return _from_complex(z, _TERM_EPS * n_terms)
+    inv = inverse_table(q)
+    units = np.nonzero(inv >= 0)[0]
+    phases = (a * inv[units] + b * units) % q
+    z = complex(np.exp(2j * np.pi * phases / q).sum())
+    return _from_complex(z, _TERM_EPS * len(units))
 
 
 def _prime_part(a: int, b: int, p: int) -> SumValue:

@@ -50,6 +50,51 @@ def divisor_sum_brute(x: int, q: int, a: int) -> int:
     return sum(tau_brute(n) for n in range(1, x + 1) if n % q == a % q)
 
 
+def _progression_count(limit: int, w: int, q: int, a: int) -> int:
+    """#{t in [1, limit] : w*t = a (mod q)}, with one pow inverse."""
+    g = math.gcd(w, q)
+    if a % g:
+        return 0
+    m = q // g
+    c = (a // g) * pow(w // g, -1, m) % m
+    return (limit - c) // m + (c > 0)
+
+
+def divisor_sum_split(x: int, q: int, a: int, y: int) -> int:
+    """D(x, q, a) by the hyperbola identity split at any 1 <= y <= x.
+
+    Pairs u*v <= x have u <= y, or u > y and then v <= z = x // (y + 1);
+    for those v the u run over (y, x // v].
+    """
+    a %= q
+    z = x // (y + 1)
+    total = sum(_progression_count(x // u, u, q, a) for u in range(1, y + 1))
+    for v in range(1, z + 1):
+        total += _progression_count(x // v, v, q, a) - _progression_count(y, v, q, a)
+    return total
+
+
+def coprime_tau_sum_split(x: int, q: int, y: int) -> int:
+    """Sum of tau(n), n <= x coprime to q, split at any 1 <= y <= x.
+
+    Coprime counts come from one period: C(X) = (X // q) * phi(q) plus the
+    count of units in [1, X mod q].
+    """
+    prefix = [0]
+    for t in range(1, q + 1):
+        prefix.append(prefix[-1] + (math.gcd(t, q) == 1))
+
+    def coprime_count(limit: int) -> int:
+        return (limit // q) * prefix[q] + prefix[limit % q]
+
+    z = x // (y + 1)
+    total = sum(coprime_count(x // u) for u in range(1, y + 1) if math.gcd(u, q) == 1)
+    for v in range(1, z + 1):
+        if math.gcd(v, q) == 1:
+            total += coprime_count(x // v) - coprime_count(y)
+    return total
+
+
 def mobius_brute(n: int) -> int:
     if n == 1:
         return 1

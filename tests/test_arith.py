@@ -7,10 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kloosterlab.arith import (
+    INVERSE_TABLE_CAP,
     FactoredInteger,
     ModulusSplit,
     SmoothnessSpec,
     factorize,
+    inverse_mod,
     inverse_table,
     mulmod,
     multiplicative_profile,
@@ -167,8 +169,12 @@ class TestModulusSplit:
 
 
 class TestResidueTables:
-    @pytest.mark.parametrize("q", [1, 2, 7, 12, 97, 360])
+    @pytest.mark.parametrize("q", [1, 2, 7, 12, 97, 360, 30030, INVERSE_TABLE_CAP + 1])
     def test_inverse_table(self, q):
+        if q > INVERSE_TABLE_CAP:
+            with pytest.raises(DomainError):
+                inverse_table(q)
+            return
         inv = inverse_table(q)
         mask = unit_mask(q)
         for n in range(q):
@@ -178,6 +184,27 @@ class TestResidueTables:
                     assert n * inv[n] % q == 1
             else:
                 assert not mask[n] and inv[n] == -1
+
+    @pytest.mark.parametrize("m", [1, 2, 10007, 360360, 2**61 - 1, 2**62 - 1])
+    def test_inverse_mod_matches_pow(self, m):
+        rng = random.Random(m)
+        us = [0, 1, m - 1] + [rng.randrange(m) for _ in range(300)]
+        got = inverse_mod(np.array(us, dtype=np.int64), m)
+        assert got.tolist() == [
+            pow(u, -1, m) if math.gcd(u, m) == 1 else -1 for u in us
+        ]
+
+    def test_inverse_mod_broadcasts_moduli(self):
+        u = np.arange(-3, 9)
+        m = np.array([[1], [8], [9]])
+        got = inverse_mod(u, m)
+        assert got.shape == (3, 12)
+        for i, mi in enumerate((1, 8, 9)):
+            for j, uj in enumerate(u.tolist()):
+                want = pow(uj, -1, mi) if math.gcd(uj, mi) == 1 else -1
+                assert got[i, j] == want
+        with pytest.raises(DomainError):
+            inverse_mod(3, 0)
 
 
 class TestMulmod:

@@ -121,8 +121,23 @@ class TestSingleQueries:
         ('{"x_values": [-5], "q_list": [15]}', ["sweep", "--config", "{cfg}"], "x_values"),
         ('{"x_values": [2000], "q_list": [0]}', ["sweep", "--config", "{cfg}"], "q_list"),
         (None, ["verify-report", "{missing}"], "missing.csv"),
+        ('{"x_values": [2000], "q_list": [15], "eta": "abc"}',
+         ["sweep", "--config", "{cfg}"], "eta"),
+        ('{"x_values": [2000], "q_list": [15], "delta": true}',
+         ["sweep", "--config", "{cfg}"], "delta"),
+        ('{"x_values": [2000], "q_list": [15], "eps": null}',
+         ["sweep", "--config", "{cfg}"], "eps"),
+        ('{"x_values": [2000], "q_lo_exp": "0.6", "q_hi_exp": 0.64}',
+         ["sweep", "--config", "{cfg}"], "q_lo_exp"),
+        ('{"x_values": [2000], "q_list": [15], "jobs": "2"}',
+         ["sweep", "--config", "{cfg}"], "jobs"),
+        ('{"x_values": [2000], "q_list": [15], "seed": 1.5}',
+         ["sweep", "--config", "{cfg}"], "seed"),
+        (None, ["kloosterman", "1", "0", "999999999989", "4", "4"], "inverse table"),
+        (None, ["kloosterman", "1", "1", "2147483659"], "inverse table"),
     ], ids=["unknown-key", "invalid-json", "bad-x-flag", "negative-x", "zero-q",
-            "missing-report"])
+            "missing-report", "string-eta", "bool-delta", "null-eps", "string-q-exp",
+            "string-jobs", "float-seed", "interval-sum-huge-q", "complete-sum-huge-q"])
     def test_malformed_input_exits_2(self, tmp_path, capsys, config, argv, needle):
         cfg = tmp_path / "config.json"
         if config is not None:

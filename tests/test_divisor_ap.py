@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kloosterlab.divisor_ap import (
+    HYPERBOLA_X_CAP,
     ApQuery,
     coprime_tau_sum,
     divisor_main_term,
@@ -16,7 +17,7 @@ from kloosterlab.divisor_ap import (
 )
 from kloosterlab.errors import DomainError, NotCoprime
 
-from oracles import divisor_sum_brute, tau_brute
+from oracles import coprime_tau_sum_split, divisor_sum_brute, divisor_sum_split, tau_brute
 
 
 class TestDivisorSum:
@@ -42,7 +43,11 @@ class TestDivisorSum:
             divisor_sum_ap(ApQuery(10, 3, 1), "closed-form")
 
     def test_against_brute(self):
-        for x, q, a in ((50, 7, 3), (100, 12, 0), (73, 10, 9), (40, 41, 1)):
+        cases = [(50, 7, 3), (100, 12, 0), (73, 10, 9), (40, 41, 1)]
+        # the hyperbola splits at y = isqrt(x): x = k^2 - 1, k^2, k^2 + k
+        cases += [(x, q, a) for x in (168, 169, 182) for q, a in ((10, 3), (12, 8), (9, 6))]
+        cases += [(120, 7, -3), (99, 12, -4)]
+        for x, q, a in cases:
             want = divisor_sum_brute(x, q, a)
             assert divisor_sum_ap(ApQuery(x, q, a), "hyperbola") == want
             assert divisor_sum_ap(ApQuery(x, q, a), "sieve") == want
@@ -52,6 +57,32 @@ class TestDivisorSum:
     def test_methods_agree(self, x, q, a):
         query = ApQuery(x, q, a)
         assert divisor_sum_ap(query, "hyperbola") == divisor_sum_ap(query, "sieve")
+
+    def test_modulus_beyond_int64_products(self):
+        # q^2 >= 2^63, so a * inv(u) mod q takes mulmod's exact path
+        q = 10**10 + 19
+        x = 10**6
+        for a in (1, 720720, 997920, 10**6 + 1, -5, q - 1):
+            query = ApQuery(x, q, a)
+            assert divisor_sum_ap(query, "hyperbola") == divisor_sum_ap(query, "sieve")
+        # q is a prime above x, so every n <= x is coprime to q
+        assert coprime_tau_sum(x, q) == int(tau_table(x).sum())
+
+    def test_second_split_point(self):
+        x, y = 10**10, 70000  # isqrt(x) = 100000
+        # 4000000007 is a prime with q^2 > 2^63 and q < x, so a * inv(u)
+        # would wrap in int64 on residues that do occur
+        for q, a in ((210210, 1), (210210, 143), (210210, 210209),
+                     (4000000007, 4000000006), (4000000007, 12345)):
+            assert divisor_sum_ap(ApQuery(x, q, a)) == divisor_sum_split(x, q, a, y)
+        assert coprime_tau_sum(x, 210210) == coprime_tau_sum_split(x, 210210, y)
+
+    def test_hyperbola_cap(self):
+        assert divisor_sum_ap(ApQuery(HYPERBOLA_X_CAP, 9699690, 1)) > 0
+        with pytest.raises(DomainError):
+            divisor_sum_ap(ApQuery(HYPERBOLA_X_CAP + 1, 7, 1))
+        with pytest.raises(DomainError):
+            coprime_tau_sum(HYPERBOLA_X_CAP + 1, 7)
 
     def test_partition_over_residues(self):
         for x, q in ((1000, 7), (500, 12), (2000, 97)):

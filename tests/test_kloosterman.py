@@ -98,6 +98,9 @@ class TestKloostermanTable:
         for a, q in ((0, 5), (3, 6), (3, 30)):
             with pytest.raises(NotCoprime):
                 kloosterman_table(a, q)
+        # above the inverse-table cap: DomainError before any O(q) array
+        with pytest.raises(DomainError):
+            kloosterman_table(1, 999999999989)
 
     def test_read_only(self):
         tab = kloosterman_table(1, 13)
