@@ -165,9 +165,6 @@ class SmoothnessSpec:
         if self.bound < 1:
             raise DomainError("smoothness bound must be >= 1")
 
-    def admits(self, n: FactoredInteger) -> bool:
-        return all(p <= self.bound for p in n.primes)
-
 
 @dataclass(frozen=True)
 class ModulusSplit:
@@ -265,49 +262,34 @@ def smooth_squarefree_moduli(
 ) -> list[FactoredInteger]:
     """All squarefree integers in [lo, hi] whose prime factors are <= spec.bound.
 
-    Materialized eagerly with a segmented factor sieve; the span hi - lo
-    is capped at 10^8 and hi at 2^40.
+    An array sieve over rem = lo..hi: for each prime p <= min(bound,
+    sqrt(hi)) the multiples of p^2 are zeroed and the multiples of p
+    divided by p, one slice each.  What is left of n is 1, a prime above
+    sqrt(hi) (n <= hi has at most one), or a product of primes above the
+    bound, so n is admitted iff 0 < rem <= bound.  Factor tuples are built
+    for the survivors only.  The span hi - lo is capped at 10^8 and hi at
+    2^40.
     """
     if not (1 <= lo <= hi):
         raise DomainError(f"bad range [{lo}, {hi}]")
     if hi > 1 << 40 or hi - lo > 10**8:
         raise DomainError("range too large for eager enumeration")
-    span = hi - lo + 1
     rem = np.arange(lo, hi + 1, dtype=np.int64)
-    ok = np.ones(span, dtype=bool)
-    factor_lists: list[list[tuple[int, int]]] = [[] for _ in range(span)]
-
-    sieve_limit = min(spec.bound, math.isqrt(hi))
-    for p in primes_up_to(sieve_limit):
-        start = (-lo) % p
-        for i in range(start, span, p):
-            if not ok[i]:
-                continue
-            e = 0
-            m = int(rem[i])
-            while m % p == 0:
-                m //= p
-                e += 1
-            if e >= 2:
-                ok[i] = False
-            else:
-                rem[i] = m
-                factor_lists[i].append((p, 1))
-
-    out: list[FactoredInteger] = []
-    for i in range(span):
-        if not ok[i]:
-            continue
-        m = int(rem[i])
-        fl = factor_lists[i]
-        if m > 1:
-            # m has no prime factor <= min(bound, sqrt(hi)); it is either a
-            # prime in (sqrt(hi), hi] or has only factors above the bound.
-            if m > spec.bound or not is_prime(m):
-                continue
-            fl = fl + [(m, 1)]
-        out.append(FactoredInteger(lo + i, tuple(fl)))
-    return out
+    primes = primes_up_to(min(spec.bound, math.isqrt(hi)))
+    for p in primes:
+        rem[(-lo) % (p * p) :: p * p] = 0
+        rem[(-lo) % p :: p] //= p
+    keep = np.flatnonzero((rem > 0) & (rem <= spec.bound))
+    values, tails = keep + lo, rem[keep]
+    factor_lists: list[list[tuple[int, int]]] = [[] for _ in keep]
+    for p in primes:
+        pair = (p, 1)
+        for i in np.flatnonzero(values % p == 0).tolist():
+            factor_lists[i].append(pair)
+    return [
+        FactoredInteger(n, tuple(fl + [(m, 1)] if m > 1 else fl))
+        for n, m, fl in zip(values.tolist(), tails.tolist(), factor_lists)
+    ]
 
 
 def inverse_mod(u, m) -> np.ndarray:
@@ -354,14 +336,13 @@ def inverse_table(q: int) -> np.ndarray:
     return inv
 
 
-@lru_cache(maxsize=512)
 def unit_mask(q: int) -> np.ndarray:
-    """Boolean mask over [0, q) marking residues coprime to q."""
+    """Boolean mask over [0, q) marking residues coprime to q, q <= INVERSE_TABLE_CAP."""
     if q < 1:
         raise DomainError("modulus must be positive")
-    mask = np.gcd(np.arange(q, dtype=np.int64), q) == 1
-    mask.flags.writeable = False
-    return mask
+    if q > INVERSE_TABLE_CAP:
+        raise DomainError(f"unit mask limited to q <= {INVERSE_TABLE_CAP}")
+    return np.gcd(np.arange(q, dtype=np.int64), q) == 1
 
 
 def mulmod(x: np.ndarray, y, q: int) -> np.ndarray:

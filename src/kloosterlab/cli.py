@@ -38,6 +38,7 @@ from .arith import (
     is_prime,
     primes_up_to,
     smooth_squarefree_moduli,
+    unit_mask,
 )
 from .bounds_opt import (
     admissible,
@@ -53,7 +54,6 @@ from .divisor_ap import (
     ApQuery,
     divisor_main_term,
     divisor_sum_ap,
-    divisor_sum_ap_all,
     error_term,
 )
 from .errors import DomainError, KloosterlabError
@@ -165,18 +165,13 @@ class SweepConfig:
             return int(self.residues["sample"])
         return None
 
-    def to_json_dict(self, execution: bool = True) -> dict:
+    def to_json_dict(self) -> dict:
         d = asdict(self)
-        if not execution:
-            # jobs and out are execution details; the report must not
-            # depend on them, so they stay out of the config echo.
-            d.pop("jobs")
-            d.pop("out")
+        # jobs and out are execution details; the report must not
+        # depend on them, so they stay out of the config echo.
+        d.pop("jobs")
+        d.pop("out")
         return d
-
-    @classmethod
-    def from_file(cls, path: str) -> "SweepConfig":
-        return cls(**_read_config(path))
 
 
 def _read_text(path: str) -> str:
@@ -213,10 +208,11 @@ def _compute_cell(payload: tuple) -> list[dict]:
     """All rows of one (x, q) cell.  Must stay a top-level function so
     process pools can pickle it; determinism does not depend on which
     worker runs it."""
-    (idx, x, q, seed, sample, delta, eps, eta) = payload
-    units = [a for a in range(q) if math.gcd(a, q) == 1] or [0]
+    idx, x, q, config = payload
+    units = np.flatnonzero(unit_mask(q)).tolist()
+    sample = config.sample_size
     if sample is not None and sample < len(units):
-        rng = random.Random(seed ^ idx)
+        rng = random.Random(config.seed ^ idx)
         units = sorted(rng.sample(units, sample))
 
     try:
@@ -226,7 +222,7 @@ def _compute_cell(payload: tuple) -> list[dict]:
     split = None
     split_error = ""
     try:
-        windows = target_windows(x, q, eta)
+        windows = target_windows(x, q, config.eta)
         split = factorize_to_windows(factorize(q), windows)
     except KloosterlabError as exc:
         split_error = f"{type(exc).__name__}: {exc}"
@@ -234,21 +230,13 @@ def _compute_cell(payload: tuple) -> list[dict]:
     bound_total: Optional[float] = None
     if split is not None:
         try:
-            bound_total = divisorthm_rhs(x, split, delta, 0.0).bound_total
+            bound_total = divisorthm_rhs(x, split, config.delta, config.eps).bound_total
         except KloosterlabError:
             bound_total = None
 
-    # one tau table amortizes all residues of the cell; fall back to
-    # per-query hyperbola counts above the sieve cap
-    main = None
-    d_all = None
-    cell_error = ""
-    try:
-        use_sieve = x <= SIEVE_X_CAP
-        main = divisor_main_term(x, q, "sieve" if use_sieve else "hyperbola")
-        d_all = divisor_sum_ap_all(x, q) if use_sieve else None
-    except KloosterlabError as exc:
-        cell_error = f"{type(exc).__name__}: {exc}"
+    # one tau table serves every residue up to the sieve cap
+    method = "sieve" if x <= SIEVE_X_CAP else "hyperbola"
+    main: Optional[Fraction] = None
     rows = []
     for a in units:
         row: dict = {
@@ -262,13 +250,9 @@ def _compute_cell(payload: tuple) -> list[dict]:
         if split is not None:
             row["q0"], row["q1"], row["q2"], row["q3"] = split.parts
         try:
-            if cell_error:
-                raise KloosterlabError(cell_error)
-            if d_all is not None:
-                d = d_all[a % q]
-            else:
-                d = divisor_sum_ap(ApQuery(x, q, a), "hyperbola")
-            e = Fraction(d) - main.rational
+            if main is None:
+                main = divisor_main_term(x, q, method).rational
+            e = Fraction(divisor_sum_ap(ApQuery(x, q, a), method)) - main
             abs_e = abs(float(e))
             row["E_exact"] = _fmt_fraction(e)
             row["abs_E"] = abs_e
@@ -276,8 +260,7 @@ def _compute_cell(payload: tuple) -> list[dict]:
             if bound_total is not None and bound_total > 0:
                 row["ratio"] = abs_e / bound_total
         except KloosterlabError as exc:
-            msg = cell_error or f"{type(exc).__name__}: {exc}"
-            row["error"] = msg
+            row["error"] = f"{type(exc).__name__}: {exc}"
         rows.append(row)
     return rows
 
@@ -288,13 +271,7 @@ def run_sweep(config: SweepConfig) -> tuple[list[dict], dict]:
     for x in sorted(set(config.x_values)):
         for q in _cell_moduli(config, x):
             cells.append((x, q))
-    payloads = [
-        (
-            idx, x, q, config.seed, config.sample_size,
-            config.delta, config.eps, config.eta,
-        )
-        for idx, (x, q) in enumerate(cells)
-    ]
+    payloads = [(idx, x, q, config) for idx, (x, q) in enumerate(cells)]
     if config.jobs == 1:
         results = [_compute_cell(p) for p in payloads]
     else:
@@ -333,13 +310,13 @@ def _summarize(rows: list[dict]) -> dict:
 
 def render_report(config: SweepConfig, rows: list[dict], summary: dict) -> str:
     """Serialize a sweep deterministically in the configured format."""
-    config_json = json.dumps(config.to_json_dict(execution=False),
+    config_json = json.dumps(config.to_json_dict(),
                              sort_keys=True, separators=(",", ":"))
     if config.format == "json":
         doc = {
             "schema": SCHEMA_VERSION,
             "version": __version__,
-            "config": config.to_json_dict(execution=False),
+            "config": config.to_json_dict(),
             "rows": rows,
             "summary": summary,
         }

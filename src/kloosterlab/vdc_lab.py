@@ -415,18 +415,18 @@ class CompleteexpScan(NamedTuple):
     cells: int
 
 
-def completeexp_scan(p_max: int = 199, j_values: tuple[int, ...] = (1, 2, 3)) -> CompleteexpScan:
+def completeexp_scan(p_max: int = 199) -> CompleteexpScan:
     """Scan the deterministic product-sum grid and report ratio maxima.
 
     Generic cells are scaled by p^{(j+1)/2}; b = 0 cells with all-even
     shift multiplicities by p^{(j+2)/2} (these also obey the hard cap
     2^j from the per-factor Weil bound).
     """
-    max_generic = {j: 0.0 for j in j_values}
-    max_even_b0 = {j: 0.0 for j in j_values if j % 2 == 0}
+    max_generic = {1: 0.0, 2: 0.0, 3: 0.0}
+    max_even_b0 = {2: 0.0}
     cells = 0
     for p in primes_up_to(p_max):
-        for j in j_values:
+        for j in (1, 2, 3):
             for shifts, b in completeexp_shift_grid(p, j):
                 for a in (1, 2 % p):
                     if a % p == 0:

@@ -155,6 +155,25 @@ class TestSmoothSquarefree:
         got = [f.value for f in smooth_squarefree_moduli(9973, 9973, SmoothnessSpec(9973))]
         assert got == [9973]
 
+    @pytest.mark.parametrize("lo, hi, bound", [
+        # windows starting at p^2 - 1, p^2, p^2 + 1: p = 7 with the bound
+        # below sqrt(hi), p = 101 with the bound above it
+        (48, 400, 7), (49, 400, 7), (50, 400, 7),
+        (10200, 10600, 200), (10201, 10600, 200), (10202, 10600, 200),
+        (10**6 - 2000, 10**6 + 2000, 13),
+        (10**6 - 2000, 10**6 + 2000, 5000),
+        # a prime bound that is itself the leftover factor (991 * 1009)
+        (10**6 - 2000, 10**6 + 2000, 1009),
+    ])
+    def test_matches_brute_force(self, lo, hi, bound):
+        want = []
+        for n in range(lo, hi + 1):
+            f = factorize(n)
+            if f.squarefree and all(p <= bound for p in f.primes):
+                want.append((f.value, f.factors))
+        got = smooth_squarefree_moduli(lo, hi, SmoothnessSpec(bound))
+        assert [(f.value, f.factors) for f in got] == want
+
 
 class TestModulusSplit:
     def test_properties(self):
@@ -174,6 +193,8 @@ class TestResidueTables:
         if q > INVERSE_TABLE_CAP:
             with pytest.raises(DomainError):
                 inverse_table(q)
+            with pytest.raises(DomainError):
+                unit_mask(q)
             return
         inv = inverse_table(q)
         mask = unit_mask(q)

@@ -1,8 +1,11 @@
 import json
 import math
+import random
 
 import pytest
 
+from kloosterlab.arith import ModulusSplit
+from kloosterlab.bounds_opt import divisorthm_rhs
 from kloosterlab.cli import (
     SUITE_CHECKS,
     SUITES,
@@ -135,9 +138,11 @@ class TestSingleQueries:
          ["sweep", "--config", "{cfg}"], "seed"),
         (None, ["kloosterman", "1", "0", "999999999989", "4", "4"], "inverse table"),
         (None, ["kloosterman", "1", "1", "2147483659"], "inverse table"),
+        (None, ["sweep", "--x", "1000", "--q", "1000000000000"], "unit mask"),
     ], ids=["unknown-key", "invalid-json", "bad-x-flag", "negative-x", "zero-q",
             "missing-report", "string-eta", "bool-delta", "null-eps", "string-q-exp",
-            "string-jobs", "float-seed", "interval-sum-huge-q", "complete-sum-huge-q"])
+            "string-jobs", "float-seed", "interval-sum-huge-q", "complete-sum-huge-q",
+            "sweep-huge-q"])
     def test_malformed_input_exits_2(self, tmp_path, capsys, config, argv, needle):
         cfg = tmp_path / "config.json"
         if config is not None:
@@ -197,6 +202,28 @@ class TestSweep:
         assert all(math.gcd(r["a"], 105) == 1 for r in rows)
         rows2, _ = run_sweep(config)
         assert rows == rows2
+
+    def test_sampled_residues_follow_cell_seed(self, tmp_path):
+        # random.sample picks by a different algorithm for populations
+        # above 85 when m = 20: phi(87) = 56, phi(101) = 100
+        config = _config(tmp_path, residues={"sample": 20}, q_list=[87, 101])
+        rows, _ = run_sweep(config)
+        for idx, q in enumerate([87, 101]):
+            units = [a for a in range(q) if math.gcd(a, q) == 1]
+            want = sorted(random.Random(config.seed ^ idx).sample(units, 20))
+            assert [r["a"] for r in rows if r["q"] == q] == want
+
+    def test_eps_scales_bound_total(self, tmp_path):
+        base = dict(x_values=[10**5], q_list=None, q_lo_exp=0.6, q_hi_exp=0.61,
+                    residues={"sample": 1})
+        rows0, _ = run_sweep(_config(tmp_path, **base))
+        rows, _ = run_sweep(_config(tmp_path, **base, eps=0.1))
+        assert [r["bound_total"] for r in rows0] != [r["bound_total"] for r in rows]
+        feasible = [r for r in rows if r["q0"] is not None]
+        assert feasible
+        for r in feasible:
+            split = ModulusSplit((r["q0"], r["q1"], r["q2"], r["q3"]))
+            assert r["bound_total"] == divisorthm_rhs(r["x"], split, 0.05, 0.1).bound_total
 
     def test_json_format(self, tmp_path):
         config = _config(tmp_path, format="json")
