@@ -50,7 +50,6 @@ from .kloosterman import (
 from .vdc_lab import (
     ShiftVector,
     completion_check,
-    interval_fourier,
     onediff_ratio,
     partial_sum_max,
     shifted_product_complete_sum,
@@ -84,7 +83,6 @@ __all__ = [
     "factorize",
     "factorize_to_windows",
     "incomplete_kloosterman",
-    "interval_fourier",
     "kloosterman_crt",
     "multiplicative_profile",
     "onediff_ratio",

@@ -20,6 +20,7 @@ import csv
 import io
 import json
 import math
+import os
 import random
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -234,8 +235,6 @@ def _compute_cell(payload: tuple) -> list[dict]:
         except KloosterlabError:
             bound_total = None
 
-    # one tau table serves every residue up to the sieve cap
-    method = "sieve" if x <= SIEVE_X_CAP else "hyperbola"
     main: Optional[Fraction] = None
     rows = []
     for a in units:
@@ -251,8 +250,8 @@ def _compute_cell(payload: tuple) -> list[dict]:
             row["q0"], row["q1"], row["q2"], row["q3"] = split.parts
         try:
             if main is None:
-                main = divisor_main_term(x, q, method).rational
-            e = Fraction(divisor_sum_ap(ApQuery(x, q, a), method)) - main
+                main = divisor_main_term(x, q).rational
+            e = Fraction(divisor_sum_ap(ApQuery(x, q, a))) - main
             abs_e = abs(float(e))
             row["E_exact"] = _fmt_fraction(e)
             row["abs_E"] = abs_e
@@ -367,7 +366,15 @@ def load_report(path: str) -> list[dict]:
 
 
 def verify_report(path: str, seed: int = 0, fraction: float = 0.01) -> tuple[bool, list[str]]:
-    """Recompute a seeded sample of a report's rows and demand exact E values."""
+    """Recompute a seeded sample of a report's rows and demand exact E values.
+
+    Sweeps compute every row by the hyperbola, so rows with
+    x <= SIEVE_X_CAP are recomputed by the tau sieve, which shares no code
+    with it; above the cap the hyperbola is rerun, which is not an
+    independent check.
+    """
+    if not 0 < fraction <= 1:
+        raise DomainError(f"fraction = {fraction} outside (0, 1]")
     rows = load_report(path)
     candidates = [r for r in rows if not r["error"] and r["E_exact"]]
     if not candidates:
@@ -378,8 +385,9 @@ def verify_report(path: str, seed: int = 0, fraction: float = 0.01) -> tuple[boo
     lines = []
     ok = True
     for r in picked:
-        main = divisor_main_term(r["x"], r["q"])
-        d = divisor_sum_ap(ApQuery(r["x"], r["q"], r["a"]), "hyperbola")
+        method = "sieve" if r["x"] <= SIEVE_X_CAP else "hyperbola"
+        main = divisor_main_term(r["x"], r["q"], method)
+        d = divisor_sum_ap(ApQuery(r["x"], r["q"], r["a"]), method)
         e = Fraction(d) - main.rational
         if _fmt_fraction(e) != r["E_exact"]:
             ok = False
@@ -665,7 +673,7 @@ def cmd_kloosterman(args: argparse.Namespace) -> int:
 
 
 def cmd_divisor(args: argparse.Namespace) -> int:
-    d = divisor_sum_ap(ApQuery(args.x, args.q, args.a), args.method)
+    d = divisor_sum_ap(ApQuery(args.x, args.q, args.a))
     print(f"D({args.x}, {args.q}, {args.a}) = {d}")
     return EXIT_OK
 
@@ -714,7 +722,11 @@ def cmd_factorize(args: argparse.Namespace) -> int:
 
 
 def _parse_split(text: str) -> ModulusSplit:
-    return ModulusSplit(tuple(int(t) for t in text.split(",")))
+    try:
+        parts = tuple(int(t) for t in text.split(","))
+    except ValueError:
+        raise DomainError(f"--split must be comma-separated ints, got {text!r}") from None
+    return ModulusSplit(parts)
 
 
 def cmd_bound(args: argparse.Namespace) -> int:
@@ -839,7 +851,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--a", type=int, required=True)
-    p.add_argument("--method", choices=("hyperbola", "sieve"), default="hyperbola")
     p.set_defaults(func=cmd_divisor)
 
     p = sub.add_parser("error-term", help="exact E(x, q, a)")
@@ -913,10 +924,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             elif len(args.interval) != 2:
                 parser.error("interval takes exactly two integers: M N")
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except KloosterlabError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except BrokenPipeError:
+        # The reader closed stdout early (e.g. `| head`).  Point stdout at
+        # devnull so that the interpreter's final flush cannot raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return EXIT_FAIL
 
 
 if __name__ == "__main__":

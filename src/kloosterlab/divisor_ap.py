@@ -1,13 +1,15 @@
 """Divisor sums over arithmetic progressions, by two independent algorithms.
 
-D(x, q, a) sums tau(n) over n <= x with n = a (mod q).  The `hyperbola`
-algorithm counts lattice points (u, v) with u*v <= x and u*v = a (mod q)
-by Dirichlet's hyperbola method, in O(sqrt x) time and memory for x up
-to 10^12; the `sieve` algorithm tabulates tau up to x (at most 10^8)
-and adds along the progression.  The main term D(x, q) and the error
-E(x, q, a) = D(x, q, a) - D(x, q) are exact rationals with denominator
-dividing phi(q), so zero-sum identities over residue classes can be
-asserted exactly.
+D(x, q, a) sums tau(n) over n <= x with n = a (mod q).  The production
+algorithm, `hyperbola`, counts lattice points (u, v) with u*v <= x and
+u*v = a (mod q) by Dirichlet's hyperbola method, in O(sqrt x) time and
+memory for x up to 10^12; sweeps and single queries use it at every x.
+The `sieve` algorithm tabulates tau up to x (at most 10^8) and adds
+along the progression; it is the oracle that checks the hyperbola
+(`verify-report`, the acceptance tests) and shares no code with it.
+The main term D(x, q) and the error E(x, q, a) = D(x, q, a) - D(x, q)
+are exact rationals with denominator dividing phi(q), so zero-sum
+identities over residue classes can be asserted exactly.
 """
 
 from __future__ import annotations
@@ -51,12 +53,18 @@ class ExactValue(NamedTuple):
 
 @lru_cache(maxsize=1)
 def tau_table(x: int) -> np.ndarray:
-    """tau(n) for n = 0..x (tau(0) set to 0)."""
+    """tau(n) for n = 0..x (tau(0) set to 0).
+
+    Each divisor pair d < n/d of n is counted once, at its smaller member
+    d <= isqrt(x): n runs over the multiples of d from d*(d+1) on.  A
+    square n = d*d adds 1 for its middle divisor.
+    """
     if x > SIEVE_X_CAP:
         raise DomainError(f"sieve limited to x <= {SIEVE_X_CAP}")
     tau = np.zeros(x + 1, dtype=np.int64)
-    for d in range(1, x + 1):
-        tau[d::d] += 1
+    for d in range(1, math.isqrt(x) + 1):
+        tau[d * d] += 1
+        tau[d * (d + 1) :: d] += 2
     tau.flags.writeable = False
     return tau
 

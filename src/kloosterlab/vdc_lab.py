@@ -99,22 +99,6 @@ class OnediffReport(NamedTuple):
     ratio: float
 
 
-def interval_fourier(interval: IntegerInterval, q: int, k: int) -> SumValue:
-    """f(k) = sum over n in the interval of e_q(-n k)."""
-    if q < 1:
-        raise DomainError(f"modulus {q} must be >= 1")
-    k %= q
-    n = len(interval)
-    if k == 0:
-        return SumValue(float(n), 0.0, 0.0)
-    if n == 0:
-        return SumValue(0.0, 0.0, 0.0)
-    residues = (interval.offset + np.arange(n, dtype=np.int64)) % q
-    phases = mulmod(residues, k, q)
-    z = complex(np.exp(-2j * np.pi * phases / q).sum())
-    return SumValue(z.real, z.imag, _TERM_EPS * n)
-
-
 @lru_cache(maxsize=256)
 def _interval_dft(q: int, offset_mod: int, n: int) -> np.ndarray:
     """f(k) for all k mod q at once, as a DFT of the interval indicator."""

@@ -1,9 +1,15 @@
 import json
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+from kloosterlab import divisor_ap
 from kloosterlab.arith import ModulusSplit
 from kloosterlab.bounds_opt import divisorthm_rhs
 from kloosterlab.cli import (
@@ -16,6 +22,9 @@ from kloosterlab.cli import (
     run_sweep,
     verify_report,
 )
+
+# a two-row report, for the verify-report cases of test_malformed_input_exits_2
+TWO_ROW_REPORT = "# schema=2\nx,q,a,E_exact,error\n10,3,1,1/1,\n10,3,2,-1/1,\n"
 
 
 class TestSingleQueries:
@@ -93,6 +102,27 @@ class TestSingleQueries:
     def test_usage_error_exit_code(self, capsys):
         assert main(["divisor", "--x", "0", "--q", "3", "--a", "1"]) == 2
 
+    def test_divisor_takes_no_method(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["divisor", "--x", "10", "--q", "3", "--a", "1", "--method", "sieve"])
+        assert exc.value.code == 2
+        assert "--method" in capsys.readouterr().err
+
+    def test_closed_stdout_exits_without_traceback(self):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "kloosterlab", "sweep", "--x", "2e12", "--q", "15",
+             "--residues", "2"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        # the reader goes away before the sweep has written anything
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=120) == 1
+        assert "Traceback" not in err and "BrokenPipeError" not in err
+
     def test_lemma_suite_vanishing(self, capsys):
         assert main(["lemma-suite", "vanishing", "--size", "small"]) == 0
         out = capsys.readouterr().out
@@ -139,10 +169,15 @@ class TestSingleQueries:
         (None, ["kloosterman", "1", "0", "999999999989", "4", "4"], "inverse table"),
         (None, ["kloosterman", "1", "1", "2147483659"], "inverse table"),
         (None, ["sweep", "--x", "1000", "--q", "1000000000000"], "unit mask"),
+        (TWO_ROW_REPORT, ["verify-report", "{cfg}", "--fraction", "2"], "fraction"),
+        (TWO_ROW_REPORT, ["verify-report", "{cfg}", "--fraction", "nan"], "fraction"),
+        (TWO_ROW_REPORT, ["verify-report", "{cfg}", "--fraction", "-1"], "fraction"),
+        (None, ["bound", "short-kloosterman", "--split", "abc", "--N", "10"], "split"),
     ], ids=["unknown-key", "invalid-json", "bad-x-flag", "negative-x", "zero-q",
             "missing-report", "string-eta", "bool-delta", "null-eps", "string-q-exp",
             "string-jobs", "float-seed", "interval-sum-huge-q", "complete-sum-huge-q",
-            "sweep-huge-q"])
+            "sweep-huge-q", "fraction-above-1", "fraction-nan", "fraction-negative",
+            "non-numeric-split"])
     def test_malformed_input_exits_2(self, tmp_path, capsys, config, argv, needle):
         cfg = tmp_path / "config.json"
         if config is not None:
@@ -225,6 +260,14 @@ class TestSweep:
             split = ModulusSplit((r["q0"], r["q1"], r["q2"], r["q3"]))
             assert r["bound_total"] == divisorthm_rhs(r["x"], split, 0.05, 0.1).bound_total
 
+    def test_rows_do_not_depend_on_the_tau_sieve(self, tmp_path, monkeypatch):
+        # every cell takes the hyperbola, also at x <= SIEVE_X_CAP
+        config = _config(tmp_path, x_values=[2000, 10**5], residues={"sample": 4})
+        rows, _ = run_sweep(config)
+        monkeypatch.setattr(divisor_ap, "tau_table",
+                            lambda x: np.ones(x + 1, dtype=np.int64))
+        assert run_sweep(config)[0] == rows
+
     def test_json_format(self, tmp_path):
         config = _config(tmp_path, format="json")
         text = render_report(config, *run_sweep(config))
@@ -280,6 +323,20 @@ class TestVerifyReport:
         ok, lines = verify_report(str(path), seed=0, fraction=1.0)
         assert not ok
         assert any("MISMATCH" in ln for ln in lines)
+
+    def test_flags_a_wrong_hyperbola(self, tmp_path, monkeypatch):
+        # below SIEVE_X_CAP the rows are recomputed by the tau sieve, so an
+        # error in the hyperbola that wrote them cannot hide from the check
+        count = divisor_ap._hyperbola_count
+        monkeypatch.setattr(divisor_ap, "_hyperbola_count",
+                            lambda x, q, a: count(x, q, a) + 1)
+        config = _config(tmp_path, q_list=[15], x_values=[500])
+        rows, summary = run_sweep(config)
+        path = tmp_path / "report.csv"
+        path.write_text(render_report(config, rows, summary))
+        ok, lines = verify_report(str(path), seed=0, fraction=1.0)
+        assert not ok
+        assert sum(ln.startswith("MISMATCH ") for ln in lines) == len(rows) == 8
 
     def test_schema_1_report_verifies(self, tmp_path):
         # schema 1 reports carried a runtime_ms column

@@ -97,9 +97,12 @@ class TestDivisorSum:
             prev = d
 
     def test_tau_table(self):
-        tau = tau_table(100)
-        for n in range(1, 101):
-            assert tau[n] == tau_brute(n)
+        # the table loops over d <= isqrt(x): x = k^2 - 1, k^2, k^2 + 1 for k = 13
+        for x in (100, 168, 169, 170):
+            tau = tau_table(x)
+            assert len(tau) == x + 1 and tau[0] == 0
+            for n in range(1, x + 1):
+                assert tau[n] == tau_brute(n)
 
 
 class TestMainTerm:
