@@ -50,6 +50,7 @@ from .kloosterman import (
 from .vdc_lab import (
     ShiftVector,
     completion_check,
+    completion_deviations,
     onediff_ratio,
     partial_sum_max,
     shifted_product_complete_sum,
@@ -75,6 +76,7 @@ __all__ = [
     "admissible",
     "complete_kloosterman",
     "completion_check",
+    "completion_deviations",
     "divisor_main_term",
     "divisor_sum_ap",
     "divisorthm_rhs",

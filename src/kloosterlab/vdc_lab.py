@@ -3,8 +3,9 @@
 This module provides the numeric side of the completion/differencing
 pipeline for incomplete Kloosterman sums:
 
-  * interval Fourier transforms f(k) and the completion identity
-    S = (1/q) * sum_k f(k) S(a, k, q), checked to numeric error;
+  * the completion identity S = (1/q) * sum_k f(k) S(a, k, q), f the
+    interval's Fourier transform, checked to numeric error for a whole
+    (interval, a) grid per modulus by two matrix products;
   * block maxima of partial sums of e_q(-Mk) S(a, k, q);
   * complete sums of shifted Kloosterman products to prime modulus and
     their multiplicative extension to squarefree moduli;
@@ -26,7 +27,6 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -35,6 +35,7 @@ from .arith import (
     FactoredInteger,
     ModulusSplit,
     factorize,
+    inverse_table,
     is_prime,
     mulmod,
     primes_up_to,
@@ -44,7 +45,6 @@ from .kloosterman import (
     IntegerInterval,
     SumValue,
     _TERM_EPS,
-    incomplete_kloosterman,
     kloosterman_table,
     table_err,
 )
@@ -99,28 +99,67 @@ class OnediffReport(NamedTuple):
     ratio: float
 
 
-@lru_cache(maxsize=256)
-def _interval_dft(q: int, offset_mod: int, n: int) -> np.ndarray:
-    """f(k) for all k mod q at once, as a DFT of the interval indicator."""
-    ind = np.zeros(q, dtype=np.complex128)
-    ind[(offset_mod + np.arange(n, dtype=np.int64)) % q] = 1.0
-    f = np.fft.fft(ind)
-    f.flags.writeable = False
-    return f
+def _interval_indicator(q: int, intervals: list[IntegerInterval]) -> np.ndarray:
+    """Boolean (len(intervals), q) array: row i marks the residues of intervals[i].
+
+    Each interval is at most q long, so it covers each residue at most once.
+    """
+    offsets = np.array([interval.offset % q for interval in intervals], dtype=np.int64)
+    lengths = np.array([len(interval) for interval in intervals], dtype=np.int64)
+    # n lies in [offset, offset + length) mod q iff (n - offset) mod q < length
+    return (np.arange(q, dtype=np.int64) - offsets[:, None]) % q < lengths[:, None]
+
+
+def _completion_sides(
+    q: int, intervals: list[IntegerInterval], residues: list[int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Both sides of the completion identity, one matrix product each.
+
+    Returns (direct, completed), each of shape (len(intervals),
+    len(residues)): direct[i, j] sums e_q(a_j * nbar) over the units n in
+    intervals[i]; completed[i, j] is (1/q) sum_k f_i(k) S(a_j, k, q), with
+    f_i the DFT of the indicator of intervals[i] mod q.
+    """
+    if q < 1:
+        raise DomainError(f"modulus {q} must be >= 1")
+    if any(len(interval) > q for interval in intervals):
+        raise DomainError("interval longer than the period q")
+    for r in residues:
+        if math.gcd(r, q) != 1:
+            raise NotCoprime(f"gcd({r}, {q}) > 1")
+    indicator = _interval_indicator(q, intervals)
+    a = np.array([r % q for r in residues], dtype=np.int64)
+    inv = inverse_table(q)
+    # only the units some interval covers: a short interval costs its length
+    units = np.flatnonzero((inv >= 0) & indicator.any(axis=0))
+    # e_q(a * nbar), rounded as incomplete_kloosterman rounds it; built in
+    # place so that one (phi(q) x len(residues)) array is live at a time
+    phases = mulmod(inv[units][:, None], a[None, :], q) * (2j * np.pi)
+    phases /= q
+    direct = indicator[:, units] @ np.exp(phases, out=phases)
+    tables = np.empty((q, len(a)), dtype=np.complex128)
+    for j, r in enumerate(a):
+        tables[:, j] = kloosterman_table(int(r), q)
+    completed = np.fft.fft(indicator, axis=1) @ tables / q
+    return direct, completed
+
+
+def completion_deviations(
+    q: int, intervals: list[IntegerInterval], residues: list[int]
+) -> np.ndarray:
+    """|incomplete sum - (1/q) sum_k f(k) S(a, k, q)| for every (interval, a).
+
+    The (len(intervals), len(residues)) array of deviations between the
+    two evaluations of each incomplete Kloosterman sum to modulus q.
+    Every a must be coprime to q and every interval at most q long.
+    """
+    direct, completed = _completion_sides(q, intervals, residues)
+    return np.abs(direct - completed)
 
 
 def completion_check(a: int, q: int, interval: IntegerInterval) -> float:
-    """|incomplete sum - (1/q) sum_k f(k) S(a, k, q)|, which must sit in err.
-
-    Returns the absolute deviation between the two evaluations.
-    """
-    direct = incomplete_kloosterman(a, q, interval)
-    if len(interval) == 0:
-        return abs(direct.as_complex)
-    f = _interval_dft(q, interval.offset % q, len(interval))
-    table = kloosterman_table(a, q)
-    completed = complex((f * table).sum()) / q
-    return abs(direct.as_complex - completed)
+    """The completion deviation of one sum: completion_deviations' 1x1 case."""
+    return float(completion_deviations(q, [interval], [a])[0, 0])
 
 
 def partial_sum_max(a: int, q: int, M: int, K: int, r: int) -> float:

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kloosterlab import divisor_ap
+from kloosterlab import cli, divisor_ap
 from kloosterlab.arith import ModulusSplit
 from kloosterlab.bounds_opt import divisorthm_rhs
 from kloosterlab.cli import (
@@ -337,6 +337,28 @@ class TestVerifyReport:
         ok, lines = verify_report(str(path), seed=0, fraction=1.0)
         assert not ok
         assert sum(ln.startswith("MISMATCH ") for ln in lines) == len(rows) == 8
+
+    def test_main_term_once_per_cell(self, tmp_path, monkeypatch):
+        # 2 cells x 4 residues: one main term per cell, the same lines as
+        # when each row computed its own
+        calls = []
+        main_term = cli.divisor_main_term
+        monkeypatch.setattr(cli, "divisor_main_term",
+                            lambda *args: calls.append(args) or main_term(*args))
+        config = _config(tmp_path, q_list=[15, 21], x_values=[500],
+                         residues={"sample": 4})
+        rows, summary = run_sweep(config)
+        calls.clear()
+        rows[5] = dict(rows[5], E_exact="99999/1")
+        path = tmp_path / "report.csv"
+        path.write_text(render_report(config, rows, summary))
+        ok, lines = verify_report(str(path), seed=0, fraction=1.0)
+        assert [args[:2] for args in calls] == [(500, 15), (500, 21)]
+        assert not ok
+        assert lines == [
+            "MISMATCH x=500 q=21 a=11: report 99999/1 recomputed 13/12",
+            "verify: 8/8 rows recomputed, MISMATCHES FOUND",
+        ]
 
     def test_schema_1_report_verifies(self, tmp_path):
         # schema 1 reports carried a runtime_ms column

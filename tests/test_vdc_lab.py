@@ -5,19 +5,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kloosterlab import vdc_lab
 from kloosterlab.arith import ModulusSplit, factorize
+from kloosterlab.cli import check_completion, completion_grid_intervals
 from kloosterlab.errors import DomainError, NotCoprime, NotSquarefree
-from kloosterlab.kloosterman import IntegerInterval
+from kloosterlab.kloosterman import IntegerInterval, incomplete_kloosterman, kloosterman_table
 from kloosterlab.vdc_lab import (
     PINNED_COMPLETEEXP_EVEN_B0,
     PINNED_COMPLETEEXP_GENERIC,
     PINNED_ONEDIFF_RATIO,
     ShiftVector,
-    _interval_dft,
+    _completion_sides,
+    _interval_indicator,
     all_even_multiplicities,
     completeexp_scan,
     completeexp_shift_grid,
     completion_check,
+    completion_deviations,
     onediff_ratio,
     partial_sum_max,
     shifted_product_complete_sum,
@@ -29,22 +33,28 @@ from kloosterlab.vdc_lab import (
 from oracles import e_q, interval_fourier_brute, kloosterman_brute
 
 
-class TestIntervalFourier:
-    """f(k) for every k mod q, as completion_check takes it from _interval_dft."""
+def _interval_dfts(q, intervals):
+    """f(k) for every k mod q, one row per interval, as completion_deviations
+    takes it: one FFT along the rows of the batched indicator."""
+    return np.fft.fft(_interval_indicator(q, intervals), axis=1)
 
+
+class TestIntervalFourier:
     def test_zero_frequency_counts(self):
-        assert _interval_dft(12, 3, 9)[0] == 9
+        f = _interval_dfts(12, [IntegerInterval(3, 9), IntegerInterval(-5, 0)])
+        assert f[0, 0] == 9 and f[1, 0] == 0
 
     def test_full_period_vanishes(self):
         for q in (5, 12, 30):
-            f = _interval_dft(q, 0, q)
+            f = _interval_dfts(q, [IntegerInterval(0, q), IntegerInterval(-7, q)])
             for k in (1, 2, q - 1):
-                assert abs(f[k]) <= 1e-12
+                assert np.abs(f[:, k]).max() <= 1e-12
 
     def test_against_brute(self):
         for q, m, n, k in ((11, 4, 7, 3), (30, -6, 13, 17), (7, 2, 7, 5)):
-            f = _interval_dft(q, m % q, n)
-            assert abs(f[k % q] - interval_fourier_brute(m, n, q, k)) <= 1e-10
+            f = _interval_dfts(q, [IntegerInterval(m, n), IntegerInterval(m + q, n)])
+            for row in f:
+                assert abs(row[k % q] - interval_fourier_brute(m, n, q, k)) <= 1e-10
 
     @given(st.integers(2, 200), st.integers(-300, 300), st.integers(0, 200),
            st.integers(1, 400))
@@ -55,7 +65,7 @@ class TestIntervalFourier:
         if k % q == 0:
             return
         n = min(n, q)
-        f = _interval_dft(q, m % q, n)
+        f = _interval_dfts(q, [IntegerInterval(m, n)])[0]
         # ||k/q|| = min(k mod q, -k mod q) / q
         cap = min(float(n), q / (2 * min(k % q, -k % q)))
         assert abs(f[k % q]) <= cap + 1e-9
@@ -63,8 +73,8 @@ class TestIntervalFourier:
     def test_parseval(self):
         # sum_k |f(k)|^2 = q * N for intervals of length N <= q
         for q, m, n in ((13, 2, 5), (24, -7, 24), (60, 11, 31)):
-            total = float((np.abs(_interval_dft(q, m % q, n)) ** 2).sum())
-            assert total == pytest.approx(q * n, rel=1e-10)
+            totals = (np.abs(_interval_dfts(q, [IntegerInterval(m, n)] * 2)) ** 2).sum(axis=1)
+            assert totals == pytest.approx([q * n] * 2, rel=1e-10)
 
 
 class TestCompletion:
@@ -83,6 +93,61 @@ class TestCompletion:
                 for m, n in ((0, q // 2), (-q, q), (3, 1)):
                     worst = max(worst, completion_check(a, q, IntegerInterval(m, n)))
         assert worst <= 1e-8
+
+    def test_rejects_bad_input(self):
+        with pytest.raises(NotCoprime):
+            completion_check(3, 6, IntegerInterval(0, 4))
+        with pytest.raises(DomainError):
+            completion_check(1, 6, IntegerInterval(0, 7))
+        with pytest.raises(DomainError):
+            completion_check(1, 0, IntegerInterval(0, 0))
+        with pytest.raises(NotCoprime):
+            completion_deviations(10, [IntegerInterval(0, 4)], [1, 5])
+
+
+def _units(q):
+    return [0] if q == 1 else [a for a in range(1, q) if math.gcd(a, q) == 1]
+
+
+class TestCompletionDeviations:
+    """The batched grid against the per-cell evaluations it replaced."""
+
+    def test_direct_side_is_incomplete_kloosterman(self):
+        for q in range(1, 41):
+            intervals = completion_grid_intervals(q)
+            residues = _units(q)
+            direct, _ = _completion_sides(q, intervals, residues)
+            for i, interval in enumerate(intervals):
+                for j, a in enumerate(residues):
+                    value = incomplete_kloosterman(a, q, interval)
+                    assert abs(direct[i, j] - value.as_complex) <= value.err, (q, a, interval)
+
+    def test_completed_side_is_the_table_sum(self):
+        for q in range(1, 41):
+            intervals = completion_grid_intervals(q)
+            residues = _units(q)
+            _, completed = _completion_sides(q, intervals, residues)
+            for i, interval in enumerate(intervals):
+                # f from a per-interval indicator built without _interval_indicator
+                ind = np.zeros(q)
+                ind[(interval.offset + np.arange(len(interval))) % q] = 1.0
+                f = np.fft.fft(ind)
+                for j, a in enumerate(residues):
+                    want = (f * kloosterman_table(a, q)).sum() / q
+                    assert abs(completed[i, j] - want) <= 1e-12, (q, a, interval)
+
+    @pytest.mark.parametrize("mutation", ["next-residue", "shifted-index"])
+    def test_a_wrong_table_fails_the_check(self, monkeypatch, mutation):
+        table = vdc_lab.kloosterman_table
+
+        def wrong(a, q):
+            if mutation == "shifted-index":
+                return np.roll(table(a, q), 1)
+            return table(a + 1, q) if math.gcd(a + 1, q) == 1 else table(a, q)
+
+        assert check_completion("small").ok
+        monkeypatch.setattr(vdc_lab, "kloosterman_table", wrong)
+        assert not check_completion("small").ok
 
 
 class TestPartialSumMax:
