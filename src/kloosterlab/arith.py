@@ -26,6 +26,8 @@ _SMALL_SIEVE_LIMIT = 10**6
 
 # inverse_table holds q int64 entries: at most 80 MB.
 INVERSE_TABLE_CAP = 10**7
+# smooth_squarefree_moduli enumerates moduli up to 2^SMOOTH_MODULI_LOG2_CAP
+SMOOTH_MODULI_LOG2_CAP = 40
 
 
 def is_prime(n: int) -> bool:
@@ -272,7 +274,7 @@ def smooth_squarefree_moduli(
     """
     if not (1 <= lo <= hi):
         raise DomainError(f"bad range [{lo}, {hi}]")
-    if hi > 1 << 40 or hi - lo > 10**8:
+    if hi > 1 << SMOOTH_MODULI_LOG2_CAP or hi - lo > 10**8:
         raise DomainError("range too large for eager enumeration")
     rem = np.arange(lo, hi + 1, dtype=np.int64)
     primes = primes_up_to(min(spec.bound, math.isqrt(hi)))

@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import math
 import os
@@ -33,6 +34,7 @@ import numpy as np
 
 from . import __version__
 from .arith import (
+    SMOOTH_MODULI_LOG2_CAP,
     ModulusSplit,
     SmoothnessSpec,
     factorize,
@@ -62,8 +64,9 @@ from .kloosterman import (
     IntegerInterval,
     complete_kloosterman,
     incomplete_kloosterman,
-    kloosterman_table,
+    kloosterman_tables,
     table_err,
+    table_row_blocks,
 )
 from .vdc_lab import (
     GRID_SEED,
@@ -73,9 +76,9 @@ from .vdc_lab import (
     completeexp_scan,
     completion_deviations,
     onediff_grid_cells,
-    onediff_ratio,
-    shifted_product_complete_sum,
-    shifted_product_sum_squarefree,
+    onediff_ratios,
+    product_sums,
+    product_sums_squarefree,
     vanishing_lemma_check,
 )
 
@@ -139,6 +142,12 @@ class SweepConfig:
                 continue
             if isinstance(v, bool) or not isinstance(v, (int, float)):
                 raise DomainError(f"{name} must be a number, got {v!r}")
+            try:
+                finite = math.isfinite(v)
+            except OverflowError:  # an int beyond the float range
+                finite = False
+            if not finite:
+                raise DomainError(f"{name} must be finite, got {v!r}")
         for name in ("seed", "jobs"):
             v = getattr(self, name)
             if type(v) is not int:
@@ -147,15 +156,15 @@ class SweepConfig:
             raise DomainError("config needs q_list or q_lo_exp/q_hi_exp")
         if not 0 < self.delta < 1 / 12:
             raise DomainError(f"delta = {self.delta} outside (0, 1/12)")
-        if self.eta <= 0:
-            raise DomainError("eta must be > 0")
+        if not 0 < self.eta < 1:
+            raise DomainError(f"eta = {self.eta} outside (0, 1)")
         if self.format not in ("csv", "json"):
             raise DomainError(f"unknown format {self.format!r}")
         if self.jobs < 1:
             raise DomainError("jobs must be >= 1")
         if isinstance(self.residues, dict):
             m = self.residues.get("sample")
-            if not isinstance(m, int) or m < 1:
+            if type(m) is not int or m < 1:
                 raise DomainError("residues sample size must be a positive int")
         elif self.residues != "all":
             raise DomainError('residues must be "all" or {"sample": m}')
@@ -199,6 +208,12 @@ def _read_config(path: str) -> dict:
 def _cell_moduli(config: SweepConfig, x: int) -> list[int]:
     if config.q_list is not None:
         return sorted(config.q_list)
+    # checked before the float powers, which overflow far above the cap
+    top = max(config.q_lo_exp, config.q_hi_exp)
+    if top * math.log2(x) > SMOOTH_MODULI_LOG2_CAP:
+        raise DomainError(
+            f"x^{top} at x = {x} passes the smooth-moduli cap 2^{SMOOTH_MODULI_LOG2_CAP}"
+        )
     lo = max(1, math.ceil(x**config.q_lo_exp))
     hi = math.floor(x**config.q_hi_exp)
     bound = max(2, math.floor(x**config.eta))
@@ -442,18 +457,17 @@ def check_weil(size: str = "small") -> CheckResult:
     for p in primes_up_to(p_max):
         err = table_err(p)
         weil = 2 * math.sqrt(p)
-        for a in range(1, p):
-            tab = kloosterman_table(a, p)
-            im = float(np.abs(tab.imag).max())
-            mags = np.abs(tab[1:])
-            top = float(mags.max()) if mags.size else 0.0
+        for block in table_row_blocks(p - 1, p):
+            tables = kloosterman_tables(range(block.start + 1, block.stop + 1), p)
+            im = np.abs(tables.imag).max(axis=1)
+            top = np.abs(tables[:, 1:]).max(axis=1)
             excess = (top - (weil + err), im - err)
-            violations += sum(e > 0 for e in excess)
+            violations += sum(int((e > 0).sum()) for e in excess)
             for key, e in zip(observed, excess):
-                observed[key] = max(observed[key], e)
-            max_im = max(max_im, im)
-            max_ratio = max(max_ratio, top / weil)
-            cells += p
+                observed[key] = max(observed[key], float(e.max()))
+            max_im = max(max_im, float(im.max()))
+            max_ratio = max(max_ratio, float((top / weil).max()))
+            cells += tables.size
     allowed = dict.fromkeys(observed, 0.0)
     ok = _within(observed, allowed)
     return CheckResult("weil", cells, observed, allowed, ok, (
@@ -518,12 +532,15 @@ def check_orthogonality(size: str = "small") -> CheckResult:
     cells = 0
     for p in primes_up_to(p_max):
         scale = p * p - p
-        for a in range(1, p):
-            s1 = shifted_product_complete_sum(a, (0,), 0, p)
-            s2 = shifted_product_complete_sum(a, (0, 0), 0, p)
-            worst_first = max(worst_first, s1.magnitude / p)
-            worst_second = max(worst_second, abs(s2.as_complex - scale) / scale)
-            cells += 1
+        for block in table_row_blocks(p - 1, p):
+            tables = kloosterman_tables(range(block.start + 1, block.stop + 1), p)
+            s1 = product_sums(tables, (0,), (0,), p)[:, 0]
+            s2 = product_sums(tables, (0, 0), (0,), p)[:, 0]
+            # np.hypot rounds as abs(complex) does; np.abs does not
+            worst_first = max(worst_first, float((np.hypot(s1.real, s1.imag) / p).max()))
+            dev = np.hypot(s2.real - scale, s2.imag) / scale
+            worst_second = max(worst_second, float(dev.max()))
+            cells += len(tables)
     observed = {"max |sum S|/p": worst_first,
                 "max rel.dev of sum S^2 from p^2-p": worst_second}
     allowed = dict.fromkeys(observed, 1e-6)
@@ -548,17 +565,17 @@ def check_multiplicativity(size: str = "small") -> CheckResult:
         shift_sets: list[tuple[int, ...]] = [()]
         shift_sets += [(s,) for s in sample]
         shift_sets += [(s1, s2) for s1 in sample[:3] for s2 in sample]
-        for a in (1, q - 1):
-            if math.gcd(a, q) != 1:
-                continue
-            for shifts in shift_sets:
-                for b in (0, 1):
-                    c = shifted_product_sum_squarefree(a, shifts, b, fq)
-                    d = shifted_product_sum_squarefree(a, shifts, b, fq, "direct")
-                    dev = abs(c.as_complex - d.as_complex)
-                    budget = max(c.err + d.err, 1e-12)
-                    worst_crt = max(worst_crt, dev / budget)
-                    pairs += 1
+        units = [a for a in (1, q - 1) if math.gcd(a, q) == 1]
+        for j in (0, 1, 2):
+            rows = [(a, shifts) for a in units for shifts in shift_sets if len(shifts) == j]
+            residues = [a for a, _ in rows]
+            shifts = np.array([s for _, s in rows], dtype=np.int64).reshape(len(rows), j)
+            c, c_err = product_sums_squarefree(residues, shifts, (0, 1), fq)
+            d, d_err = product_sums_squarefree(residues, shifts, (0, 1), fq, "direct")
+            dev = np.hypot(c.real - d.real, c.imag - d.imag)
+            budget = np.maximum(c_err + d_err, 1e-12)
+            worst_crt = max(worst_crt, float((dev / budget).max()))
+            pairs += dev.size
     observed = {"max deviation/err": worst_crt}
     allowed = {"max deviation/err": 1.0}
     ok = _within(observed, allowed)
@@ -591,12 +608,16 @@ def check_onediff(size: str = "small") -> CheckResult:
     """One-step differencing ratio |T|^2 / rhs_core against its pin."""
     worst = 0.0
     cells = 0
-    for q0, q1, K, M, a, shifts in onediff_grid_cells():
-        if size == "small" and q0 * q1 > 105:
-            continue
-        rep = onediff_ratio(a, q0, q1, M, IntegerInterval(0, K), shifts)
-        worst = max(worst, rep.ratio)
-        cells += 1
+    grid = (c for c in onediff_grid_cells() if size != "small" or c[0] * c[1] <= 105)
+    # the grid lists each (q0, q1) in one run; one run's cells are live at a time
+    for (q0, q1), run in itertools.groupby(grid, key=lambda c: c[:2]):
+        by_a: dict[int, list] = {}
+        for _, _, K, M, a, shifts in run:
+            by_a.setdefault(a, []).append((M, IntegerInterval(0, K), shifts))
+        for a, group in by_a.items():
+            for rep in onediff_ratios(a, q0, q1, group):
+                worst = max(worst, rep.ratio)
+                cells += 1
     observed = {"max |T|^2/rhs_core": worst}
     allowed = {"max |T|^2/rhs_core": PINNED_ONEDIFF_RATIO}
     ok = _within(observed, allowed)

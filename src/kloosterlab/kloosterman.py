@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -108,20 +109,42 @@ def table_err(q: int) -> float:
     return _TERM_EPS * q
 
 
-def kloosterman_table(a: int, q: int) -> np.ndarray:
-    """Read-only array of S(a, k, q) for k = 0..q-1; requires gcd(a, q) = 1.
+# Batched tables are gathered a block of rows at a time, at most this many
+# bytes of complex128 per block (or one row), so that a grid's peak memory
+# does not grow with its number of residues: a block and the temporaries
+# made from it stay near 1 MB.
+TABLE_BLOCK_BYTES = 1 << 18
 
-    This is a permuted view of the base table, via S(a, k, q) = S(1, a*k, q).
+
+def table_row_blocks(rows: int, q: int) -> Iterator[slice]:
+    """Slices of range(rows) whose (rows x q) complex tables fit in a block."""
+    step = max(1, TABLE_BLOCK_BYTES // (16 * q))
+    for lo in range(0, rows, step):
+        yield slice(lo, min(rows, lo + step))
+
+
+def kloosterman_tables(residues: Sequence[int], q: int) -> np.ndarray:
+    """(len(residues), q) array: row i holds S(residues[i], k, q) for k = 0..q-1.
+
+    Every residue must be coprime to q.  The rows are one gather from the
+    base table, via S(a, k, q) = S(1, a*k, q); callers bound the number of
+    rows (see table_row_blocks).
     """
     if q < 1:
         raise DomainError("modulus must be positive")
-    a %= q
-    if q == 1:
-        return _base_table(1)
-    if math.gcd(a, q) != 1:
-        raise NotCoprime(f"gcd({a}, {q}) > 1")
+    a = [int(r) % q for r in residues]
+    for r in a:
+        if math.gcd(r, q) != 1:
+            raise NotCoprime(f"gcd({r}, {q}) > 1")
     base = _base_table(q)  # raises DomainError above the inverse-table cap
-    t = base[a * np.arange(q, dtype=np.int64) % q]
+    index = np.multiply.outer(np.array(a, dtype=np.int64), np.arange(q, dtype=np.int64))
+    index %= q
+    return base[index]
+
+
+def kloosterman_table(a: int, q: int) -> np.ndarray:
+    """Read-only array of S(a, k, q) for k = 0..q-1: kloosterman_tables' one-row case."""
+    t = kloosterman_tables([a], q)[0]
     t.flags.writeable = False
     return t
 

@@ -8,11 +8,16 @@ pipeline for incomplete Kloosterman sums:
     (interval, a) grid per modulus by two matrix products;
   * block maxima of partial sums of e_q(-Mk) S(a, k, q);
   * complete sums of shifted Kloosterman products to prime modulus and
-    their multiplicative extension to squarefree moduli;
+    their multiplicative extension to squarefree moduli, for a whole
+    (residue, b) grid per modulus from one batch of tables;
   * differenced sums T(h_1, ..., h_l) of 2^l-fold Kloosterman products;
   * an exhaustive checker for the even-multiplicity vanishing property
     of subset sums over F_p;
-  * a single-step differencing inequality evaluated as an exact ratio.
+  * a single-step differencing inequality evaluated as an exact ratio,
+    for all cells sharing (a, q0, q1) at once.
+
+Each batched function has a one-cell public counterpart that is its
+one-row case, and a batched entry is bitwise the one-cell value.
 
 The differencing and product-sum inequalities carry unspecified
 constants, so the checkers report ratios against the bound with epsilon
@@ -27,7 +32,7 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -46,7 +51,9 @@ from .kloosterman import (
     SumValue,
     _TERM_EPS,
     kloosterman_table,
+    kloosterman_tables,
     table_err,
+    table_row_blocks,
 )
 
 # --------------------------------------------------------------------------
@@ -138,8 +145,8 @@ def _completion_sides(
     phases /= q
     direct = indicator[:, units] @ np.exp(phases, out=phases)
     tables = np.empty((q, len(a)), dtype=np.complex128)
-    for j, r in enumerate(a):
-        tables[:, j] = kloosterman_table(int(r), q)
+    for block in table_row_blocks(len(a), q):
+        tables[:, block] = kloosterman_tables(a[block], q).T
     completed = np.fft.fft(indicator, axis=1) @ tables / q
     return direct, completed
 
@@ -178,20 +185,67 @@ def partial_sum_max(a: int, q: int, M: int, K: int, r: int) -> float:
     return float(np.abs(running).max(initial=0.0))
 
 
-def _product_over_shifts(
-    table: np.ndarray, ks: np.ndarray, shifts: tuple[int, ...], q: int
-) -> np.ndarray:
-    prod = np.ones(len(ks), dtype=np.complex128)
-    for s in shifts:
-        prod *= table[(ks + s) % q]
-    return prod
-
-
 def _product_sum_err(q: int, n_terms: int, j: int) -> float:
     """Error bound for a sum of n_terms products of j table values."""
     bound = 2.0 * math.sqrt(q) + 1.0
     per_term = j * bound ** max(j - 1, 0) * table_err(q)
     return n_terms * (per_term + _TERM_EPS * bound**j)
+
+
+def _shift_rows(shifts, rows: int) -> np.ndarray:
+    """shifts as a (rows, j) int64 array: one tuple for every row, or one per row."""
+    s = np.asarray(shifts, dtype=np.int64)
+    if s.ndim == 1:
+        s = s[None, :]
+    return np.broadcast_to(s, (rows, s.shape[1]))
+
+
+def product_sums(tables: np.ndarray, shifts, bs: Sequence[int], q: int) -> np.ndarray:
+    """(r, len(bs)) array of sum over k mod q of e_q(-kb) prod_i tables[:, k + s_i].
+
+    tables is (r, q); shifts is one tuple (s_1, ..., s_j) for every row or
+    an (r, j) array, row i shifted by shifts[i].  j = 0 sums e_q(-kb)
+    alone.  The products are formed in shift order and each sum runs along
+    one contiguous row, so an entry is bitwise the same whichever rows
+    share the call.
+    """
+    tables = np.asarray(tables)
+    shifts = _shift_rows(shifts, len(tables)) % q
+    ks = np.arange(q, dtype=np.int64)
+    prod = np.ones(tables.shape, dtype=np.complex128)
+    for i in range(shifts.shape[1]):
+        prod *= np.take_along_axis(tables, (ks + shifts[:, i, None]) % q, axis=1)
+    bs = [int(b) % q for b in bs]
+    weights = np.exp(-2j * np.pi * (ks * np.array(bs, dtype=np.int64)[:, None] % q) / q)
+    out = np.empty((len(tables), len(bs)), dtype=np.complex128)
+    for col, b in enumerate(bs):
+        out[:, col] = (prod * weights[col]).sum(axis=1) if b else prod.sum(axis=1)
+    return out
+
+
+def _blocked_product_sums(
+    residues: Sequence[int], shifts, bs: Sequence[int], q: int
+) -> np.ndarray:
+    """product_sums of the tables of residues mod q, gathered a block of rows at a time."""
+    shifts = _shift_rows(shifts, len(residues))
+    out = np.empty((len(residues), len(bs)), dtype=np.complex128)
+    for block in table_row_blocks(len(residues), q):
+        out[block] = product_sums(kloosterman_tables(residues[block], q), shifts[block], bs, q)
+    return out
+
+
+def _prime_product_sums(
+    residues: Sequence[int], shifts, bs: Sequence[int], p: int
+) -> tuple[np.ndarray, float]:
+    """Product sums to prime modulus p, one row per residue, and their common err.
+
+    j = 0 is character orthogonality: exactly p when p | b, else 0.
+    """
+    j = _shift_rows(shifts, len(residues)).shape[1]
+    if j == 0:
+        exact = [float(p) if b % p == 0 else 0.0 for b in bs]
+        return np.tile(np.array(exact, dtype=np.complex128), (len(residues), 1)), 0.0
+    return _blocked_product_sums(residues, shifts, bs, p), _product_sum_err(p, p, j)
 
 
 def shifted_product_complete_sum(
@@ -205,16 +259,56 @@ def shifted_product_complete_sum(
         raise DomainError(f"{p} is not prime")
     if a % p == 0:
         raise DomainError(f"{p} divides a = {a}")
-    shifts = tuple(int(s) % p for s in shifts)
-    if len(shifts) == 0:
-        return SumValue(float(p) if b % p == 0 else 0.0, 0.0, 0.0)
-    table = kloosterman_table(a, p)
-    ks = np.arange(p, dtype=np.int64)
-    prod = _product_over_shifts(table, ks, shifts, p)
-    if b % p:
-        prod = prod * np.exp(-2j * np.pi * (ks * (b % p) % p) / p)
-    z = complex(prod.sum())
-    return SumValue(z.real, z.imag, _product_sum_err(p, p, len(shifts)))
+    values, err = _prime_product_sums([a], [tuple(int(s) % p for s in shifts)], [b], p)
+    z = complex(values[0, 0])
+    return SumValue(z.real, z.imag, err)
+
+
+def _crt_twists(q: FactoredInteger) -> list[tuple[int, int]]:
+    """(p, inverse of q/p mod p) for each prime p | q: the twist of each CRT part."""
+    return [(p, pow(q.value // p % p, -1, p)) for p in q.primes]
+
+
+def product_sums_squarefree(
+    residues: Sequence[int],
+    shifts,
+    bs: Sequence[int],
+    q: FactoredInteger,
+    method: str = "crt",
+) -> tuple[np.ndarray, np.ndarray]:
+    """Product sums to squarefree q and their errs, each (len(residues), len(bs)).
+
+    Row i has a = residues[i], coprime to q, and shifts as in product_sums.
+    method "crt" multiplies the prime-modulus sums with unit-twisted
+    arguments, in the order and the rounding of SumValue.mul (real
+    arithmetic and np.hypot: numpy's complex multiply and abs round
+    differently from Python's); "direct" sums over k mod q and is the
+    oracle for the multiplicative route.
+    """
+    qv = q.value
+    if not q.squarefree:
+        raise NotSquarefree(f"{qv} is not squarefree")
+    for a in residues:
+        if math.gcd(a, qv) != 1:
+            raise NotCoprime(f"gcd({a}, {qv}) > 1")
+    shifts = _shift_rows(shifts, len(residues)) % qv
+    shape = (len(residues), len(bs))
+    if method == "direct":
+        err = _product_sum_err(qv, qv, max(shifts.shape[1], 1))
+        return _blocked_product_sums(residues, shifts, bs, qv), np.full(shape, err)
+    if method != "crt":
+        raise DomainError(f"unknown method {method!r}")
+    re, im, err = np.ones(shape), np.zeros(shape), np.zeros(shape)
+    for p, cbar in _crt_twists(q):
+        part, part_err = _prime_product_sums(
+            [a * cbar % p for a in residues], shifts * cbar % p, [b % p for b in bs], p
+        )
+        pre, pim = part.real, part.imag
+        err = np.hypot(re, im) * part_err + np.hypot(pre, pim) * err + err * part_err
+        re, im = re * pre - im * pim, re * pim + im * pre
+    values = np.empty(shape, dtype=np.complex128)
+    values.real, values.imag = re, im
+    return values, err
 
 
 def shifted_product_sum_squarefree(
@@ -224,39 +318,19 @@ def shifted_product_sum_squarefree(
     q: FactoredInteger,
     method: str = "crt",
 ) -> SumValue:
-    """The analogous product sum to squarefree modulus q.
+    """The analogous product sum to squarefree modulus q: product_sums_squarefree's
+    one-cell case.
 
     method "crt" multiplies prime-modulus sums with unit-twisted
     arguments; "direct" sums over k mod q and is the oracle for the
     multiplicative route.
     """
-    if not q.squarefree:
-        raise NotSquarefree(f"{q.value} is not squarefree")
-    if math.gcd(a, q.value) != 1:
-        raise NotCoprime(f"gcd({a}, {q.value}) > 1")
-    qv = q.value
-    if qv == 1:
+    if q.value == 1:
         return SumValue(1.0, 0.0, 0.0)
-    shifts = tuple(int(s) for s in shifts)
-    if method == "direct":
-        table = kloosterman_table(a, qv)
-        ks = np.arange(qv, dtype=np.int64)
-        prod = _product_over_shifts(table, ks, tuple(s % qv for s in shifts), qv)
-        if b % qv:
-            prod = prod * np.exp(-2j * np.pi * (ks * (b % qv) % qv) / qv)
-        z = complex(prod.sum())
-        return SumValue(z.real, z.imag, _product_sum_err(qv, qv, max(len(shifts), 1)))
-    if method != "crt":
-        raise DomainError(f"unknown method {method!r}")
-    result = SumValue(1.0, 0.0, 0.0)
-    for p in q.primes:
-        cof = qv // p
-        cbar = pow(cof % p, -1, p)
-        part = shifted_product_complete_sum(
-            a * cbar % p, tuple(s * cbar % p for s in shifts), b % p, p
-        )
-        result = result.mul(part)
-    return result
+    shifts = [tuple(int(s) % q.value for s in shifts)]
+    values, errs = product_sums_squarefree([a], shifts, [b], q, method)
+    z = complex(values[0, 0])
+    return SumValue(z.real, z.imag, float(errs[0, 0]))
 
 
 def t_eval(
@@ -322,6 +396,118 @@ def vanishing_lemma_check(p: int, l: int) -> list[tuple[int, ...]]:
     return counterexamples
 
 
+def _length_groups(keys: Sequence[tuple[int, ...]]) -> list[list[int]]:
+    """Indices of rows with equal keys, each length-1 row in a group of its own.
+
+    key[0] is the row length.  numpy multiplies a one-element array in
+    place by another kernel than a longer one (it rounds without fused
+    multiply-add), and a stack of length-1 rows is one longer array; a
+    length-1 row formed alone rounds as the one-cell evaluation does.
+    """
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for i, key in enumerate(keys):
+        groups.setdefault(key if key[0] != 1 else (1, -1, i), []).append(i)
+    return list(groups.values())
+
+
+def onediff_ratios(
+    a: int,
+    q0: int,
+    q1: int,
+    cells: Sequence[tuple[int, IntegerInterval, tuple[int, ...]]],
+) -> list[OnediffReport]:
+    """onediff_ratio(a, q0, q1, M, J, shifts) for every (M, J, shifts) cell.
+
+    The two tables are gathered once for all cells.  rhs_core does not
+    depend on M, so cells that differ only in M share it, and the inner
+    sums of every h and every cell are formed together, one array per
+    overlap length; each sum still runs along one contiguous row.
+    """
+    if q0 < 1 or q1 < 1:
+        raise DomainError("parts must be positive")
+    if math.gcd(q0, q1) != 1:
+        raise NotCoprime(f"gcd({q0}, {q1}) > 1")
+    q = q0 * q1
+    if math.gcd(a, q) != 1:
+        raise NotCoprime(f"gcd({a}, {q}) > 1")
+    cells = [(M, J, tuple(int(s) for s in shifts)) for M, J, shifts in cells]
+    reports = [OnediffReport(0.0, 0.0, 0.0)] * len(cells)
+    live = []
+    for i, (M, J, shifts) in enumerate(cells):
+        K = len(J)
+        if K == 0:
+            continue
+        if q1 > K:
+            raise DomainError(f"hypothesis q1 <= K violated ({q1} > {K})")
+        if len(shifts) < 1:
+            raise DomainError("at least one shift required")
+        live.append(i)
+    if not live:
+        return reports
+
+    # lhs = |T|^2, T = sum over k in J of e_q(-Mk) prod_i S(a, k+s_i, q)
+    table_q = kloosterman_table(a, q)
+    lhs = {}
+    keys = [(len(cells[i][1]), cells[i][1].offset, len(cells[i][2])) for i in live]
+    for group in _length_groups(keys):
+        rows = [live[g] for g in group]
+        J = cells[rows[0]][1]
+        ks = np.arange(J.offset, J.offset + len(J), dtype=np.int64)
+        shifts = np.array([[s % q for s in cells[i][2]] for i in rows], dtype=np.int64)
+        prod = np.ones((len(rows), len(ks)), dtype=np.complex128)
+        for c in range(shifts.shape[1]):
+            prod *= table_q[(ks + shifts[:, c, None]) % q]
+        Ms = np.array([cells[i][0] % q for i in rows], dtype=np.int64)[:, None]
+        weights = np.exp(-2j * np.pi * mulmod(ks % q, Ms, q) / q)
+        for i, t_val in zip(rows, (weights * prod).sum(axis=1).tolist()):
+            lhs[i] = abs(t_val) ** 2
+
+    # inner(h) for every (J, shifts), with a' = a * inv(q1)^2 mod q0
+    a1 = 0 if q0 == 1 else a * pow(q1 % q0, -1, q0) ** 2 % q0
+    table_q0 = kloosterman_table(a1, q0)
+    rhs_keys = list(dict.fromkeys(
+        (cells[i][1].offset, len(cells[i][1]), cells[i][2]) for i in live
+    ))
+    row_key, row_lo, row_h, row_len = [], [], [], []
+    for k, (lo0, K, _) in enumerate(rhs_keys):
+        H = K // q1
+        for h in range(-H, H + 1):
+            lo = max(lo0, lo0 - q1 * h)
+            hi = min(lo0 + K, lo0 + K - q1 * h)
+            if h != 0 and lo < hi:
+                row_key.append(k)
+                row_lo.append(lo)
+                row_h.append(h)
+                row_len.append((hi - lo, len(rhs_keys[k][2])))
+    mags = np.empty(len(row_key))
+    for group in _length_groups(row_len):
+        L, j = row_len[group[0]]
+        kk = np.array([row_lo[r] for r in group], dtype=np.int64)[:, None] + np.arange(L)
+        shifts = np.array([[s % q0 for s in rhs_keys[row_key[r]][2]] for r in group],
+                          dtype=np.int64)
+        q1h = np.array([q1 * row_h[r] % q0 for r in group], dtype=np.int64)[:, None]
+        inner = np.ones(kk.shape, dtype=np.complex128)
+        for c in range(j):
+            inner *= table_q0[(kk + shifts[:, c, None]) % q0]
+            inner *= table_q0[(kk + shifts[:, c, None] + q1h) % q0]
+        sums = inner.sum(axis=1)
+        mags[group] = np.hypot(sums.real, sums.imag)  # rounds as abs(complex) does
+    inner_totals = [0.0] * len(rhs_keys)
+    for k, m in zip(row_key, mags.tolist()):
+        inner_totals[k] += m  # in h order, as the one-cell sum adds them
+
+    rhs = {}
+    for key, total in zip(rhs_keys, inner_totals):
+        K, j = key[1], len(key[2])
+        rhs[key] = q1 ** (j + 1) * (K * float(q0) ** j + total)
+    for i in live:
+        M, J, shifts = cells[i]
+        rhs_core = rhs[(J.offset, len(J), shifts)]
+        ratio = lhs[i] / rhs_core if rhs_core > 0 else 0.0
+        reports[i] = OnediffReport(lhs[i], rhs_core, ratio)
+    return reports
+
+
 def onediff_ratio(
     a: int,
     q0: int,
@@ -331,7 +517,7 @@ def onediff_ratio(
     shifts: tuple[int, ...] = (0,),
 ) -> OnediffReport:
     """Evaluate both sides of the single differencing step, with no
-    epsilon factor and constant 1.
+    epsilon factor and constant 1: onediff_ratios' one-cell case.
 
     lhs is |T|^2 for T = sum over k in J of e_q(-Mk) prod_i S(a, k+s_i, q),
     q = q0*q1.  rhs_core is q1^{j+1} * (K q0^j + sum over 0 < |h| <= K/q1
@@ -339,51 +525,7 @@ def onediff_ratio(
     overlap {k in J : k + q1 h in J} and the sums use a' = a * inv(q1)^2
     mod q0.  The returned ratio is diagnostic, not an asserted bound.
     """
-    K = len(J)
-    if q0 < 1 or q1 < 1:
-        raise DomainError("parts must be positive")
-    if math.gcd(q0, q1) != 1:
-        raise NotCoprime(f"gcd({q0}, {q1}) > 1")
-    q = q0 * q1
-    if math.gcd(a, q) != 1:
-        raise NotCoprime(f"gcd({a}, {q}) > 1")
-    if K == 0:
-        return OnediffReport(0.0, 0.0, 0.0)
-    if q1 > K:
-        raise DomainError(f"hypothesis q1 <= K violated ({q1} > {K})")
-    j = len(shifts)
-    if j < 1:
-        raise DomainError("at least one shift required")
-    shifts = tuple(int(s) for s in shifts)
-
-    table_q = kloosterman_table(a, q)
-    ks = np.array(list(J.values()), dtype=np.int64)
-    prod = _product_over_shifts(table_q, ks, tuple(s % q for s in shifts), q)
-    weights = np.exp(-2j * np.pi * mulmod(ks % q, M % q, q) / q)
-    t_val = complex((weights * prod).sum())
-    lhs = abs(t_val) ** 2
-
-    a1 = 0 if q0 == 1 else a * pow(q1 % q0, -1, q0) ** 2 % q0
-    table_q0 = kloosterman_table(a1, q0)
-    inner_total = 0.0
-    H = K // q1
-    lo0, hi0 = J.offset, J.offset + K
-    for h in range(-H, H + 1):
-        if h == 0:
-            continue
-        lo = max(lo0, lo0 - q1 * h)
-        hi = min(hi0, hi0 - q1 * h)
-        if lo >= hi:
-            continue
-        kk = np.arange(lo, hi, dtype=np.int64)
-        inner = np.ones(hi - lo, dtype=np.complex128)
-        for s in shifts:
-            inner *= table_q0[(kk + s) % q0]
-            inner *= table_q0[(kk + s + q1 * h) % q0]
-        inner_total += abs(complex(inner.sum()))
-    rhs_core = q1 ** (j + 1) * (K * float(q0) ** j + inner_total)
-    ratio = lhs / rhs_core if rhs_core > 0 else 0.0
-    return OnediffReport(lhs, rhs_core, ratio)
+    return onediff_ratios(a, q0, q1, [(M, J, shifts)])[0]
 
 
 # --------------------------------------------------------------------------
@@ -449,21 +591,32 @@ def completeexp_scan(p_max: int = 199) -> CompleteexpScan:
     max_even_b0 = {2: 0.0}
     cells = 0
     for p in primes_up_to(p_max):
+        residues = [a for a in (1, 2 % p) if a % p]
         for j in (1, 2, 3):
+            # the grid's shift tuples, grouped by the b's each is paired with
+            bs_of: dict[tuple[int, ...], list[int]] = {}
             for shifts, b in completeexp_shift_grid(p, j):
-                for a in (1, 2 % p):
-                    if a % p == 0:
-                        continue
-                    val = shifted_product_complete_sum(a, shifts, b, p)
-                    cells += 1
-                    mag = val.magnitude
-                    if b % p == 0 and all_even_multiplicities(p, shifts):
-                        r = mag / p ** ((j + 2) / 2)
-                        if j in max_even_b0:
-                            max_even_b0[j] = max(max_even_b0[j], r)
-                    else:
-                        r = mag / p ** ((j + 1) / 2)
-                        max_generic[j] = max(max_generic[j], r)
+                bs_of.setdefault(shifts, []).append(b)
+            by_bs: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+            for shifts, bs in bs_of.items():
+                by_bs.setdefault(tuple(bs), []).append(shifts)
+            for bs, tuples in by_bs.items():
+                rows = [(a, shifts) for shifts in tuples for a in residues]
+                values = _blocked_product_sums(
+                    [a for a, _ in rows], [shifts for _, shifts in rows], bs, p
+                )
+                mags = np.hypot(values.real, values.imag)  # rounds as abs(complex) does
+                cells += mags.size
+                even_b0 = np.array([
+                    [b % p == 0 and all_even_multiplicities(p, shifts) for b in bs]
+                    for _, shifts in rows
+                ])
+                if even_b0.any() and j in max_even_b0:
+                    top = float((mags[even_b0] / p ** ((j + 2) / 2)).max())
+                    max_even_b0[j] = max(max_even_b0[j], top)
+                if not even_b0.all():
+                    top = float((mags[~even_b0] / p ** ((j + 1) / 2)).max())
+                    max_generic[j] = max(max_generic[j], top)
     return CompleteexpScan(max_generic, max_even_b0, cells)
 
 

@@ -1,0 +1,175 @@
+"""The batched table gather and product sums that every lemma grid runs on.
+
+Three kinds of test: entries against the definitional oracle in
+oracles.py (pow inverses and cmath, one term at a time) within the
+tracked err; rows of a batched call against the one-row public
+functions, bitwise; and, per grid check, one mutation of the batched path
+that the check must detect.
+"""
+
+import math
+from functools import lru_cache
+
+import numpy as np
+import pytest
+
+from kloosterlab import cli, vdc_lab
+from kloosterlab.arith import factorize, primes_up_to
+from kloosterlab.kloosterman import IntegerInterval, kloosterman_table, kloosterman_tables, table_err
+from kloosterlab.vdc_lab import (
+    onediff_ratio,
+    onediff_ratios,
+    product_sums,
+    product_sums_squarefree,
+    shifted_product_complete_sum,
+    shifted_product_sum_squarefree,
+)
+
+from oracles import e_q, kloosterman_brute
+
+SQUAREFREE = [q for q in range(1, 61) if factorize(q).squarefree]
+PRIMES = primes_up_to(60)
+
+
+def _units(q):
+    return [a for a in range(1, max(q, 2)) if math.gcd(a, q) == 1]
+
+
+@lru_cache(maxsize=None)
+def _brute_row(a, q):
+    return tuple(kloosterman_brute(a, k, q) for k in range(q))
+
+
+def _product_sum_brute(a, shifts, b, q):
+    total = 0j
+    for k in range(q):
+        term = e_q(-k * b, q)
+        for s in shifts:
+            term *= _brute_row(a, q)[(k + s) % q]
+        total += term
+    return total
+
+
+def _shift_tuples(q):
+    return [(), (0,), (1,), (0, 0), (0, 2 % q), (1, q - 1), (0, 0, 0), (1, 2 % q, 5 % q)]
+
+
+class TestAgainstTheOracle:
+    @pytest.mark.parametrize("q", SQUAREFREE)
+    def test_tables(self, q):
+        units = _units(q)
+        tables = kloosterman_tables(units, q)
+        assert tables.shape == (len(units), q)
+        want = np.array([_brute_row(a, q) for a in units])
+        assert np.abs(tables - want).max() <= table_err(q)
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_prime_product_sums(self, p):
+        units = _units(p)
+        tables = kloosterman_tables(units, p)
+        bs = sorted({0, 1, p - 1})
+        for shifts in _shift_tuples(p):
+            got = product_sums(tables, shifts, bs, p)
+            for i, a in enumerate(units):
+                for c, b in enumerate(bs):
+                    err = shifted_product_complete_sum(a, shifts, b, p).err
+                    want = _product_sum_brute(a, shifts, b, p)
+                    # at j = 0 the one-row err is 0 (the exact value p or 0),
+                    # while product_sums adds the phases in floating point
+                    assert abs(got[i, c] - want) <= err + 1e-12, (a, shifts, b)
+
+    @pytest.mark.parametrize("q", [q for q in SQUAREFREE if q > 1])
+    def test_squarefree_product_sums(self, q):
+        fq = factorize(q)
+        units = _units(q)
+        bs = sorted({0, 1, q - 1})
+        for shifts in _shift_tuples(q)[:6]:
+            for method in ("crt", "direct"):
+                got, errs = product_sums_squarefree(units, shifts, bs, fq, method)
+                for i, a in enumerate(units):
+                    for c, b in enumerate(bs):
+                        want = _product_sum_brute(a, shifts, b, q)
+                        assert abs(got[i, c] - want) <= errs[i, c] + 1e-12, (method, a, shifts, b)
+
+
+class TestRowsAreTheOneRowValues:
+    """A batched entry is bitwise the entry of the one-row public function."""
+
+    def test_tables(self):
+        for q in (1, 2, 30, 97):
+            units = _units(q)
+            tables = kloosterman_tables(units, q)
+            for a, row in zip(units, tables):
+                assert np.array_equal(row, kloosterman_table(a, q))
+
+    def test_prime_product_sums_with_per_row_shifts(self):
+        p = 53
+        rows = [(a, s) for a in (1, 2, 52) for s in ((0, 1), (3, 3), (7, 52))]
+        bs = (0, 1, 17)
+        tables = kloosterman_tables([a for a, _ in rows], p)
+        got = product_sums(tables, np.array([s for _, s in rows]), bs, p)
+        for i, (a, shifts) in enumerate(rows):
+            for c, b in enumerate(bs):
+                assert got[i, c] == shifted_product_complete_sum(a, shifts, b, p).as_complex
+
+    def test_squarefree_product_sums(self):
+        fq = factorize(210)
+        units = [1, 11, 209]
+        shifts = np.array([(0, 1), (2, 105), (1, 209)])
+        for method in ("crt", "direct"):
+            got, errs = product_sums_squarefree(units, shifts, (0, 1), fq, method)
+            for i, a in enumerate(units):
+                for c, b in enumerate((0, 1)):
+                    one = shifted_product_sum_squarefree(a, tuple(shifts[i]), b, fq, method)
+                    assert (got[i, c], errs[i, c]) == (one.as_complex, one.err)
+
+    def test_onediff_ratios(self):
+        # K = 10 with q1 = 3 gives overlaps of length 1 at h = +-3
+        cells = [(M, IntegerInterval(off, K), s)
+                 for K in (10, 11, 20) for off in (0, 4) for M in (0, 1) for s in ((0,), (1, 2))]
+        got = onediff_ratios(2, 7, 3, cells)
+        for (M, J, s), rep in zip(cells, got):
+            assert rep == onediff_ratio(2, 7, 3, M, J, s)
+
+    def test_onediff_empty_cell(self):
+        assert onediff_ratios(1, 5, 2, [(0, IntegerInterval(0, 0), ())]) == [(0.0, 0.0, 0.0)]
+
+
+def _scaled(builder, factor):
+    return lambda residues, q: builder(residues, q) * factor
+
+
+class TestEachGridDetectsAMutation:
+    def test_weil_sees_a_rotated_table(self, monkeypatch):
+        assert cli.check_weil("small").ok
+        monkeypatch.setattr(cli, "kloosterman_tables",
+                            _scaled(kloosterman_tables, np.exp(1e-9j)))
+        assert not cli.check_weil("small").ok
+
+    def test_orthogonality_sees_a_scaled_table(self, monkeypatch):
+        # both sums are invariant under permuting k, so no reindexing
+        # mutation (such as a rolled table) can be seen by this check
+        assert cli.check_orthogonality("small").ok
+        monkeypatch.setattr(cli, "kloosterman_tables", _scaled(kloosterman_tables, 1 + 1e-5))
+        assert not cli.check_orthogonality("small").ok
+
+    def test_magnitudes_see_a_table_scaled_by_one_part_in_a_million(self, monkeypatch):
+        assert cli.check_magnitudes("small").ok
+        monkeypatch.setattr(vdc_lab, "kloosterman_tables", _scaled(kloosterman_tables, 1 + 1e-6))
+        assert not cli.check_magnitudes("small").ok
+
+    def test_multiplicativity_sees_an_off_by_one_crt_twist(self, monkeypatch):
+        twists = vdc_lab._crt_twists
+
+        def off_by_one(q):
+            return [(p, cbar + 1 if cbar + 1 < p else cbar) for p, cbar in twists(q)]
+
+        assert cli.check_multiplicativity("small").ok
+        monkeypatch.setattr(vdc_lab, "_crt_twists", off_by_one)
+        assert not cli.check_multiplicativity("small").ok
+
+    def test_onediff_sees_a_scaled_table(self, monkeypatch):
+        assert cli.check_onediff("full").ok
+        monkeypatch.setattr(vdc_lab, "kloosterman_table",
+                            lambda a, q: kloosterman_table(a, q) * (1 + 1e-6))
+        assert not cli.check_onediff("full").ok

@@ -173,11 +173,23 @@ class TestSingleQueries:
         (TWO_ROW_REPORT, ["verify-report", "{cfg}", "--fraction", "nan"], "fraction"),
         (TWO_ROW_REPORT, ["verify-report", "{cfg}", "--fraction", "-1"], "fraction"),
         (None, ["bound", "short-kloosterman", "--split", "abc", "--N", "10"], "split"),
+        (None, ["sweep", "--x", "1000000", "--q-lo-exp", "0.6", "--q-hi-exp", "1000"], "cap"),
+        (None, ["sweep", "--x", "1000000", "--q-lo-exp", "nan", "--q-hi-exp", "0.64"],
+         "q_lo_exp"),
+        (None, ["sweep", "--x", "1000000", "--q-lo-exp", "0.6", "--q-hi-exp", "0.64",
+                "--eta", "nan"], "eta"),
+        (None, ["sweep", "--x", "1000000", "--q-lo-exp", "0.6", "--q-hi-exp", "0.64",
+                "--eta", "inf"], "eta"),
+        (None, ["sweep", "--x", "1000000", "--q-lo-exp", "0.6", "--q-hi-exp", "0.64",
+                "--eta", "1000"], "eta"),
+        ('{"x_values": [2000], "q_list": [15], "residues": {"sample": true}}',
+         ["sweep", "--config", "{cfg}"], "sample"),
     ], ids=["unknown-key", "invalid-json", "bad-x-flag", "negative-x", "zero-q",
             "missing-report", "string-eta", "bool-delta", "null-eps", "string-q-exp",
             "string-jobs", "float-seed", "interval-sum-huge-q", "complete-sum-huge-q",
             "sweep-huge-q", "fraction-above-1", "fraction-nan", "fraction-negative",
-            "non-numeric-split"])
+            "non-numeric-split", "q-hi-exp-past-cap", "nan-q-lo-exp", "nan-eta", "inf-eta",
+            "eta-above-1", "bool-sample"])
     def test_malformed_input_exits_2(self, tmp_path, capsys, config, argv, needle):
         cfg = tmp_path / "config.json"
         if config is not None:

@@ -138,15 +138,15 @@ class TestCompletionDeviations:
 
     @pytest.mark.parametrize("mutation", ["next-residue", "shifted-index"])
     def test_a_wrong_table_fails_the_check(self, monkeypatch, mutation):
-        table = vdc_lab.kloosterman_table
+        tables = vdc_lab.kloosterman_tables
 
-        def wrong(a, q):
+        def wrong(residues, q):
             if mutation == "shifted-index":
-                return np.roll(table(a, q), 1)
-            return table(a + 1, q) if math.gcd(a + 1, q) == 1 else table(a, q)
+                return np.roll(tables(residues, q), 1, axis=1)
+            return tables([a + 1 if math.gcd(a + 1, q) == 1 else a for a in residues], q)
 
         assert check_completion("small").ok
-        monkeypatch.setattr(vdc_lab, "kloosterman_table", wrong)
+        monkeypatch.setattr(vdc_lab, "kloosterman_tables", wrong)
         assert not check_completion("small").ok
 
 
