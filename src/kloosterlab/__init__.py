@@ -45,17 +45,14 @@ from .kloosterman import (
     SumValue,
     complete_kloosterman,
     incomplete_kloosterman,
-    kloosterman_crt,
 )
 from .vdc_lab import (
-    ShiftVector,
     completion_check,
     completion_deviations,
     onediff_ratio,
     partial_sum_max,
     shifted_product_complete_sum,
     shifted_product_sum_squarefree,
-    t_eval,
     vanishing_lemma_check,
 )
 
@@ -69,7 +66,6 @@ __all__ = [
     "ModulusSplit",
     "NotCoprime",
     "NotSquarefree",
-    "ShiftVector",
     "SmoothnessSpec",
     "SumValue",
     "WindowSpec",
@@ -85,7 +81,6 @@ __all__ = [
     "factorize",
     "factorize_to_windows",
     "incomplete_kloosterman",
-    "kloosterman_crt",
     "multiplicative_profile",
     "onediff_ratio",
     "partial_sum_max",
@@ -93,7 +88,6 @@ __all__ = [
     "shifted_product_sum_squarefree",
     "shortkloost_rhs",
     "smooth_squarefree_moduli",
-    "t_eval",
     "target_sizes",
     "target_windows",
     "vanishing_lemma_check",

@@ -91,8 +91,15 @@ CSV_COLUMNS = [
 ]
 
 
-def _fmt_real(v: Optional[float]) -> str:
-    return "" if v is None else f"{v:.17g}"
+def _fmt_real(v: float) -> str:
+    return f"{v:.17g}"
+
+
+def _fmt_cell(v: object) -> object:
+    """A CSV report cell: None empty, a float as _fmt_real, anything else as it is."""
+    if v is None:
+        return ""
+    return _fmt_real(v) if isinstance(v, float) else v
 
 
 def _fmt_fraction(f: Fraction) -> str:
@@ -342,19 +349,7 @@ def render_report(config: SweepConfig, rows: list[dict], summary: dict) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
     for r in rows:
-        writer.writerow([
-            r["x"], r["q"], r["a"],
-            r["E_exact"] or "",
-            _fmt_real(r["abs_E"]), _fmt_real(r["scaled_E"]),
-            _fmt_real(r["bound_total"]), _fmt_real(r["ratio"]),
-            r["q0"] if r["q0"] is not None else "",
-            r["q1"] if r["q1"] is not None else "",
-            r["q2"] if r["q2"] is not None else "",
-            r["q3"] if r["q3"] is not None else "",
-            _fmt_real(r["Q0"]), _fmt_real(r["Q1"]),
-            _fmt_real(r["Q2"]), _fmt_real(r["Q3"]),
-            r["error"],
-        ])
+        writer.writerow([_fmt_cell(r[column]) for column in CSV_COLUMNS])
     buf.write("# summary=" + json.dumps(summary, sort_keys=True,
                                         separators=(",", ":")) + "\n")
     return buf.getvalue()
@@ -364,20 +359,43 @@ def load_report(path: str) -> list[dict]:
     """Rows of a CSV or JSON report, as dicts with x, q, a, E_exact, error.
 
     Columns are read by name, so schema 1 reports (which also carry
-    runtime_ms) load as well.
+    runtime_ms) load as well.  A report that does not parse, or a row
+    that lacks a field or has a non-integer x, q or a, raises DomainError
+    naming the file and the row.
     """
     text = _read_text(path)
     if text.lstrip().startswith("{"):
-        return json.loads(text)["rows"]
-    rows = []
-    data_lines = [ln for ln in text.splitlines() if not ln.startswith("#")]
-    for rec in csv.DictReader(data_lines):
-        rows.append({
-            "x": int(rec["x"]), "q": int(rec["q"]), "a": int(rec["a"]),
-            "E_exact": rec["E_exact"] or None,
-            "error": rec["error"],
-        })
-    return rows
+        try:
+            doc = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise DomainError(f"{path} is not valid JSON: {exc}") from None
+        records = doc.get("rows") if isinstance(doc, dict) else None
+        if not isinstance(records, list):
+            raise DomainError(f"{path} has no list of rows")
+    else:
+        data_lines = [ln for ln in text.splitlines() if not ln.startswith("#")]
+        records = list(csv.DictReader(data_lines))
+    return [_report_row(path, n, rec) for n, rec in enumerate(records, start=1)]
+
+
+def _report_row(path: str, n: int, rec: object) -> dict:
+    if not isinstance(rec, dict):
+        raise DomainError(f"{path}: row {n} is not a record")
+    for name in ("x", "q", "a", "E_exact", "error"):
+        if name not in rec:
+            raise DomainError(f"{path}: row {n} has no field {name!r}")
+    row = {}
+    for name in ("x", "q", "a"):
+        v = rec[name]
+        try:
+            row[name] = int(v) if isinstance(v, str) else v
+        except ValueError:
+            row[name] = None
+        if type(row[name]) is not int:  # JSON rows hold ints, CSV rows strings
+            raise DomainError(f"{path}: row {n}: {name} = {v!r} is not an integer")
+    row["E_exact"] = rec["E_exact"] or None
+    row["error"] = rec["error"]
+    return row
 
 
 def verify_report(path: str, seed: int = 0, fraction: float = 0.01) -> tuple[bool, list[str]]:
@@ -762,6 +780,10 @@ def cmd_bound(args: argparse.Namespace) -> int:
             raise DomainError("divisor bound needs --x and --q")
         if args.split is not None:
             split = _parse_split(args.split)
+            if split.modulus != args.q:
+                raise DomainError(
+                    f"--split {args.split} multiplies to {split.modulus}, not --q {args.q}"
+                )
         else:
             if args.eta is None:
                 raise DomainError("divisor bound needs --split or --eta")

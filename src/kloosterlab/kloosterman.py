@@ -6,8 +6,10 @@ moduli are split by twisted multiplicativity,
 
     S(a, b; m*n) = S(a*nbar, b*nbar; m) * S(a*mbar, b*mbar; n),
 
-so only sums to prime(-power) modulus are ever summed directly.  A
-direct-summation mode is kept as the oracle for the split evaluator.
+so only sums to prime(-power) modulus are ever summed directly.  The
+parts and their twists come from crt_twists, which the squarefree
+product sums of vdc_lab share.  A direct-summation mode is kept as the
+oracle for the split evaluator.
 
 Every numeric result carries an absolute error bound: each evaluated
 term contributes 4 machine epsilons, and products propagate first-order
@@ -24,7 +26,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .arith import ModulusSplit, factorize, inverse_table, is_prime, mulmod
+from .arith import FactoredInteger, factorize, inverse_table, is_prime, mulmod
 from .errors import DomainError, NotCoprime
 
 _TERM_EPS = 4 * float(np.finfo(np.float64).eps)
@@ -43,9 +45,6 @@ class IntegerInterval:
 
     def __len__(self) -> int:
         return self.length
-
-    def values(self) -> range:
-        return range(self.offset, self.offset + self.length)
 
 
 @dataclass(frozen=True)
@@ -174,6 +173,15 @@ def _prime_part(a: int, b: int, p: int) -> SumValue:
     return _from_complex(z, table_err(p))
 
 
+def crt_twists(q: FactoredInteger) -> list[tuple[int, int]]:
+    """(m, inverse of q/m mod m) for each prime-power part m of q, by ascending prime.
+
+    The twist of each part in twisted multiplicativity: S(a, b; q) is the
+    product over the parts of S(a*cbar, b*cbar; m).
+    """
+    return [(m, pow(q.value // m % m, -1, m)) for m in (p**e for p, e in q.factors)]
+
+
 def complete_kloosterman(a: int, b: int, q: int, method: str = "crt") -> SumValue:
     """The complete Kloosterman sum S(a, b; q).
 
@@ -187,15 +195,10 @@ def complete_kloosterman(a: int, b: int, q: int, method: str = "crt") -> SumValu
         return _direct_sum(a, b, q)
     if method != "crt":
         raise DomainError(f"unknown method {method!r}")
-    if q == 1:
-        return SumValue(1.0, 0.0, 0.0)
     a %= q
     b %= q
-    parts = [p**e for p, e in factorize(q).factors]
     result = SumValue(1.0, 0.0, 0.0)
-    for m in parts:
-        c = q // m
-        cbar = 1 if m == 1 else pow(c % m, -1, m)
+    for m, cbar in crt_twists(factorize(q)):
         am = a * cbar % m
         bm = b * cbar % m
         if is_prime(m):
@@ -204,20 +207,6 @@ def complete_kloosterman(a: int, b: int, q: int, method: str = "crt") -> SumValu
             part = _direct_sum(am, bm, m)
         result = result.mul(part)
     return result
-
-
-def kloosterman_crt(a: int, b: int, split: ModulusSplit) -> SumValue:
-    """Two-factor twisted-multiplicativity evaluation of S(a, b; q0*q1)."""
-    if len(split.parts) != 2:
-        raise DomainError("split must have exactly two parts")
-    q0, q1 = split.parts
-    if math.gcd(q0, q1) != 1:
-        raise NotCoprime(f"gcd({q0}, {q1}) > 1")
-    q1bar = 1 if q0 == 1 else pow(q1 % q0, -1, q0)
-    q0bar = 1 if q1 == 1 else pow(q0 % q1, -1, q1)
-    left = complete_kloosterman(a * q1bar, b * q1bar, q0)
-    right = complete_kloosterman(a * q0bar, b * q0bar, q1)
-    return left.mul(right)
 
 
 def incomplete_kloosterman(a: int, q: int, interval: IntegerInterval) -> SumValue:

@@ -8,13 +8,14 @@ pipeline for incomplete Kloosterman sums:
     (interval, a) grid per modulus by two matrix products;
   * block maxima of partial sums of e_q(-Mk) S(a, k, q);
   * complete sums of shifted Kloosterman products to prime modulus and
-    their multiplicative extension to squarefree moduli, for a whole
-    (residue, b) grid per modulus from one batch of tables;
-  * differenced sums T(h_1, ..., h_l) of 2^l-fold Kloosterman products;
+    their multiplicative extension to squarefree moduli (with the CRT
+    twists of kloosterman.crt_twists), for a whole (residue, b) grid per
+    modulus from one batch of tables;
   * an exhaustive checker for the even-multiplicity vanishing property
     of subset sums over F_p;
   * a single-step differencing inequality evaluated as an exact ratio,
-    for all cells sharing (a, q0, q1) at once.
+    for all cells sharing (a, q0, q1) at once: its inner sums are the
+    differenced sums of 2-fold Kloosterman products.
 
 Each batched function has a one-cell public counterpart that is its
 one-row case, and a batched entry is bitwise the one-cell value.
@@ -31,14 +32,12 @@ import itertools
 import math
 import random
 from collections import Counter
-from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from .arith import (
     FactoredInteger,
-    ModulusSplit,
     factorize,
     inverse_table,
     is_prime,
@@ -50,6 +49,7 @@ from .kloosterman import (
     IntegerInterval,
     SumValue,
     _TERM_EPS,
+    crt_twists,
     kloosterman_table,
     kloosterman_tables,
     table_err,
@@ -81,21 +81,6 @@ PINNED_COMPLETEEXP_EVEN_B0 = {2: 0.9949749}
 # max |T|^2 / rhs_core over the one-step differencing grid
 # (squarefree q0*q1 <= 210, K in {10, 20, 30}).  Measured 0.697633485.
 PINNED_ONEDIFF_RATIO = 0.6976335
-
-
-@dataclass(frozen=True)
-class ShiftVector:
-    """Differencing shifts h_1..h_l and the step moduli they multiply."""
-
-    h: tuple[int, ...]
-    steps: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.h) != len(self.steps):
-            raise DomainError("shift vector and step moduli lengths differ")
-
-    def __len__(self) -> int:
-        return len(self.h)
 
 
 class OnediffReport(NamedTuple):
@@ -139,11 +124,12 @@ def _completion_sides(
     inv = inverse_table(q)
     # only the units some interval covers: a short interval costs its length
     units = np.flatnonzero((inv >= 0) & indicator.any(axis=0))
-    # e_q(a * nbar), rounded as incomplete_kloosterman rounds it; built in
-    # place so that one (phi(q) x len(residues)) array is live at a time
-    phases = mulmod(inv[units][:, None], a[None, :], q) * (2j * np.pi)
-    phases /= q
-    direct = indicator[:, units] @ np.exp(phases, out=phases)
+    # e_q(a * nbar) gathered from the q roots of unity, each rounded as
+    # incomplete_kloosterman rounds it: q exponentials, not phi(q) x r
+    roots = np.arange(q, dtype=np.int64) * (2j * np.pi)
+    roots /= q
+    np.exp(roots, out=roots)
+    direct = indicator[:, units] @ roots[mulmod(inv[units][:, None], a[None, :], q)]
     tables = np.empty((q, len(a)), dtype=np.complex128)
     for block in table_row_blocks(len(a), q):
         tables[:, block] = kloosterman_tables(a[block], q).T
@@ -264,11 +250,6 @@ def shifted_product_complete_sum(
     return SumValue(z.real, z.imag, err)
 
 
-def _crt_twists(q: FactoredInteger) -> list[tuple[int, int]]:
-    """(p, inverse of q/p mod p) for each prime p | q: the twist of each CRT part."""
-    return [(p, pow(q.value // p % p, -1, p)) for p in q.primes]
-
-
 def product_sums_squarefree(
     residues: Sequence[int],
     shifts,
@@ -279,11 +260,11 @@ def product_sums_squarefree(
     """Product sums to squarefree q and their errs, each (len(residues), len(bs)).
 
     Row i has a = residues[i], coprime to q, and shifts as in product_sums.
-    method "crt" multiplies the prime-modulus sums with unit-twisted
-    arguments, in the order and the rounding of SumValue.mul (real
-    arithmetic and np.hypot: numpy's complex multiply and abs round
-    differently from Python's); "direct" sums over k mod q and is the
-    oracle for the multiplicative route.
+    method "crt" multiplies the prime-modulus sums with the arguments
+    twisted by kloosterman.crt_twists, in the order and the rounding of
+    SumValue.mul (real arithmetic and np.hypot: numpy's complex multiply
+    and abs round differently from Python's); "direct" sums over k mod q
+    and is the oracle for the multiplicative route.
     """
     qv = q.value
     if not q.squarefree:
@@ -299,7 +280,7 @@ def product_sums_squarefree(
     if method != "crt":
         raise DomainError(f"unknown method {method!r}")
     re, im, err = np.ones(shape), np.zeros(shape), np.zeros(shape)
-    for p, cbar in _crt_twists(q):
+    for p, cbar in crt_twists(q):
         part, part_err = _prime_product_sums(
             [a * cbar % p for a in residues], shifts * cbar % p, [b % p for b in bs], p
         )
@@ -331,41 +312,6 @@ def shifted_product_sum_squarefree(
     values, errs = product_sums_squarefree([a], shifts, [b], q, method)
     z = complex(values[0, 0])
     return SumValue(z.real, z.imag, float(errs[0, 0]))
-
-
-def t_eval(
-    a1: int, split: ModulusSplit, shifts: ShiftVector, J: IntegerInterval
-) -> SumValue:
-    """Differenced sum over k in J of prod over subsets I of S(a1, k + sum_{i in I} q_i h_i, q0).
-
-    The product runs over all 2^l subsets of the shift positions; l = 0
-    reduces to a plain sum of single Kloosterman values.
-    """
-    q0 = split.parts[0]
-    steps = split.parts[1:]
-    if len(shifts) != split.l:
-        raise DomainError(
-            f"shift vector length {len(shifts)} does not match split l = {split.l}"
-        )
-    if shifts.steps != steps:
-        raise DomainError("shift step moduli do not match the split parts")
-    if q0 > 1 and math.gcd(a1, q0) != 1:
-        raise NotCoprime(f"gcd({a1}, {q0}) > 1")
-    n = len(J)
-    if n == 0:
-        return SumValue(0.0, 0.0, 0.0)
-    l = split.l
-    offsets = [
-        sum(steps[i] * shifts.h[i] for i in range(l) if mask >> i & 1)
-        for mask in range(1 << l)
-    ]
-    table = kloosterman_table(a1, q0)
-    ks = np.array(list(J.values()), dtype=np.int64)
-    prod = np.ones(n, dtype=np.complex128)
-    for off in offsets:
-        prod *= table[(ks + off) % q0]
-    z = complex(prod.sum())
-    return SumValue(z.real, z.imag, _product_sum_err(q0, n, 1 << l))
 
 
 def vanishing_lemma_check(p: int, l: int) -> list[tuple[int, ...]]:

@@ -13,9 +13,16 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from kloosterlab import cli, vdc_lab
+from kloosterlab import cli, kloosterman, vdc_lab
 from kloosterlab.arith import factorize, primes_up_to
-from kloosterlab.kloosterman import IntegerInterval, kloosterman_table, kloosterman_tables, table_err
+from kloosterlab.kloosterman import (
+    IntegerInterval,
+    complete_kloosterman,
+    crt_twists,
+    kloosterman_table,
+    kloosterman_tables,
+    table_err,
+)
 from kloosterlab.vdc_lab import (
     onediff_ratio,
     onediff_ratios,
@@ -135,6 +142,10 @@ class TestRowsAreTheOneRowValues:
         assert onediff_ratios(1, 5, 2, [(0, IntegerInterval(0, 0), ())]) == [(0.0, 0.0, 0.0)]
 
 
+def _off_by_one_twists(q):
+    return [(m, cbar + 1 if cbar + 1 < m else cbar) for m, cbar in crt_twists(q)]
+
+
 def _scaled(builder, factor):
     return lambda residues, q: builder(residues, q) * factor
 
@@ -159,14 +170,23 @@ class TestEachGridDetectsAMutation:
         assert not cli.check_magnitudes("small").ok
 
     def test_multiplicativity_sees_an_off_by_one_crt_twist(self, monkeypatch):
-        twists = vdc_lab._crt_twists
-
-        def off_by_one(q):
-            return [(p, cbar + 1 if cbar + 1 < p else cbar) for p, cbar in twists(q)]
-
         assert cli.check_multiplicativity("small").ok
-        monkeypatch.setattr(vdc_lab, "_crt_twists", off_by_one)
+        monkeypatch.setattr(vdc_lab, "crt_twists", _off_by_one_twists)
         assert not cli.check_multiplicativity("small").ok
+
+    def test_complete_kloosterman_sees_an_off_by_one_crt_twist(self, monkeypatch):
+        def deviates():
+            for q in range(2, 106):
+                for a, b in ((1, 1), (2, 5)):
+                    got = complete_kloosterman(a, b, q)
+                    want = complete_kloosterman(a, b, q, "direct")
+                    if abs(got.as_complex - want.as_complex) > got.err + want.err:
+                        return True
+            return False
+
+        assert not deviates()
+        monkeypatch.setattr(kloosterman, "crt_twists", _off_by_one_twists)
+        assert deviates()
 
     def test_onediff_sees_a_scaled_table(self, monkeypatch):
         assert cli.check_onediff("full").ok

@@ -10,8 +10,10 @@ sys.path, because it has an `oracles` module of its own, like tests/.
 
 import importlib
 import importlib.util
+import pkgutil
 from pathlib import Path
 
+import kloosterlab
 from kloosterlab import divisor_ap
 from kloosterlab.divisor_ap import ApQuery, divisor_main_term, divisor_sum_ap
 
@@ -32,6 +34,19 @@ def _resolve(module: str, name: str):
 def test_traced_names_resolve():
     for module, name in _spans().TRACED:
         assert callable(_resolve(module, name)), (module, name)
+
+
+def test_every_module_binding_a_traced_name_is_wrapped():
+    # spans.py wraps only in MODULES; a module outside it that binds a
+    # traced function would call it unwrapped, and its metrics would read 0
+    spans = _spans()
+    names = [m.name for m in pkgutil.iter_modules(kloosterlab.__path__)]
+    modules = {n: importlib.import_module(f"kloosterlab.{n}")
+               for n in names if n != "__main__"}  # __main__ runs the CLI
+    for module, name in spans.TRACED:
+        fn = _resolve(module, name)
+        binders = {n for n, mod in modules.items() if getattr(mod, name, None) is fn}
+        assert binders <= set(spans.MODULES), (module, name, binders - set(spans.MODULES))
 
 
 def test_cached_tables_keep_cache_info():

@@ -184,12 +184,23 @@ class TestSingleQueries:
                 "--eta", "1000"], "eta"),
         ('{"x_values": [2000], "q_list": [15], "residues": {"sample": true}}',
          ["sweep", "--config", "{cfg}"], "sample"),
+        ("# schema=2\nx,q,a,E_exact,error\nabc,3,1,1/1,\n",
+         ["verify-report", "{cfg}"], "row 1: x = 'abc'"),
+        ("# schema=2\nq,a,E_exact,error\n3,1,1/1,\n",
+         ["verify-report", "{cfg}"], "row 1 has no field 'x'"),
+        ('{"schema":2}', ["verify-report", "{cfg}"], "rows"),
+        ('{"rows":[{"x":1}]}', ["verify-report", "{cfg}"], "row 1 has no field"),
+        ("{bad", ["verify-report", "{cfg}"], "not valid JSON"),
+        (None, ["bound", "divisor", "--x", "10000", "--q", "5", "--a", "2",
+                "--split", "13,11,7,1"], "1001"),
     ], ids=["unknown-key", "invalid-json", "bad-x-flag", "negative-x", "zero-q",
             "missing-report", "string-eta", "bool-delta", "null-eps", "string-q-exp",
             "string-jobs", "float-seed", "interval-sum-huge-q", "complete-sum-huge-q",
             "sweep-huge-q", "fraction-above-1", "fraction-nan", "fraction-negative",
             "non-numeric-split", "q-hi-exp-past-cap", "nan-q-lo-exp", "nan-eta", "inf-eta",
-            "eta-above-1", "bool-sample"])
+            "eta-above-1", "bool-sample", "report-non-integer-x", "report-without-x",
+            "json-report-without-rows", "json-row-without-error", "report-invalid-json",
+            "split-not-q"])
     def test_malformed_input_exits_2(self, tmp_path, capsys, config, argv, needle):
         cfg = tmp_path / "config.json"
         if config is not None:

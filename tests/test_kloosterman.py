@@ -5,14 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kloosterlab.arith import ModulusSplit, factorize, multiplicative_profile
+from kloosterlab.arith import factorize, multiplicative_profile
 from kloosterlab.errors import DomainError, NotCoprime
 from kloosterlab.kloosterman import (
     IntegerInterval,
     SumValue,
     complete_kloosterman,
     incomplete_kloosterman,
-    kloosterman_crt,
     kloosterman_table,
     table_err,
 )
@@ -109,34 +108,30 @@ class TestKloostermanTable:
 
 
 class TestKloostermanCrt:
+    """complete_kloosterman's CRT evaluation over composite moduli."""
+
     def test_trivial_second_factor(self):
-        s = kloosterman_crt(4, 9, ModulusSplit((13, 1)))
+        # a prime modulus is one part, twisted by the inverse of 1
+        s = complete_kloosterman(4, 9, 13)
         assert close(s, kloosterman_brute(4, 9, 13))
 
     def test_three_by_five(self):
-        got = kloosterman_crt(1, 1, ModulusSplit((3, 5)))
-        want = complete_kloosterman(1, 1, 15)
-        assert abs(got.as_complex - want.as_complex) <= got.err + want.err + 1e-9
+        got = complete_kloosterman(1, 1, 15)
+        assert close(got, kloosterman_brute(1, 1, 15))
 
     def test_mu_via_crt(self):
-        got = kloosterman_crt(1, 0, ModulusSplit((15, 7)))
+        got = complete_kloosterman(1, 0, 105)
         mu = multiplicative_profile(factorize(105))[0]
         assert close(got, mu)
         assert mu == -1
-
-    def test_requires_two_parts(self):
-        with pytest.raises(DomainError):
-            kloosterman_crt(1, 1, ModulusSplit((3, 5, 7)))
 
     def test_twisted_multiplicativity_grid(self):
         for q in range(2, 400):
             fq = factorize(q)
             if not fq.squarefree or len(fq.factors) < 2:
                 continue
-            p0 = fq.primes[0]
-            split = ModulusSplit((q // p0, p0))
             for a, b in ((1, 0), (2, 3)):
-                got = kloosterman_crt(a, b, split)
+                got = complete_kloosterman(a, b, q)
                 want = complete_kloosterman(a, b, q, "direct")
                 assert abs(got.as_complex - want.as_complex) <= got.err + want.err
 
@@ -181,7 +176,7 @@ class TestIncomplete:
         n = min(n, q)
         interval = IntegerInterval(m, n)
         v = incomplete_kloosterman(a, q, interval)
-        coprime = sum(math.gcd(k, q) == 1 for k in interval.values())
+        coprime = sum(math.gcd(k, q) == 1 for k in range(m, m + n))
         assert v.magnitude <= coprime + v.err
 
 

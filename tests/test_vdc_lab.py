@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kloosterlab import vdc_lab
-from kloosterlab.arith import ModulusSplit, factorize
+from kloosterlab.arith import factorize
 from kloosterlab.cli import check_completion, completion_grid_intervals
 from kloosterlab.errors import DomainError, NotCoprime, NotSquarefree
 from kloosterlab.kloosterman import IntegerInterval, incomplete_kloosterman, kloosterman_table
@@ -14,7 +14,6 @@ from kloosterlab.vdc_lab import (
     PINNED_COMPLETEEXP_EVEN_B0,
     PINNED_COMPLETEEXP_GENERIC,
     PINNED_ONEDIFF_RATIO,
-    ShiftVector,
     _completion_sides,
     _interval_indicator,
     all_even_multiplicities,
@@ -26,7 +25,6 @@ from kloosterlab.vdc_lab import (
     partial_sum_max,
     shifted_product_complete_sum,
     shifted_product_sum_squarefree,
-    t_eval,
     vanishing_lemma_check,
 )
 
@@ -250,47 +248,6 @@ class TestShiftedProductSquarefree:
                     )
 
 
-class TestTEval:
-    def test_empty_interval(self):
-        v = t_eval(1, ModulusSplit((5, 3)), ShiftVector((2,), (3,)), IntegerInterval(0, 0))
-        assert v.as_complex == 0
-
-    def test_single_factor_case(self):
-        got = t_eval(2, ModulusSplit((7,)), ShiftVector((), ()), IntegerInterval(1, 4))
-        want = sum(kloosterman_brute(2, k, 7) for k in range(1, 5))
-        assert abs(got.as_complex - want) <= got.err + 1e-9
-
-    def test_one_shift_brute(self):
-        got = t_eval(1, ModulusSplit((5, 3)), ShiftVector((1,), (3,)), IntegerInterval(0, 5))
-        want = sum(
-            kloosterman_brute(1, k, 5) * kloosterman_brute(1, k + 3, 5)
-            for k in range(5)
-        )
-        assert abs(got.as_complex - want) <= got.err + 1e-9
-
-    def test_two_shifts_brute(self):
-        split = ModulusSplit((7, 2, 3))
-        got = t_eval(3, split, ShiftVector((1, 2), (2, 3)), IntegerInterval(-2, 6))
-        want = 0j
-        for k in range(-2, 4):
-            term = 1 + 0j
-            for mask in range(4):
-                off = (2 if mask & 1 else 0) + (6 if mask & 2 else 0)
-                term *= kloosterman_brute(3, k + off, 7)
-            want += term
-        assert abs(got.as_complex - want) <= got.err + 1e-8
-
-    def test_mismatched_shifts(self):
-        with pytest.raises(DomainError):
-            t_eval(1, ModulusSplit((5, 3)), ShiftVector((1, 2), (3, 7)), IntegerInterval(0, 3))
-        with pytest.raises(DomainError):
-            t_eval(1, ModulusSplit((5, 3)), ShiftVector((1,), (7,)), IntegerInterval(0, 3))
-
-    def test_not_coprime(self):
-        with pytest.raises(NotCoprime):
-            t_eval(5, ModulusSplit((5, 3)), ShiftVector((1,), (3,)), IntegerInterval(0, 3))
-
-
 class TestVanishingLemma:
     def test_exhaustive_small(self):
         assert vanishing_lemma_check(5, 2) == []
@@ -330,26 +287,6 @@ class TestOnediff:
         assert rep.lhs == pytest.approx(abs(t) ** 2, abs=1e-9)
         assert rep.rhs_core == pytest.approx(rhs, abs=1e-9)
         assert rep.ratio == pytest.approx(abs(t) ** 2 / rhs, abs=1e-12)
-
-    def test_inner_sum_matches_t_eval(self):
-        # the h-th inner sum is exactly t_eval on the overlap interval
-        a, q0, q1, K = 1, 7, 3, 9
-        a1 = a * pow(pow(q1, -1, q0), 2, q0) % q0
-        for h in (1, 2, -1):
-            lo = max(0, -q1 * h)
-            hi = min(K, K - q1 * h)
-            v = t_eval(
-                a1,
-                ModulusSplit((q0, q1)),
-                ShiftVector((h,), (q1,)),
-                IntegerInterval(lo, hi - lo),
-            )
-            want = sum(
-                kloosterman_brute(a1, k, q0) * kloosterman_brute(a1, k + q1 * h, q0)
-                for k in range(K)
-                if 0 <= k + q1 * h < K
-            )
-            assert abs(v.as_complex - want) <= v.err + 1e-9
 
     def test_hypothesis_violations(self):
         with pytest.raises(DomainError):
