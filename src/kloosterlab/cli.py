@@ -58,6 +58,8 @@ from .divisor_ap import (
     divisor_main_term,
     divisor_sum_ap,
     error_term,
+    split_divisor_sum_ap,
+    split_main_term,
 )
 from .errors import DomainError, KloosterlabError
 from .kloosterman import (
@@ -401,10 +403,10 @@ def _report_row(path: str, n: int, rec: object) -> dict:
 def verify_report(path: str, seed: int = 0, fraction: float = 0.01) -> tuple[bool, list[str]]:
     """Recompute a seeded sample of a report's rows and demand exact E values.
 
-    Sweeps compute every row by the hyperbola, so rows with
-    x <= SIEVE_X_CAP are recomputed by the tau sieve, which shares no code
-    with it; above the cap the hyperbola is rerun, which is not an
-    independent check.
+    Sweeps compute every row by the hyperbola, so each row is recomputed
+    by an algorithm that shares no code with it: the tau sieve for
+    x <= SIEVE_X_CAP, and above it the pure-Python split count
+    (split_divisor_sum_ap, split_main_term), about 2 sqrt(x) steps a row.
     """
     if not 0 < fraction <= 1:
         raise DomainError(f"fraction = {fraction} outside (0, 1]")
@@ -419,16 +421,17 @@ def verify_report(path: str, seed: int = 0, fraction: float = 0.01) -> tuple[boo
     ok = True
     mains: dict[tuple[int, int], Fraction] = {}  # rows of one cell share it
     for r in picked:
-        method = "sieve" if r["x"] <= SIEVE_X_CAP else "hyperbola"
-        cell = (r["x"], r["q"])
-        if cell not in mains:
-            mains[cell] = divisor_main_term(r["x"], r["q"], method).rational
-        d = divisor_sum_ap(ApQuery(r["x"], r["q"], r["a"]), method)
-        e = Fraction(d) - mains[cell]
+        x, q, a = r["x"], r["q"], r["a"]
+        sieve = x <= SIEVE_X_CAP
+        if (x, q) not in mains:
+            mains[x, q] = (divisor_main_term(x, q, "sieve").rational if sieve
+                           else split_main_term(x, q))
+        d = divisor_sum_ap(ApQuery(x, q, a), "sieve") if sieve else split_divisor_sum_ap(x, q, a)
+        e = Fraction(d) - mains[x, q]
         if _fmt_fraction(e) != r["E_exact"]:
             ok = False
             lines.append(
-                f"MISMATCH x={r['x']} q={r['q']} a={r['a']}: "
+                f"MISMATCH x={x} q={q} a={a}: "
                 f"report {r['E_exact']} recomputed {_fmt_fraction(e)}"
             )
     lines.append(f"verify: {k}/{len(candidates)} rows recomputed, "
@@ -464,7 +467,16 @@ def _within(observed: dict[str, float], allowed: dict[str, float]) -> bool:
 
 
 def check_weil(size: str = "small") -> CheckResult:
-    """|S(a,b;p)| <= 2 sqrt(p) and Im S within err, exhaustive over (a, b)."""
+    """|S(a,b;p)| <= 2 sqrt(p) and Im S within err, exhaustive over (a, b).
+
+    One row per prime covers every (a, b): S(a, b; p) = S(1, ab; p), and
+    k -> a*k permutes the nonzero residues mod p, so each row a of
+    kloosterman_tables(range(1, p), p) holds the entries of the base row
+    S(1, k; p), k = 0..p-1, permuted (bitwise: the rows are gathers from
+    one base table).  Every row therefore has the base row's maxima, and
+    each cap the base row exceeds is exceeded once in each of the p - 1
+    rows.  cells still counts the (p - 1) * p pairs covered.
+    """
     p_max = 199 if size == "small" else 499
     max_ratio = 0.0
     max_im = 0.0
@@ -475,17 +487,16 @@ def check_weil(size: str = "small") -> CheckResult:
     for p in primes_up_to(p_max):
         err = table_err(p)
         weil = 2 * math.sqrt(p)
-        for block in table_row_blocks(p - 1, p):
-            tables = kloosterman_tables(range(block.start + 1, block.stop + 1), p)
-            im = np.abs(tables.imag).max(axis=1)
-            top = np.abs(tables[:, 1:]).max(axis=1)
-            excess = (top - (weil + err), im - err)
-            violations += sum(int((e > 0).sum()) for e in excess)
-            for key, e in zip(observed, excess):
-                observed[key] = max(observed[key], float(e.max()))
-            max_im = max(max_im, float(im.max()))
-            max_ratio = max(max_ratio, float((top / weil).max()))
-            cells += tables.size
+        base = kloosterman_tables([1], p)[0]
+        im = float(np.abs(base.imag).max())
+        top = float(np.abs(base[1:]).max())
+        excess = (top - (weil + err), im - err)
+        violations += (p - 1) * sum(e > 0 for e in excess)
+        for key, e in zip(observed, excess):
+            observed[key] = max(observed[key], e)
+        max_im = max(max_im, im)
+        max_ratio = max(max_ratio, top / weil)
+        cells += (p - 1) * p
     allowed = dict.fromkeys(observed, 0.0)
     ok = _within(observed, allowed)
     return CheckResult("weil", cells, observed, allowed, ok, (
@@ -511,7 +522,7 @@ def check_completion(size: str = "small") -> CheckResult:
     checks = 0
     for q in range(1, q_max + 1):
         intervals = completion_grid_intervals(q)
-        residues = [0] if q == 1 else [a for a in range(1, q) if math.gcd(a, q) == 1]
+        residues = np.flatnonzero(unit_mask(q)).tolist()  # [0] at q = 1
         deviations = completion_deviations(q, intervals, residues)
         worst = max(worst, float(deviations.max()))
         checks += deviations.size

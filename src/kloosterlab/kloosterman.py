@@ -26,10 +26,22 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .arith import FactoredInteger, factorize, inverse_table, is_prime, mulmod
+from .arith import (
+    MAX_VALUE,
+    FactoredInteger,
+    factorize,
+    inverse_mod,
+    inverse_table,
+    is_prime,
+    mulmod,
+)
 from .errors import DomainError, NotCoprime
 
 _TERM_EPS = 4 * float(np.finfo(np.float64).eps)
+
+# Short sums hold O(N) arrays, about 110 bytes a term once q^2 >= 2^63
+# (mulmod then multiplies in Python ints): about 1.1 GB at the cap.
+SHORT_SUM_LENGTH_CAP = 10**7
 
 
 @dataclass(frozen=True)
@@ -131,12 +143,15 @@ def kloosterman_tables(residues: Sequence[int], q: int) -> np.ndarray:
     """
     if q < 1:
         raise DomainError("modulus must be positive")
-    a = [int(r) % q for r in residues]
-    for r in a:
-        if math.gcd(r, q) != 1:
-            raise NotCoprime(f"gcd({r}, {q}) > 1")
+    try:
+        a = np.asarray(residues, dtype=np.int64) % q
+    except OverflowError:  # a residue or q beyond int64: reduce exactly in Python
+        a = np.array([int(r) % q for r in residues], dtype=object)
+    gcds = np.gcd(a, q)
+    if gcds.max(initial=1) > 1:
+        raise NotCoprime(f"gcd({a[np.flatnonzero(gcds > 1)[0]]}, {q}) > 1")
     base = _base_table(q)  # raises DomainError above the inverse-table cap
-    index = np.multiply.outer(np.array(a, dtype=np.int64), np.arange(q, dtype=np.int64))
+    index = np.multiply.outer(a.astype(np.int64, copy=False), np.arange(q, dtype=np.int64))
     index %= q
     return base[index]
 
@@ -212,7 +227,9 @@ def complete_kloosterman(a: int, b: int, q: int, method: str = "crt") -> SumValu
 def incomplete_kloosterman(a: int, q: int, interval: IntegerInterval) -> SumValue:
     """Sum of e_q(a * nbar) over n in the interval with gcd(n, q) = 1.
 
-    Requires gcd(a, q) = 1 and interval length at most q.
+    Requires gcd(a, q) = 1, interval length N at most q and at most
+    SHORT_SUM_LENGTH_CAP, and q <= arith.MAX_VALUE.  Only the N residues
+    of the interval are inverted, so the cost is O(N) whatever q is.
     """
     if q < 1:
         raise DomainError(f"modulus {q} must be >= 1")
@@ -222,10 +239,14 @@ def incomplete_kloosterman(a: int, q: int, interval: IntegerInterval) -> SumValu
         raise NotCoprime(f"gcd({a}, {q}) > 1")
     if interval.length == 0:
         return SumValue(0.0, 0.0, 0.0)
+    if interval.length > SHORT_SUM_LENGTH_CAP:
+        raise DomainError(f"interval length limited to {SHORT_SUM_LENGTH_CAP}")
+    if q > MAX_VALUE:
+        raise DomainError(f"modulus limited to q <= {MAX_VALUE}")
     a %= q
-    inv = inverse_table(q)
-    residues = (interval.offset + np.arange(interval.length, dtype=np.int64)) % q
-    invs = inv[residues]
+    # offset % q + n < 2q <= 2^63: the residues fit int64
+    residues = (interval.offset % q + np.arange(interval.length, dtype=np.int64)) % q
+    invs = inverse_mod(residues, q)
     invs = invs[invs >= 0]
     if len(invs) == 0:
         return SumValue(0.0, 0.0, 0.0)

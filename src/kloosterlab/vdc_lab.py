@@ -37,6 +37,7 @@ from typing import Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .arith import (
+    INVERSE_TABLE_CAP,
     FactoredInteger,
     factorize,
     inverse_table,
@@ -116,9 +117,6 @@ def _completion_sides(
         raise DomainError(f"modulus {q} must be >= 1")
     if any(len(interval) > q for interval in intervals):
         raise DomainError("interval longer than the period q")
-    for r in residues:
-        if math.gcd(r, q) != 1:
-            raise NotCoprime(f"gcd({r}, {q}) > 1")
     indicator = _interval_indicator(q, intervals)
     a = np.array([r % q for r in residues], dtype=np.int64)
     inv = inverse_table(q)
@@ -130,6 +128,7 @@ def _completion_sides(
     roots /= q
     np.exp(roots, out=roots)
     direct = indicator[:, units] @ roots[mulmod(inv[units][:, None], a[None, :], q)]
+    # kloosterman_tables raises NotCoprime for a residue sharing a factor with q
     tables = np.empty((q, len(a)), dtype=np.complex128)
     for block in table_row_blocks(len(a), q):
         tables[:, block] = kloosterman_tables(a[block], q).T
@@ -178,14 +177,6 @@ def _product_sum_err(q: int, n_terms: int, j: int) -> float:
     return n_terms * (per_term + _TERM_EPS * bound**j)
 
 
-def _shift_rows(shifts, rows: int) -> np.ndarray:
-    """shifts as a (rows, j) int64 array: one tuple for every row, or one per row."""
-    s = np.asarray(shifts, dtype=np.int64)
-    if s.ndim == 1:
-        s = s[None, :]
-    return np.broadcast_to(s, (rows, s.shape[1]))
-
-
 def product_sums(tables: np.ndarray, shifts, bs: Sequence[int], q: int) -> np.ndarray:
     """(r, len(bs)) array of sum over k mod q of e_q(-kb) prod_i tables[:, k + s_i].
 
@@ -196,27 +187,37 @@ def product_sums(tables: np.ndarray, shifts, bs: Sequence[int], q: int) -> np.nd
     share the call.
     """
     tables = np.asarray(tables)
-    shifts = _shift_rows(shifts, len(tables)) % q
+    shifts = np.asarray(shifts, dtype=np.int64) % q
     ks = np.arange(q, dtype=np.int64)
+    rows = np.arange(len(tables))[:, None]
     prod = np.ones(tables.shape, dtype=np.complex128)
-    for i in range(shifts.shape[1]):
-        prod *= np.take_along_axis(tables, (ks + shifts[:, i, None]) % q, axis=1)
-    bs = [int(b) % q for b in bs]
-    weights = np.exp(-2j * np.pi * (ks * np.array(bs, dtype=np.int64)[:, None] % q) / q)
+    for i in range(shifts.shape[-1]):
+        prod *= tables[rows, (ks + shifts[..., i, None]) % q]
     out = np.empty((len(tables), len(bs)), dtype=np.complex128)
     for col, b in enumerate(bs):
-        out[:, col] = (prod * weights[col]).sum(axis=1) if b else prod.sum(axis=1)
+        b = int(b) % q
+        # at b = 0 every phase is 1: the products are summed alone
+        summand = prod * np.exp(-2j * np.pi * (ks * b % q) / q) if b else prod
+        out[:, col] = summand.sum(axis=1)
     return out
 
 
 def _blocked_product_sums(
     residues: Sequence[int], shifts, bs: Sequence[int], q: int
 ) -> np.ndarray:
-    """product_sums of the tables of residues mod q, gathered a block of rows at a time."""
-    shifts = _shift_rows(shifts, len(residues))
+    """product_sums of the tables of residues mod q, gathered a block of rows at a time.
+
+    j = 0 multiplies no table: every row is the one row of phase sums,
+    and no table is gathered.
+    """
+    shifts = np.asarray(shifts, dtype=np.int64)
+    if shifts.shape[-1] == 0:
+        ones = np.ones((1, q), dtype=np.complex128)
+        return np.repeat(product_sums(ones, (), bs, q), len(residues), axis=0)
     out = np.empty((len(residues), len(bs)), dtype=np.complex128)
     for block in table_row_blocks(len(residues), q):
-        out[block] = product_sums(kloosterman_tables(residues[block], q), shifts[block], bs, q)
+        block_shifts = shifts if shifts.ndim == 1 else shifts[block]
+        out[block] = product_sums(kloosterman_tables(residues[block], q), block_shifts, bs, q)
     return out
 
 
@@ -227,7 +228,7 @@ def _prime_product_sums(
 
     j = 0 is character orthogonality: exactly p when p | b, else 0.
     """
-    j = _shift_rows(shifts, len(residues)).shape[1]
+    j = np.shape(shifts)[-1]
     if j == 0:
         exact = [float(p) if b % p == 0 else 0.0 for b in bs]
         return np.tile(np.array(exact, dtype=np.complex128), (len(residues), 1)), 0.0
@@ -272,10 +273,12 @@ def product_sums_squarefree(
     for a in residues:
         if math.gcd(a, qv) != 1:
             raise NotCoprime(f"gcd({a}, {qv}) > 1")
-    shifts = _shift_rows(shifts, len(residues)) % qv
+    shifts = np.asarray(shifts, dtype=np.int64) % qv
     shape = (len(residues), len(bs))
     if method == "direct":
-        err = _product_sum_err(qv, qv, max(shifts.shape[1], 1))
+        if qv > INVERSE_TABLE_CAP:  # O(q) a row, capped as the tables are
+            raise DomainError(f"direct product sums limited to q <= {INVERSE_TABLE_CAP}")
+        err = _product_sum_err(qv, qv, max(shifts.shape[-1], 1))
         return _blocked_product_sums(residues, shifts, bs, qv), np.full(shape, err)
     if method != "crt":
         raise DomainError(f"unknown method {method!r}")

@@ -142,6 +142,53 @@ class TestRowsAreTheOneRowValues:
         assert onediff_ratios(1, 5, 2, [(0, IntegerInterval(0, 0), ())]) == [(0.0, 0.0, 0.0)]
 
 
+def _pushed_base(p):
+    """kloosterman._base_table with S(1, 1; p) pushed 1 above 2 sqrt(p) + err."""
+    base = kloosterman._base_table
+
+    def table(q):
+        t = base(q)
+        if q == p:
+            t = t.copy()
+            t[1] = 2 * math.sqrt(p) + table_err(p) + 1
+        return t
+
+    return table
+
+
+def _violations(result):
+    return int(result.line.rsplit("violations = ", 1)[1])
+
+
+class TestWeilScansOneRowPerPrime:
+    """check_weil reads one base row per prime; it must report what the
+    exhaustive scan over all p - 1 rows finds."""
+
+    @pytest.mark.parametrize("push", [False, True], ids=["exact", "pushed"])
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_matches_the_exhaustive_scan(self, p, push, monkeypatch):
+        if push:
+            monkeypatch.setattr(kloosterman, "_base_table", _pushed_base(p))
+        monkeypatch.setattr(cli, "primes_up_to", lambda n: [p])
+        got = cli.check_weil("small")
+        tables = kloosterman_tables(range(1, p), p)
+        top = np.abs(tables[:, 1:]).max(axis=1)
+        im = np.abs(tables.imag).max(axis=1)
+        excess = (top - (2 * math.sqrt(p) + table_err(p)), im - table_err(p))
+        assert got.cells == tables.size == (p - 1) * p
+        assert list(got.observed.values()) == [float(e.max()) for e in excess]
+        assert _violations(got) == sum(int((e > 0).sum()) for e in excess)
+        assert _violations(got) == (p - 1 if push else 0)
+        assert got.ok is not push
+
+    def test_a_pushed_base_entry_is_a_violation_in_every_row(self, monkeypatch):
+        assert _violations(cli.check_weil("small")) == 0
+        monkeypatch.setattr(kloosterman, "_base_table", _pushed_base(53))
+        got = cli.check_weil("small")
+        assert _violations(got) == (53 - 1) * 1
+        assert not got.ok
+
+
 def _off_by_one_twists(q):
     return [(m, cbar + 1 if cbar + 1 < m else cbar) for m, cbar in crt_twists(q)]
 

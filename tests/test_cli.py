@@ -22,6 +22,9 @@ from kloosterlab.cli import (
     run_sweep,
     verify_report,
 )
+from kloosterlab.kloosterman import IntegerInterval, incomplete_kloosterman
+
+from oracles import incomplete_brute
 
 # a two-row report, for the verify-report cases of test_malformed_input_exits_2
 TWO_ROW_REPORT = "# schema=2\nx,q,a,E_exact,error\n10,3,1,1/1,\n10,3,2,-1/1,\n"
@@ -47,6 +50,14 @@ class TestSingleQueries:
     def test_kloosterman_interval(self, capsys):
         assert main(["kloosterman", "1", "0", "6", "4", "4"]) == 0
         assert "S_I(1; 6, [4, 8))" in capsys.readouterr().out
+
+    def test_kloosterman_short_interval_to_a_huge_modulus(self, capsys):
+        # only the interval's residues are inverted: q is not capped at 10^7
+        q = 999999999989
+        assert main(["kloosterman", "1", "0", str(q), "4", "4"]) == 0
+        assert "S_I(1; 999999999989, [4, 8))" in capsys.readouterr().out
+        value = incomplete_kloosterman(1, q, IntegerInterval(4, 4))
+        assert abs(value.as_complex - incomplete_brute(1, q, 4, 4)) <= value.err
 
     def test_kloosterman_interval_needs_coprime(self, capsys):
         assert main(["kloosterman", "6", "0", "15", "0", "5"]) == 2
@@ -166,7 +177,8 @@ class TestSingleQueries:
          ["sweep", "--config", "{cfg}"], "jobs"),
         ('{"x_values": [2000], "q_list": [15], "seed": 1.5}',
          ["sweep", "--config", "{cfg}"], "seed"),
-        (None, ["kloosterman", "1", "0", "999999999989", "4", "4"], "inverse table"),
+        (None, ["kloosterman", "1", "0", "999999999989", "0", "20000000"], "interval length"),
+        (None, ["kloosterman", "1", "0", "9223372036854775837", "0", "4"], "modulus"),
         (None, ["kloosterman", "1", "1", "2147483659"], "inverse table"),
         (None, ["sweep", "--x", "1000", "--q", "1000000000000"], "unit mask"),
         (TWO_ROW_REPORT, ["verify-report", "{cfg}", "--fraction", "2"], "fraction"),
@@ -195,7 +207,8 @@ class TestSingleQueries:
                 "--split", "13,11,7,1"], "1001"),
     ], ids=["unknown-key", "invalid-json", "bad-x-flag", "negative-x", "zero-q",
             "missing-report", "string-eta", "bool-delta", "null-eps", "string-q-exp",
-            "string-jobs", "float-seed", "interval-sum-huge-q", "complete-sum-huge-q",
+            "string-jobs", "float-seed", "interval-sum-too-long", "interval-sum-q-past-cap",
+            "complete-sum-huge-q",
             "sweep-huge-q", "fraction-above-1", "fraction-nan", "fraction-negative",
             "non-numeric-split", "q-hi-exp-past-cap", "nan-q-lo-exp", "nan-eta", "inf-eta",
             "eta-above-1", "bool-sample", "report-non-integer-x", "report-without-x",
@@ -356,6 +369,23 @@ class TestVerifyReport:
         config = _config(tmp_path, q_list=[15], x_values=[500])
         rows, summary = run_sweep(config)
         path = tmp_path / "report.csv"
+        path.write_text(render_report(config, rows, summary))
+        ok, lines = verify_report(str(path), seed=0, fraction=1.0)
+        assert not ok
+        assert sum(ln.startswith("MISMATCH ") for ln in lines) == len(rows) == 8
+
+    def test_flags_a_wrong_hyperbola_above_the_sieve_cap(self, tmp_path, monkeypatch):
+        # above SIEVE_X_CAP the rows are recomputed by the split count,
+        # which shares no code with the hyperbola that wrote them
+        config = _config(tmp_path, q_list=[15], x_values=[divisor_ap.SIEVE_X_CAP + 7])
+        path = tmp_path / "report.csv"
+        path.write_text(render_report(config, *run_sweep(config)))
+        assert verify_report(str(path), seed=0, fraction=1.0) == (
+            True, ["verify: 8/8 rows recomputed, all exact"])
+        count = divisor_ap._hyperbola_count
+        monkeypatch.setattr(divisor_ap, "_hyperbola_count",
+                            lambda x, q, a: count(x, q, a) + 1)
+        rows, summary = run_sweep(config)
         path.write_text(render_report(config, rows, summary))
         ok, lines = verify_report(str(path), seed=0, fraction=1.0)
         assert not ok

@@ -13,6 +13,8 @@ from kloosterlab.divisor_ap import (
     divisor_sum_ap,
     divisor_sum_ap_all,
     error_term,
+    split_divisor_sum_ap,
+    split_main_term,
     tau_table,
 )
 from kloosterlab.errors import DomainError, NotCoprime
@@ -76,6 +78,28 @@ class TestDivisorSum:
                      (4000000007, 4000000006), (4000000007, 12345)):
             assert divisor_sum_ap(ApQuery(x, q, a)) == divisor_sum_split(x, q, a, y)
         assert coprime_tau_sum(x, 210210) == coprime_tau_sum_split(x, 210210, y)
+
+    def test_split_count_against_the_sieve(self):
+        # the split point isqrt(x) + 1 around squares, and x below it
+        for x in (1, 2, 3, 35, 36, 37, 168, 169, 182, 2000):
+            for q in (1, 2, 12, 15, 97, 210):
+                for a in range(q):
+                    want = divisor_sum_ap(ApQuery(x, q, a), "sieve")
+                    assert split_divisor_sum_ap(x, q, a) == want, (x, q, a)
+                assert split_main_term(x, q) == divisor_main_term(x, q, "sieve").rational
+
+    def test_split_count_above_the_sieve_cap(self):
+        x = 10**9 + 7
+        for q, a in ((210, 1), (210, 209), (9699690, 1), (9699690, 4849843)):
+            assert split_divisor_sum_ap(x, q, a) == divisor_sum_ap(ApQuery(x, q, a))
+        assert split_main_term(x, 9699690) == divisor_main_term(x, 9699690).rational
+
+    def test_split_count_caps(self):
+        for x, q in ((0, 7), (HYPERBOLA_X_CAP + 1, 7), (1000, 0), (1000, 10**7 + 1)):
+            with pytest.raises(DomainError):
+                split_divisor_sum_ap(x, q, 1)
+            with pytest.raises(DomainError):
+                split_main_term(x, q)
 
     def test_hyperbola_cap(self):
         assert divisor_sum_ap(ApQuery(HYPERBOLA_X_CAP, 9699690, 1)) > 0

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kloosterlab.arith import factorize, multiplicative_profile
+from kloosterlab.arith import factorize, inverse_table, multiplicative_profile
 from kloosterlab.errors import DomainError, NotCoprime
 from kloosterlab.kloosterman import (
     IntegerInterval,
@@ -154,6 +154,21 @@ class TestIncomplete:
         for q, m, n in ((7, 0, 5), (12, -3, 12), (101, 50, 60), (30, 5, 25)):
             v = incomplete_kloosterman(1, q, IntegerInterval(m, n))
             assert abs(v.as_complex - incomplete_brute(1, q, m, n)) <= v.err + 1e-10
+
+    def test_interval_inverses_match_the_inverse_table(self):
+        # the interval's own inverses are the inverse table's entries, in
+        # the same order, so the sum is bitwise the inverse-table sum
+        for q, m, n, a in ((101, 50, 60, 1), (30030, -7, 5000, 17), (999983, 12345, 700, 3)):
+            inv = inverse_table(q)[(m + np.arange(n)) % q]
+            inv = inv[inv >= 0]
+            z = complex(np.exp(2j * np.pi * (inv * a % q) / q).sum())
+            want = SumValue(z.real, z.imag, 4 * float(np.finfo(np.float64).eps) * len(inv))
+            assert incomplete_kloosterman(a, q, IntegerInterval(m, n)) == want
+
+    def test_huge_modulus_against_brute(self):
+        for q, m, n in ((999999999989, 4, 4), (10**12 + 39, -300, 500), (2**61 - 1, 10**15, 64)):
+            v = incomplete_kloosterman(5, q, IntegerInterval(m, n))
+            assert abs(v.as_complex - incomplete_brute(5, q, m, n)) <= v.err + 1e-10
 
     def test_too_long(self):
         with pytest.raises(DomainError):

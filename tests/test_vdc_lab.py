@@ -235,6 +235,13 @@ class TestShiftedProductSquarefree:
         with pytest.raises(NotCoprime):
             shifted_product_sum_squarefree(3, (0,), 0, factorize(15))
 
+    def test_direct_route_is_capped_with_or_without_shifts(self):
+        # 11 * 909091: the direct sums run over all k mod q, so q is capped
+        # as the tables are, also at j = 0, which gathers no table
+        for shifts in ((), (0,)):
+            with pytest.raises(DomainError):
+                shifted_product_sum_squarefree(1, shifts, 0, factorize(10**7 + 1), "direct")
+
     def test_grid_crt_vs_direct(self):
         for q in (6, 10, 21, 30, 66, 105):
             fq = factorize(q)
