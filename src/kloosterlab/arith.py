@@ -1,6 +1,7 @@
 """Exact integer and multiplicative-function primitives.
 
-Everything here is pure integer arithmetic: factorization, vectorized
+Everything here is pure integer arithmetic: factorization (trial
+division by the primes up to 10^4, then Pollard rho), vectorized
 modular inverses and inverse tables, overflow-safe modular products of
 int64 arrays, the standard multiplicative functions (Mobius, Euler phi,
 generalized divisor counts tau_l), and sieves for smooth squarefree
@@ -12,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
+from itertools import compress
 
 import numpy as np
 
@@ -22,7 +24,10 @@ MAX_VALUE = 1 << 62
 # Deterministic Miller-Rabin witnesses for all n < 3.3 * 10^24.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
-_SMALL_SIEVE_LIMIT = 10**6
+# factorize trial-divides by the primes up to _TRIAL_LIMIT; the least
+# prime above it bounds the cofactors that need no primality test.
+_TRIAL_LIMIT = 10**4
+_NEXT_PRIME = 10007
 
 # inverse_table holds q int64 entries: at most 80 MB.
 INVERSE_TABLE_CAP = 10**7
@@ -56,24 +61,16 @@ def is_prime(n: int) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _spf_sieve(limit: int) -> np.ndarray:
-    """Smallest-prime-factor table for 0..limit (spf[p] = p for primes)."""
-    spf = np.arange(limit + 1, dtype=np.int64)
-    for p in range(2, math.isqrt(limit) + 1):
-        if spf[p] == p:
-            sl = spf[p * p :: p]
-            np.minimum(sl, p, out=sl)
-    return spf
-
-
-@lru_cache(maxsize=None)
 def primes_up_to(limit: int) -> tuple[int, ...]:
-    """All primes <= limit, ascending."""
+    """All primes <= limit, ascending (sieve of Eratosthenes on a bytearray)."""
     if limit < 2:
         return ()
-    spf = _spf_sieve(limit)
-    idx = np.arange(limit + 1)
-    return tuple(int(p) for p in idx[2:][spf[2:] == idx[2:]])
+    sieve = bytearray([1]) * (limit + 1)
+    sieve[0] = sieve[1] = 0
+    for p in range(2, math.isqrt(limit) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, limit + 1, p)))
+    return tuple(compress(range(limit + 1), sieve))
 
 
 def _pollard_rho(n: int) -> int:
@@ -197,48 +194,38 @@ class ModulusSplit:
 def factorize(n: int) -> FactoredInteger:
     """Full prime factorization of n, 1 <= n <= 2^62.
 
-    Small n go through a smallest-prime-factor sieve; larger n use trial
-    division by sieved primes and fall back to Pollard rho for any
-    remaining cofactor.
+    Trial division by the primes up to 10^4, then Pollard rho for the
+    cofactor m left over.  No table is built beyond those 1229 primes.
+    m > 1 is prime without a primality test when the division stopped
+    at a prime p with p^2 > m, or when every prime up to 10^4 was tried
+    and m < 10007^2, the square of the next prime.
     """
     if not (1 <= n <= MAX_VALUE):
         raise DomainError(f"n = {n} outside [1, 2^62]")
-    if n <= _SMALL_SIEVE_LIMIT:
-        spf = _spf_sieve(_SMALL_SIEVE_LIMIT)
-        factors = []
-        m = n
-        while m > 1:
-            p = int(spf[m])
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            factors.append((p, e))
-        return FactoredInteger(n, tuple(factors))
-
     factors: dict[int, int] = {}
     m = n
-    for p in primes_up_to(10**4):
+    for p in primes_up_to(_TRIAL_LIMIT):
         if p * p > m:
             break
         while m % p == 0:
             factors[p] = factors.get(p, 0) + 1
             m //= p
+    else:
+        if m >= _NEXT_PRIME * _NEXT_PRIME:
+            stack, m = [m], 1
+            while stack:
+                c = stack.pop()
+                if c == 1:
+                    continue
+                if is_prime(c):
+                    factors[c] = factors.get(c, 0) + 1
+                    continue
+                d = _pollard_rho(c)
+                stack.append(d)
+                stack.append(c // d)
     if m > 1:
-        stack = [m]
-        resolved: list[int] = []
-        while stack:
-            c = stack.pop()
-            if c == 1:
-                continue
-            if is_prime(c):
-                resolved.append(c)
-                continue
-            d = _pollard_rho(c)
-            stack.append(d)
-            stack.append(c // d)
-        for p in resolved:
-            factors[p] = factors.get(p, 0) + 1
+        # a prime above every prime divided out so far
+        factors[m] = 1
     return FactoredInteger(n, tuple(sorted(factors.items())))
 
 

@@ -163,6 +163,10 @@ class SweepConfig:
                 raise DomainError(f"{name} must be an int, got {v!r}")
         if self.q_list is None and (self.q_lo_exp is None or self.q_hi_exp is None):
             raise DomainError("config needs q_list or q_lo_exp/q_hi_exp")
+        if None not in (self.q_lo_exp, self.q_hi_exp) and self.q_lo_exp > self.q_hi_exp:
+            raise DomainError(
+                f"q_lo_exp = {self.q_lo_exp} above q_hi_exp = {self.q_hi_exp}"
+            )
         if not 0 < self.delta < 1 / 12:
             raise DomainError(f"delta = {self.delta} outside (0, 1/12)")
         if not 0 < self.eta < 1:
@@ -215,16 +219,20 @@ def _read_config(path: str) -> dict:
 
 
 def _cell_moduli(config: SweepConfig, x: int) -> list[int]:
+    """The distinct moduli of x's cells, ascending; none when x's
+    exponent window [x^q_lo_exp, x^q_hi_exp] holds no integer."""
     if config.q_list is not None:
-        return sorted(config.q_list)
+        return sorted(set(config.q_list))
     # checked before the float powers, which overflow far above the cap
-    top = max(config.q_lo_exp, config.q_hi_exp)
-    if top * math.log2(x) > SMOOTH_MODULI_LOG2_CAP:
+    if config.q_hi_exp * math.log2(x) > SMOOTH_MODULI_LOG2_CAP:
         raise DomainError(
-            f"x^{top} at x = {x} passes the smooth-moduli cap 2^{SMOOTH_MODULI_LOG2_CAP}"
+            f"x^{config.q_hi_exp} at x = {x} passes the smooth-moduli cap "
+            f"2^{SMOOTH_MODULI_LOG2_CAP}"
         )
     lo = max(1, math.ceil(x**config.q_lo_exp))
     hi = math.floor(x**config.q_hi_exp)
+    if lo > hi:
+        return []
     bound = max(2, math.floor(x**config.eta))
     return [f.value for f in smooth_squarefree_moduli(lo, hi, SmoothnessSpec(bound))]
 

@@ -112,6 +112,23 @@ def mobius_brute(n: int) -> int:
     return (-1) ** cnt
 
 
+def factor_brute(n: int) -> tuple[tuple[int, int], ...]:
+    """(prime, exponent) pairs of n >= 1 by trial division by every d >= 2."""
+    factors = []
+    m, d = n, 2
+    while d * d <= m:
+        e = 0
+        while m % d == 0:
+            m //= d
+            e += 1
+        if e:
+            factors.append((d, e))
+        d += 1
+    if m > 1:
+        factors.append((m, 1))
+    return tuple(factors)
+
+
 def totient_brute(n: int) -> int:
     return sum(1 for k in range(1, n + 1) if math.gcd(k, n) == 1)
 

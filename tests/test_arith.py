@@ -1,5 +1,9 @@
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +25,7 @@ from kloosterlab.arith import (
 )
 from kloosterlab.errors import DomainError, NotSquarefree
 
-from oracles import mobius_brute, tau_l_brute, totient_brute
+from oracles import factor_brute, mobius_brute, tau_l_brute, totient_brute
 
 
 class TestFactorize:
@@ -45,10 +49,7 @@ class TestFactorize:
 
     def test_reassembly_exhaustive_small(self):
         for n in range(1, 20001):
-            f = factorize(n)
-            assert math.prod(p**e for p, e in f.factors) == n
-            assert all(e >= 1 for _, e in f.factors)
-            assert list(f.primes) == sorted(f.primes)
+            assert factorize(n).factors == factor_brute(n), n
 
     def test_reassembly_to_one_million(self):
         # bijection onto valid factored integers: reassembly over the
@@ -59,6 +60,32 @@ class TestFactorize:
             for p, e in f.factors:
                 prod *= p**e
             assert prod == n
+
+    @pytest.mark.parametrize("n", [
+        999983, 10**6, 10**6 + 1,  # edges of the old sieve branch
+        9973**2, 9973 * 10007, 10007**2, 10007 * 10009,  # edges of the prime shortcut
+    ])
+    def test_matches_brute_at_edges(self, n):
+        assert factorize(n).factors == factor_brute(n)
+
+    def test_builds_no_large_table(self):
+        # a fresh interpreter, so no earlier test's cache hides a table
+        code = (
+            "import tracemalloc\n"
+            "from kloosterlab.arith import factorize\n"
+            "tracemalloc.start()\n"
+            "factorize(999983)\n"
+            "factorize(720720)\n"
+            "print(tracemalloc.get_traced_memory()[1])\n"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+            check=True, timeout=120,
+        ).stdout
+        assert int(out) < 2**20
 
     def test_large_semiprime(self):
         p, r = 1_000_003, 999_983

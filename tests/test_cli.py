@@ -205,6 +205,8 @@ class TestSingleQueries:
         ("{bad", ["verify-report", "{cfg}"], "not valid JSON"),
         (None, ["bound", "divisor", "--x", "10000", "--q", "5", "--a", "2",
                 "--split", "13,11,7,1"], "1001"),
+        (None, ["sweep", "--x", "1000000", "--q-lo-exp", "0.61", "--q-hi-exp", "0.6"],
+         "q_lo_exp = 0.61 above q_hi_exp = 0.6"),
     ], ids=["unknown-key", "invalid-json", "bad-x-flag", "negative-x", "zero-q",
             "missing-report", "string-eta", "bool-delta", "null-eps", "string-q-exp",
             "string-jobs", "float-seed", "interval-sum-too-long", "interval-sum-q-past-cap",
@@ -213,7 +215,7 @@ class TestSingleQueries:
             "non-numeric-split", "q-hi-exp-past-cap", "nan-q-lo-exp", "nan-eta", "inf-eta",
             "eta-above-1", "bool-sample", "report-non-integer-x", "report-without-x",
             "json-report-without-rows", "json-row-without-error", "report-invalid-json",
-            "split-not-q"])
+            "split-not-q", "q-lo-exp-above-q-hi-exp"])
     def test_malformed_input_exits_2(self, tmp_path, capsys, config, argv, needle):
         cfg = tmp_path / "config.json"
         if config is not None:
@@ -283,6 +285,28 @@ class TestSweep:
             units = [a for a in range(q) if math.gcd(a, q) == 1]
             want = sorted(random.Random(config.seed ^ idx).sample(units, 20))
             assert [r["a"] for r in rows if r["q"] == q] == want
+
+    def test_x_with_an_empty_window_gets_no_cells(self, tmp_path, capsys):
+        # [5^0.6, 5^0.61] = [2.63, 2.67] holds no integer
+        argv = ["sweep", "--q-lo-exp", "0.6", "--q-hi-exp", "0.61", "--eta", "0.5",
+                "--residues", "1"]
+        assert main(argv + ["--x", "1000000", "--out", str(tmp_path / "a.csv")]) == 0
+        alone = capsys.readouterr().out
+        assert main(argv + ["--x", "5,1000000", "--out", str(tmp_path / "b.csv")]) == 0
+        both = capsys.readouterr().out
+        assert "(226 rows)" in both
+        assert both.replace("b.csv", "a.csv") == alone
+        a, b = ([line for line in (tmp_path / f).read_text().splitlines()
+                 if not line.startswith("#")] for f in ("a.csv", "b.csv"))
+        assert len(a) == 227 and a == b
+
+    def test_duplicate_moduli_run_once(self, tmp_path):
+        once = run_sweep(_config(tmp_path, x_values=[1000], q_list=[7],
+                                 residues={"sample": 2}))
+        twice = run_sweep(_config(tmp_path, x_values=[1000], q_list=[7, 7],
+                                  residues={"sample": 2}))
+        assert len(twice[0]) == 2
+        assert twice == once
 
     def test_eps_scales_bound_total(self, tmp_path):
         base = dict(x_values=[10**5], q_list=None, q_lo_exp=0.6, q_hi_exp=0.61,
