@@ -63,12 +63,6 @@ class BoundReport:
     ratio: float
     parameters: dict
 
-    def term(self, name: str) -> float:
-        for key, value in self.bound_terms:
-            if key == name:
-                return value
-        raise KeyError(name)
-
 
 def _report(computed: float, terms: list[tuple[str, float]], total_eps0: float,
             parameters: dict) -> BoundReport:

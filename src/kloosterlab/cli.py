@@ -52,15 +52,7 @@ from .bounds_opt import (
     target_sizes,
     target_windows,
 )
-from .divisor_ap import (
-    SIEVE_X_CAP,
-    ApQuery,
-    divisor_main_term,
-    divisor_sum_ap,
-    error_term,
-    split_divisor_sum_ap,
-    split_main_term,
-)
+from .divisor_ap import ApQuery, divisor_main_term, divisor_sum_ap, error_term
 from .errors import DomainError, KloosterlabError
 from .kloosterman import (
     IntegerInterval,
@@ -70,6 +62,7 @@ from .kloosterman import (
     table_err,
     table_row_blocks,
 )
+from .oracle import split_divisor_sum_ap, split_main_term
 from .vdc_lab import (
     GRID_SEED,
     PINNED_COMPLETEEXP_EVEN_B0,
@@ -91,6 +84,7 @@ CSV_COLUMNS = [
     "x", "q", "a", "E_exact", "abs_E", "scaled_E", "bound_total", "ratio",
     "q0", "q1", "q2", "q3", "Q0", "Q1", "Q2", "Q3", "error",
 ]
+REPORT_FIELDS = ("x", "q", "a", "E_exact", "error")  # the columns verify-report reads
 
 
 def _fmt_real(v: float) -> str:
@@ -140,11 +134,12 @@ class SweepConfig:
             raise DomainError("x_values must be non-empty")
         for name in ("x_values", "q_list"):
             values = getattr(self, name)
+            # the bounds raise x and q to float powers
             if values is not None and not (
                 isinstance(values, (list, tuple))
-                and all(type(v) is int and v >= 1 for v in values)
+                and all(type(v) is int and 1 <= v < 2**1023 for v in values)
             ):
-                raise DomainError(f"{name} entries must be ints >= 1, got {values!r}")
+                raise DomainError(f"{name} entries must be ints in [1, 2^1023): {values!r}")
         for name in ("eta", "delta", "eps", "q_lo_exp", "q_hi_exp"):
             v = getattr(self, name)
             if name.startswith("q_") and v is None:
@@ -371,7 +366,8 @@ def load_report(path: str) -> list[dict]:
     Columns are read by name, so schema 1 reports (which also carry
     runtime_ms) load as well.  A report that does not parse, or a row
     that lacks a field or has a non-integer x, q or a, raises DomainError
-    naming the file and the row.
+    naming the file and the row; so does a CSV whose header does not name
+    them all.  A header without rows, or JSON "rows": [], is an empty report.
     """
     text = _read_text(path)
     if text.lstrip().startswith("{"):
@@ -383,15 +379,17 @@ def load_report(path: str) -> list[dict]:
         if not isinstance(records, list):
             raise DomainError(f"{path} has no list of rows")
     else:
-        data_lines = [ln for ln in text.splitlines() if not ln.startswith("#")]
-        records = list(csv.DictReader(data_lines))
+        reader = csv.DictReader(ln for ln in text.splitlines() if not ln.startswith("#"))
+        records = list(reader)
+        if not records and not set(REPORT_FIELDS) <= set(reader.fieldnames or ()):
+            raise DomainError(f"{path} has no report header naming {', '.join(REPORT_FIELDS)}")
     return [_report_row(path, n, rec) for n, rec in enumerate(records, start=1)]
 
 
 def _report_row(path: str, n: int, rec: object) -> dict:
     if not isinstance(rec, dict):
         raise DomainError(f"{path}: row {n} is not a record")
-    for name in ("x", "q", "a", "E_exact", "error"):
+    for name in REPORT_FIELDS:
         if name not in rec:
             raise DomainError(f"{path}: row {n} has no field {name!r}")
     row = {}
@@ -412,9 +410,9 @@ def verify_report(path: str, seed: int = 0, fraction: float = 0.01) -> tuple[boo
     """Recompute a seeded sample of a report's rows and demand exact E values.
 
     Sweeps compute every row by the hyperbola, so each row is recomputed
-    by an algorithm that shares no code with it: the tau sieve for
-    x <= SIEVE_X_CAP, and above it the pure-Python split count
-    (split_divisor_sum_ap, split_main_term), about 2 sqrt(x) steps a row.
+    by the pure-Python split count of `oracle`, which shares no code with
+    it: split_divisor_sum_ap, about 2 sqrt(x) steps a row, and
+    split_main_term once per (x, q) cell.
     """
     if not 0 < fraction <= 1:
         raise DomainError(f"fraction = {fraction} outside (0, 1]")
@@ -430,12 +428,9 @@ def verify_report(path: str, seed: int = 0, fraction: float = 0.01) -> tuple[boo
     mains: dict[tuple[int, int], Fraction] = {}  # rows of one cell share it
     for r in picked:
         x, q, a = r["x"], r["q"], r["a"]
-        sieve = x <= SIEVE_X_CAP
         if (x, q) not in mains:
-            mains[x, q] = (divisor_main_term(x, q, "sieve").rational if sieve
-                           else split_main_term(x, q))
-        d = divisor_sum_ap(ApQuery(x, q, a), "sieve") if sieve else split_divisor_sum_ap(x, q, a)
-        e = Fraction(d) - mains[x, q]
+            mains[x, q] = split_main_term(x, q)
+        e = split_divisor_sum_ap(x, q, a) - mains[x, q]
         if _fmt_fraction(e) != r["E_exact"]:
             ok = False
             lines.append(
@@ -830,7 +825,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     overrides: dict = {}
     try:
         if args.x:
-            overrides["x_values"] = [int(float(t)) for t in args.x.split(",")]
+            xs = [Fraction(t) for t in args.x.split(",")]  # exact, so 1e6 is 10**6
+            if any(v.denominator != 1 for v in xs):
+                raise ValueError(f"--x {args.x} has an entry that is not an integer")
+            overrides["x_values"] = [int(v) for v in xs]
         if args.q:
             overrides["q_list"] = [int(t) for t in args.q.split(",")]
         if args.residues is not None:

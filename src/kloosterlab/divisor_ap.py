@@ -1,17 +1,15 @@
-"""Divisor sums over arithmetic progressions, by three independent algorithms.
+"""Divisor sums over arithmetic progressions, by Dirichlet's hyperbola.
 
 D(x, q, a) sums tau(n) over n <= x with n = a (mod q).  The production
 algorithm, `hyperbola`, counts lattice points (u, v) with u*v <= x and
 u*v = a (mod q) by Dirichlet's hyperbola method, in O(sqrt x) time and
-memory for x up to 10^12; sweeps and single queries use it at every x.
-Two oracles check it (`verify-report`, the acceptance tests) and share
-no code with it: the `sieve` algorithm tabulates tau up to x (at most
-10^8) and adds along the progression; above that, split_divisor_sum_ap
-and split_main_term count the same lattice points in plain Python ints
-at another split point.  The main term D(x, q) and the error
-E(x, q, a) = D(x, q, a) - D(x, q) are exact rationals with denominator
-dividing phi(q), so zero-sum identities over residue classes can be
-asserted exactly.
+memory for x up to 10^12; sweeps and single queries use it at every x,
+and `verify-report` checks it by the split count in `oracle`.  The `sieve`
+algorithm (tau tabulated up to x <= 10^8) serves no pipeline; the
+benchmark and the acceptance tests still call it.  The main term D(x, q)
+and the error E(x, q, a) = D(x, q, a) - D(x, q) are exact rationals with
+denominator dividing phi(q), so zero-sum identities over residue classes
+can be asserted exactly.
 """
 
 from __future__ import annotations
@@ -25,7 +23,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .arith import (
-    INVERSE_TABLE_CAP,
     factorize,
     inverse_mod,
     mulmod,
@@ -183,74 +180,3 @@ def error_term(query: ApQuery) -> ExactValue:
     value = Fraction(d_ap) - main.rational
     return ExactValue(value, float(value))
 
-
-# --------------------------------------------------------------------------
-# The split count: the oracle above SIEVE_X_CAP.  Python ints only (no
-# numpy), one pow inverse per coordinate, its own factorization of q and
-# the split point y = isqrt(x) + 1, so it shares no code with the
-# hyperbola above.
-# --------------------------------------------------------------------------
-
-
-def _split_bounds(x: int, q: int) -> tuple[int, int]:
-    """The split point y = isqrt(x) + 1 and z = x // (y + 1).
-
-    Pairs u*v <= x have u <= y, or u > y and then v <= z and u runs over
-    (y, x // v]: y + z, about 2 sqrt(x), steps.
-    """
-    if not 1 <= x <= HYPERBOLA_X_CAP:
-        raise DomainError(f"split count limited to 1 <= x <= {HYPERBOLA_X_CAP}")
-    if not 1 <= q <= INVERSE_TABLE_CAP:
-        raise DomainError(f"split count limited to 1 <= q <= {INVERSE_TABLE_CAP}")
-    y = math.isqrt(x) + 1
-    return y, x // (y + 1)
-
-
-def split_divisor_sum_ap(x: int, q: int, a: int) -> int:
-    """D(x, q, a) by the split count: one gcd and one pow inverse per step."""
-    y, z = _split_bounds(x, q)
-    a %= q
-
-    def progression(w: int, limit: int) -> int:
-        # #{t in [1, limit] : w*t = a (mod q)}
-        g = math.gcd(w, q)
-        if a % g:
-            return 0
-        m = q // g
-        c = a // g * pow(w // g, -1, m) % m
-        return (limit - c) // m + (c > 0)
-
-    total = sum(progression(u, x // u) for u in range(1, y + 1))
-    total += sum(progression(v, x // v) - progression(v, y) for v in range(1, z + 1))
-    return total
-
-
-def split_main_term(x: int, q: int) -> Fraction:
-    """D(x, q) by the split count, with Mobius over rad q.
-
-    The v <= X coprime to q number C(X) = sum over d | rad q of
-    mu(d) * floor(X / d); the pairs with u*v coprime to q are counted as in
-    split_divisor_sum_ap.  About 2^omega(q) * 2 sqrt(x) steps.
-    """
-    y, z = _split_bounds(x, q)
-    primes, m, p = [], q, 2
-    while p * p <= m:  # trial division: q <= INVERSE_TABLE_CAP
-        if m % p == 0:
-            primes.append(p)
-            while m % p == 0:
-                m //= p
-        p += 1
-    if m > 1:
-        primes.append(m)
-    mobius = [(1, 1)]
-    phi = q
-    for p in primes:
-        mobius += [(d * p, -mu) for d, mu in mobius]
-        phi = phi // p * (p - 1)
-    us = [u for u in range(1, y + 1) if math.gcd(u, q) == 1]
-    vs = [v for v in range(1, z + 1) if math.gcd(v, q) == 1]
-    total = 0
-    for d, mu in mobius:
-        total += mu * sum(x // (u * d) for u in us)
-        total += mu * sum(x // (v * d) - y // d for v in vs)
-    return Fraction(total, phi)

@@ -542,30 +542,26 @@ def completeexp_scan(p_max: int = 199) -> CompleteexpScan:
     for p in primes_up_to(p_max):
         residues = [a for a in (1, 2 % p) if a % p]
         for j in (1, 2, 3):
-            # the grid's shift tuples, grouped by the b's each is paired with
-            bs_of: dict[tuple[int, ...], list[int]] = {}
-            for shifts, b in completeexp_shift_grid(p, j):
-                bs_of.setdefault(shifts, []).append(b)
-            by_bs: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-            for shifts, bs in bs_of.items():
-                by_bs.setdefault(tuple(bs), []).append(shifts)
-            for bs, tuples in by_bs.items():
-                rows = [(a, shifts) for shifts in tuples for a in residues]
-                values = _blocked_product_sums(
-                    [a for a, _ in rows], [shifts for _, shifts in rows], bs, p
-                )
-                mags = np.hypot(values.real, values.imag)  # rounds as abs(complex) does
-                cells += mags.size
-                even_b0 = np.array([
-                    [b % p == 0 and all_even_multiplicities(p, shifts) for b in bs]
-                    for _, shifts in rows
-                ])
-                if even_b0.any() and j in max_even_b0:
-                    top = float((mags[even_b0] / p ** ((j + 2) / 2)).max())
-                    max_even_b0[j] = max(max_even_b0[j], top)
-                if not even_b0.all():
-                    top = float((mags[~even_b0] / p ** ((j + 1) / 2)).max())
-                    max_generic[j] = max(max_generic[j], top)
+            # the grid pairs each of its distinct shift tuples with the same b's
+            grid = completeexp_shift_grid(p, j)
+            tuples = list(dict.fromkeys(shifts for shifts, _ in grid))
+            bs = [b for shifts, b in grid if shifts == tuples[0]]
+            rows = [(a, shifts) for shifts in tuples for a in residues]
+            values = _blocked_product_sums(
+                [a for a, _ in rows], [shifts for _, shifts in rows], bs, p
+            )
+            mags = np.hypot(values.real, values.imag)  # rounds as abs(complex) does
+            cells += mags.size
+            even_b0 = np.array([
+                [b % p == 0 and all_even_multiplicities(p, shifts) for b in bs]
+                for _, shifts in rows
+            ])
+            if even_b0.any() and j in max_even_b0:
+                top = float((mags[even_b0] / p ** ((j + 2) / 2)).max())
+                max_even_b0[j] = max(max_even_b0[j], top)
+            if not even_b0.all():
+                top = float((mags[~even_b0] / p ** ((j + 1) / 2)).max())
+                max_generic[j] = max(max_generic[j], top)
     return CompleteexpScan(max_generic, max_even_b0, cells)
 
 

@@ -207,6 +207,10 @@ class TestSingleQueries:
                 "--split", "13,11,7,1"], "1001"),
         (None, ["sweep", "--x", "1000000", "--q-lo-exp", "0.61", "--q-hi-exp", "0.6"],
          "q_lo_exp = 0.61 above q_hi_exp = 0.6"),
+        (None, ["sweep", "--x", "1000.9", "--q", "7", "--residues", "1"], "1000.9"),
+        (None, ["sweep", "--x", "1e400", "--q", "7", "--residues", "1"], "2^1023"),
+        ("", ["verify-report", "{cfg}"], "no report header"),
+        ("garbage\n", ["verify-report", "{cfg}"], "no report header"),
     ], ids=["unknown-key", "invalid-json", "bad-x-flag", "negative-x", "zero-q",
             "missing-report", "string-eta", "bool-delta", "null-eps", "string-q-exp",
             "string-jobs", "float-seed", "interval-sum-too-long", "interval-sum-q-past-cap",
@@ -215,7 +219,8 @@ class TestSingleQueries:
             "non-numeric-split", "q-hi-exp-past-cap", "nan-q-lo-exp", "nan-eta", "inf-eta",
             "eta-above-1", "bool-sample", "report-non-integer-x", "report-without-x",
             "json-report-without-rows", "json-row-without-error", "report-invalid-json",
-            "split-not-q", "q-lo-exp-above-q-hi-exp"])
+            "split-not-q", "q-lo-exp-above-q-hi-exp", "non-integer-x", "x-past-floats",
+            "empty-report", "report-without-header"])
     def test_malformed_input_exits_2(self, tmp_path, capsys, config, argv, needle):
         cfg = tmp_path / "config.json"
         if config is not None:
@@ -299,6 +304,18 @@ class TestSweep:
         a, b = ([line for line in (tmp_path / f).read_text().splitlines()
                  if not line.startswith("#")] for f in ("a.csv", "b.csv"))
         assert len(a) == 227 and a == b
+
+    def test_x_flag_in_float_notation(self, tmp_path, capsys):
+        # --x entries are parsed exactly: 1e6 is 10**6, the same report
+        for name, x in (("a.csv", "1e6"), ("b.csv", "1000000")):
+            assert main(["sweep", "--x", x, "--q", "7,15", "--residues", "3",
+                         "--out", str(tmp_path / name)]) == 0
+        a, b = ((tmp_path / name).read_bytes() for name in ("a.csv", "b.csv"))
+        assert a == b and b"\n1000000,7," in a
+        # an x past 2^53, where floats drop digits, keeps every one
+        assert main(["sweep", "--x", "12345678901234567890", "--q", "7", "--residues", "1",
+                     "--out", str(tmp_path / "c.csv")]) == 0
+        assert {r["x"] for r in load_report(str(tmp_path / "c.csv"))} == {12345678901234567890}
 
     def test_duplicate_moduli_run_once(self, tmp_path):
         once = run_sweep(_config(tmp_path, x_values=[1000], q_list=[7],
@@ -385,8 +402,8 @@ class TestVerifyReport:
         assert any("MISMATCH" in ln for ln in lines)
 
     def test_flags_a_wrong_hyperbola(self, tmp_path, monkeypatch):
-        # below SIEVE_X_CAP the rows are recomputed by the tau sieve, so an
-        # error in the hyperbola that wrote them cannot hide from the check
+        # the rows are recomputed by the split count of kloosterlab.oracle, so
+        # an error in the hyperbola that wrote them cannot hide from the check
         count = divisor_ap._hyperbola_count
         monkeypatch.setattr(divisor_ap, "_hyperbola_count",
                             lambda x, q, a: count(x, q, a) + 1)
@@ -399,8 +416,8 @@ class TestVerifyReport:
         assert sum(ln.startswith("MISMATCH ") for ln in lines) == len(rows) == 8
 
     def test_flags_a_wrong_hyperbola_above_the_sieve_cap(self, tmp_path, monkeypatch):
-        # above SIEVE_X_CAP the rows are recomputed by the split count,
-        # which shares no code with the hyperbola that wrote them
+        # above SIEVE_X_CAP, where no tau table can be built, the split count
+        # still recomputes the rows without the hyperbola that wrote them
         config = _config(tmp_path, q_list=[15], x_values=[divisor_ap.SIEVE_X_CAP + 7])
         path = tmp_path / "report.csv"
         path.write_text(render_report(config, *run_sweep(config)))
@@ -415,12 +432,40 @@ class TestVerifyReport:
         assert not ok
         assert sum(ln.startswith("MISMATCH ") for ln in lines) == len(rows) == 8
 
+    def test_checks_without_the_tau_sieve(self, tmp_path, monkeypatch):
+        # rows at x <= SIEVE_X_CAP are recomputed by the split count too
+        def no_sieve(x):
+            raise AssertionError("verify_report built a tau table")
+
+        monkeypatch.setattr(divisor_ap, "tau_table", no_sieve)
+        config = _config(tmp_path, q_list=[15], x_values=[500, 10**6])
+        rows, summary = run_sweep(config)
+        path = tmp_path / "report.csv"
+        path.write_text(render_report(config, rows, summary))
+        assert verify_report(str(path), seed=0, fraction=1.0) == (
+            True, ["verify: 16/16 rows recomputed, all exact"])
+        rows[11] = dict(rows[11], E_exact="99999/1")
+        path.write_text(render_report(config, rows, summary))
+        ok, lines = verify_report(str(path), seed=0, fraction=1.0)
+        assert not ok
+        assert lines[0].startswith("MISMATCH x=1000000 q=15 ")
+        assert len(lines) == 2
+
+    def test_empty_reports_verify(self, tmp_path):
+        # a header without rows (a sweep whose windows hold no integer) and
+        # JSON "rows": [] are reports, with nothing to recompute
+        for name, text in (("empty.csv", "# schema=2\nx,q,a,E_exact,error\n"),
+                           ("empty.json", '{"schema": 2, "rows": []}')):
+            path = tmp_path / name
+            path.write_text(text)
+            assert verify_report(str(path)) == (True, ["verify: no verifiable rows"])
+
     def test_main_term_once_per_cell(self, tmp_path, monkeypatch):
         # 2 cells x 4 residues: one main term per cell, the same lines as
         # when each row computed its own
         calls = []
-        main_term = cli.divisor_main_term
-        monkeypatch.setattr(cli, "divisor_main_term",
+        main_term = cli.split_main_term
+        monkeypatch.setattr(cli, "split_main_term",
                             lambda *args: calls.append(args) or main_term(*args))
         config = _config(tmp_path, q_list=[15, 21], x_values=[500],
                          residues={"sample": 4})

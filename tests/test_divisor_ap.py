@@ -13,11 +13,10 @@ from kloosterlab.divisor_ap import (
     divisor_sum_ap,
     divisor_sum_ap_all,
     error_term,
-    split_divisor_sum_ap,
-    split_main_term,
     tau_table,
 )
 from kloosterlab.errors import DomainError, NotCoprime
+from kloosterlab.oracle import split_divisor_sum_ap, split_main_term
 
 from oracles import coprime_tau_sum_split, divisor_sum_brute, divisor_sum_split, tau_brute
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kloosterlab import vdc_lab
-from kloosterlab.arith import factorize
+from kloosterlab.arith import factorize, primes_up_to
 from kloosterlab.cli import check_completion, completion_grid_intervals
 from kloosterlab.errors import DomainError, NotCoprime, NotSquarefree
 from kloosterlab.kloosterman import IntegerInterval, incomplete_kloosterman, kloosterman_table
@@ -307,6 +307,15 @@ class TestOnediff:
 class TestPinnedGrids:
     def test_shift_grid_deterministic(self):
         assert completeexp_shift_grid(13, 2) == completeexp_shift_grid(13, 2)
+
+    def test_shift_grid_pairs_every_tuple_with_the_same_bs(self):
+        # completeexp_scan evaluates the grid as one (tuples x bs) block
+        for p in primes_up_to(199):
+            for j in (1, 2, 3):
+                grid = completeexp_shift_grid(p, j)
+                tuples = list(dict.fromkeys(s for s, _ in grid))
+                bs = list(dict.fromkeys(b for _, b in grid))
+                assert grid == [(s, b) for s in tuples for b in bs], (p, j)
 
     def test_even_multiplicity_classifier(self):
         assert all_even_multiplicities(7, (3, 3))
