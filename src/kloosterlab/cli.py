@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import itertools
 import json
 import math
 import os
@@ -52,7 +51,13 @@ from .bounds_opt import (
     target_sizes,
     target_windows,
 )
-from .divisor_ap import ApQuery, divisor_main_term, divisor_sum_ap, error_term
+from .divisor_ap import (
+    HYPERBOLA_X_CAP,
+    ApQuery,
+    divisor_main_term,
+    divisor_sum_ap,
+    error_term,
+)
 from .errors import DomainError, KloosterlabError
 from .kloosterman import (
     IntegerInterval,
@@ -73,6 +78,7 @@ from .vdc_lab import (
     onediff_grid_cells,
     onediff_ratios,
     product_sums,
+    product_sums_crt,
     product_sums_squarefree,
     vanishing_lemma_check,
 )
@@ -140,6 +146,10 @@ class SweepConfig:
                 and all(type(v) is int and 1 <= v < 2**1023 for v in values)
             ):
                 raise DomainError(f"{name} entries must be ints in [1, 2^1023): {values!r}")
+        if max(self.x_values) > HYPERBOLA_X_CAP:
+            raise DomainError(
+                f"x = {max(self.x_values)} above the hyperbola's cap {HYPERBOLA_X_CAP}"
+            )
         for name in ("eta", "delta", "eps", "q_lo_exp", "q_hi_exp"):
             v = getattr(self, name)
             if name.startswith("q_") and v is None:
@@ -587,8 +597,7 @@ def check_orthogonality(size: str = "small") -> CheckResult:
 def check_multiplicativity(size: str = "small") -> CheckResult:
     """CRT evaluation of squarefree product sums against direct summation."""
     q_max = 105 if size == "small" else 210
-    worst_crt = 0.0
-    pairs = 0
+    batches = []
     for q in range(2, q_max + 1):
         fq = factorize(q)
         if not fq.squarefree:
@@ -602,12 +611,15 @@ def check_multiplicativity(size: str = "small") -> CheckResult:
             rows = [(a, shifts) for a in units for shifts in shift_sets if len(shifts) == j]
             residues = [a for a, _ in rows]
             shifts = np.array([s for _, s in rows], dtype=np.int64).reshape(len(rows), j)
-            c, c_err = product_sums_squarefree(residues, shifts, (0, 1), fq)
-            d, d_err = product_sums_squarefree(residues, shifts, (0, 1), fq, "direct")
-            dev = np.hypot(c.real - d.real, c.imag - d.imag)
-            budget = np.maximum(c_err + d_err, 1e-12)
-            worst_crt = max(worst_crt, float((dev / budget).max()))
-            pairs += dev.size
+            batches.append((residues, shifts, fq))
+    # the prime parts of every q are evaluated in one batch per (p, j)
+    crt = product_sums_crt(batches, (0, 1))
+    direct = [product_sums_squarefree(r, s, (0, 1), fq, "direct") for r, s, fq in batches]
+    (c, c_err), (d, d_err) = ([np.concatenate(x) for x in zip(*sums)] for sums in (crt, direct))
+    dev = np.hypot(c.real - d.real, c.imag - d.imag)
+    budget = np.maximum(c_err + d_err, 1e-12)
+    worst_crt = float((dev / budget).max(initial=0.0))
+    pairs = dev.size
     observed = {"max deviation/err": worst_crt}
     allowed = {"max deviation/err": 1.0}
     ok = _within(observed, allowed)
@@ -638,18 +650,14 @@ def check_magnitudes(size: str = "small") -> CheckResult:
 
 def check_onediff(size: str = "small") -> CheckResult:
     """One-step differencing ratio |T|^2 / rhs_core against its pin."""
-    worst = 0.0
-    cells = 0
-    grid = (c for c in onediff_grid_cells() if size != "small" or c[0] * c[1] <= 105)
-    # the grid lists each (q0, q1) in one run; one run's cells are live at a time
-    for (q0, q1), run in itertools.groupby(grid, key=lambda c: c[:2]):
-        by_a: dict[int, list] = {}
-        for _, _, K, M, a, shifts in run:
-            by_a.setdefault(a, []).append((M, IntegerInterval(0, K), shifts))
-        for a, group in by_a.items():
-            for rep in onediff_ratios(a, q0, q1, group):
-                worst = max(worst, rep.ratio)
-                cells += 1
+    intervals = {K: IntegerInterval(0, K) for K in (10, 20, 30)}
+    reports = onediff_ratios([
+        (a, q0, q1, M, intervals[K], shifts)
+        for q0, q1, K, M, a, shifts in onediff_grid_cells()
+        if size != "small" or q0 * q1 <= 105
+    ])
+    worst = max((rep.ratio for rep in reports), default=0.0)
+    cells = len(reports)
     observed = {"max |T|^2/rhs_core": worst}
     allowed = {"max |T|^2/rhs_core": PINNED_ONEDIFF_RATIO}
     ok = _within(observed, allowed)

@@ -1,18 +1,20 @@
-"""The oracle of verify-report: D(x, q, a) and D(x, q) by the split count.
+"""The oracle of verify-report: D(x, q, a) by the split count, D(x, q) by
+Mobius over rad q.
 
-It imports only the standard library and `.errors`, and its caps cover
-every row a sweep writes (x <= 10^12, q <= 10^7).
+It imports only the standard library and `.errors`, and its caps
+(x <= 10^12, q <= 10^12) cover every row a sweep writes.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
 from .errors import DomainError
 
 X_CAP = 10**12
-Q_CAP = 10**7
+Q_CAP = 10**12
 
 # --------------------------------------------------------------------------
 # The split count.  Python ints only (no numpy), one pow inverse per
@@ -54,32 +56,38 @@ def split_divisor_sum_ap(x: int, q: int, a: int) -> int:
     return below + sum(count(v, y) for v in range(1, z + 1))
 
 
-def split_main_term(x: int, q: int) -> Fraction:
-    """D(x, q) by the split count, with Mobius over rad q.
+def _tau_sum(X: int) -> int:
+    """T(X), the sum of tau(n) over n <= X: 2 sum_{u <= s} X // u - s^2, s = isqrt(X)."""
+    s = math.isqrt(X)
+    return 2 * sum(map(X.__floordiv__, range(1, s + 1))) - s * s
 
-    The v <= X coprime to q number C(X) = sum over d | rad q of
-    mu(d) * floor(X / d); the pairs with u*v coprime to q are counted as in
-    split_divisor_sum_ap.  About 2^omega(q) * 2 sqrt(x) steps.
+
+def split_main_term(x: int, q: int) -> Fraction:
+    """D(x, q), the average of D(x, q, a) over the units a mod q, with
+    Mobius over rad q on both factors of n = u*v.
+
+    (uv, q) = 1 iff (u, q) = (v, q) = 1, so Mobius over d1 | u and d2 | v,
+    d1, d2 | rad q, counts the n <= x coprime to q with weight tau(n) as
+    the sum over e = d1*d2 of c(e) T(x // e), where c(e) = sum of
+    mu(d1) mu(d2) is the product over p | e of -2 (p || e) or 1 (p^2 | e).
+    About prod_p (1 + p^-1/2 + p^-1) * 2 sqrt(x) steps.
     """
-    y, z = _split_bounds(x, q)
-    primes, m, p = [], q, 2
-    while p * p <= m:  # trial division: q <= Q_CAP
+    _split_bounds(x, q)  # the caps
+    primes, m = [], q
+    for p in itertools.chain([2], range(3, math.isqrt(q) + 1, 2)):  # q <= Q_CAP
+        if p * p > m:
+            break
         if m % p == 0:
             primes.append(p)
             while m % p == 0:
                 m //= p
-        p += 1
     if m > 1:
         primes.append(m)
-    mobius = [(1, 1)]
+    terms = [(1, 1)]  # (e, c(e)) with e <= x
     phi = q
     for p in primes:
-        mobius += [(d * p, -mu) for d, mu in mobius]
+        terms += [(e * p, -2 * c) for e, c in terms if e * p <= x] + [
+            (e * p * p, c) for e, c in terms if e * p * p <= x
+        ]
         phi = phi // p * (p - 1)
-    us = [u for u in range(1, y + 1) if math.gcd(u, q) == 1]
-    vs = [v for v in range(1, z + 1) if math.gcd(v, q) == 1]
-    total = 0
-    for d, mu in mobius:
-        total += mu * sum(x // (u * d) for u in us)
-        total += mu * sum(x // (v * d) - y // d for v in vs)
-    return Fraction(total, phi)
+    return Fraction(sum(c * _tau_sum(x // e) for e, c in terms), phi)

@@ -10,12 +10,13 @@ pipeline for incomplete Kloosterman sums:
   * complete sums of shifted Kloosterman products to prime modulus and
     their multiplicative extension to squarefree moduli (with the CRT
     twists of kloosterman.crt_twists), for a whole (residue, b) grid per
-    modulus from one batch of tables;
+    modulus from one batch of tables, and the prime parts of many
+    squarefree moduli in one batch per (p, j);
   * an exhaustive checker for the even-multiplicity vanishing property
     of subset sums over F_p;
   * a single-step differencing inequality evaluated as an exact ratio,
-    for all cells sharing (a, q0, q1) at once: its inner sums are the
-    differenced sums of 2-fold Kloosterman products.
+    for a whole grid of (a, q0, q1) cells at once: its inner sums are
+    the differenced sums of 2-fold Kloosterman products.
 
 Each batched function has a one-cell public counterpart that is its
 one-row case, and a batched entry is bitwise the one-cell value.
@@ -197,7 +198,7 @@ def product_sums(tables: np.ndarray, shifts, bs: Sequence[int], q: int) -> np.nd
     for col, b in enumerate(bs):
         b = int(b) % q
         # at b = 0 every phase is 1: the products are summed alone
-        summand = prod * np.exp(-2j * np.pi * (ks * b % q) / q) if b else prod
+        summand = prod * np.exp(-2j * np.pi * mulmod(ks, b, q) / q) if b else prod
         out[:, col] = summand.sum(axis=1)
     return out
 
@@ -251,6 +252,79 @@ def shifted_product_complete_sum(
     return SumValue(z.real, z.imag, err)
 
 
+def _check_squarefree_units(residues: Sequence[int], q: FactoredInteger) -> None:
+    if not q.squarefree:
+        raise NotSquarefree(f"{q.value} is not squarefree")
+    for a in residues:
+        if math.gcd(a, q.value) != 1:
+            raise NotCoprime(f"gcd({a}, {q.value}) > 1")
+
+
+def _ranges(starts: Sequence[int], counts: Sequence[int]) -> np.ndarray:
+    """The ranges [start, start + count), concatenated into one index array."""
+    counts = np.asarray(counts, dtype=np.int64)
+    ends = np.cumsum(counts)
+    return np.repeat(np.asarray(starts, dtype=np.int64) - ends + counts, counts) + np.arange(
+        ends[-1] if len(ends) else 0
+    )
+
+
+def product_sums_crt(
+    batches: Sequence[tuple[Sequence[int], object, FactoredInteger]], bs: Sequence[int]
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """product_sums_squarefree(residues, shifts, bs, q) by CRT for every
+    (residues, shifts, q) of batches.
+
+    The prime-modulus parts of all batches that share (p, j) are evaluated
+    in one _prime_product_sums call, with the arguments twisted by
+    crt_twists; each row is bitwise the same in any batch.  Each row then
+    multiplies its parts in crt_twists order, with the order and rounding
+    of SumValue.mul (real arithmetic and np.hypot: numpy's complex
+    multiply and abs round differently from Python's); the rows of all
+    batches take each part position in one array.
+    """
+    twists, part_rows = [], {}
+    for n, (residues, shifts, q) in enumerate(batches):
+        _check_squarefree_units(residues, q)
+        shifts = np.asarray(shifts, dtype=np.int64) % q.value
+        shifts = np.broadcast_to(shifts, (len(residues), shifts.shape[-1]))
+        parts = crt_twists(q)
+        twists.append([p for p, _ in parts])
+        for p, cbar in parts:
+            part_rows.setdefault((p, shifts.shape[-1]), []).append(
+                (n, [a * cbar % p for a in residues], shifts * cbar % p)
+            )
+    # every part's rows in one array; part_start[n, p] is where batch n's part p begins
+    part_values, part_errs, part_start, lo = [], [], {}, 0
+    for (p, _), group in part_rows.items():
+        residues = [a for _, batch_residues, _ in group for a in batch_residues]
+        shifts = np.concatenate([batch_shifts for *_, batch_shifts in group])
+        values, err = _prime_product_sums(residues, shifts, [b % p for b in bs], p)
+        part_values.append(values)
+        part_errs.append(np.full(len(residues), err))
+        for n, batch_residues, _ in group:
+            part_start[n, p] = lo
+            lo += len(batch_residues)
+    sizes = [len(residues) for residues, _, _ in batches]
+    row_start = np.cumsum([0] + sizes).tolist()
+    shape = (row_start[-1], len(bs))
+    re, im, err = np.ones(shape), np.zeros(shape), np.zeros(shape)
+    if part_values:
+        part_values, part_errs = np.concatenate(part_values), np.concatenate(part_errs)
+    for t in range(max(map(len, twists), default=0)):
+        live = [n for n, primes in enumerate(twists) if len(primes) > t]
+        counts = [sizes[n] for n in live]
+        rows = _ranges([row_start[n] for n in live], counts)
+        parts = _ranges([part_start[n, twists[n][t]] for n in live], counts)
+        part, part_err = part_values[parts], part_errs[parts, None]
+        pre, pim, r, i, e = part.real, part.imag, re[rows], im[rows], err[rows]
+        err[rows] = np.hypot(r, i) * part_err + np.hypot(pre, pim) * e + e * part_err
+        re[rows], im[rows] = r * pre - i * pim, r * pim + i * pre
+    values = np.empty(shape, dtype=np.complex128)
+    values.real, values.imag = re, im
+    return [(values[lo:hi], err[lo:hi]) for lo, hi in zip(row_start, row_start[1:])]
+
+
 def product_sums_squarefree(
     residues: Sequence[int],
     shifts,
@@ -261,38 +335,21 @@ def product_sums_squarefree(
     """Product sums to squarefree q and their errs, each (len(residues), len(bs)).
 
     Row i has a = residues[i], coprime to q, and shifts as in product_sums.
-    method "crt" multiplies the prime-modulus sums with the arguments
-    twisted by kloosterman.crt_twists, in the order and the rounding of
-    SumValue.mul (real arithmetic and np.hypot: numpy's complex multiply
-    and abs round differently from Python's); "direct" sums over k mod q
-    and is the oracle for the multiplicative route.
+    method "crt" is product_sums_crt's one-batch case; "direct" sums over
+    k mod q and is the oracle for the multiplicative route.
     """
-    qv = q.value
-    if not q.squarefree:
-        raise NotSquarefree(f"{qv} is not squarefree")
-    for a in residues:
-        if math.gcd(a, qv) != 1:
-            raise NotCoprime(f"gcd({a}, {qv}) > 1")
-    shifts = np.asarray(shifts, dtype=np.int64) % qv
-    shape = (len(residues), len(bs))
-    if method == "direct":
-        if qv > INVERSE_TABLE_CAP:  # O(q) a row, capped as the tables are
-            raise DomainError(f"direct product sums limited to q <= {INVERSE_TABLE_CAP}")
-        err = _product_sum_err(qv, qv, max(shifts.shape[-1], 1))
-        return _blocked_product_sums(residues, shifts, bs, qv), np.full(shape, err)
-    if method != "crt":
+    if method == "crt":
+        return product_sums_crt([(residues, shifts, q)], bs)[0]
+    if method != "direct":
         raise DomainError(f"unknown method {method!r}")
-    re, im, err = np.ones(shape), np.zeros(shape), np.zeros(shape)
-    for p, cbar in crt_twists(q):
-        part, part_err = _prime_product_sums(
-            [a * cbar % p for a in residues], shifts * cbar % p, [b % p for b in bs], p
-        )
-        pre, pim = part.real, part.imag
-        err = np.hypot(re, im) * part_err + np.hypot(pre, pim) * err + err * part_err
-        re, im = re * pre - im * pim, re * pim + im * pre
-    values = np.empty(shape, dtype=np.complex128)
-    values.real, values.imag = re, im
-    return values, err
+    _check_squarefree_units(residues, q)
+    qv = q.value
+    if qv > INVERSE_TABLE_CAP:  # O(q) a row, capped as the tables are
+        raise DomainError(f"direct product sums limited to q <= {INVERSE_TABLE_CAP}")
+    shifts = np.asarray(shifts, dtype=np.int64) % qv
+    err = _product_sum_err(qv, qv, max(shifts.shape[-1], 1))
+    shape = (len(residues), len(bs))
+    return _blocked_product_sums(residues, shifts, bs, qv), np.full(shape, err)
 
 
 def shifted_product_sum_squarefree(
@@ -345,44 +402,91 @@ def vanishing_lemma_check(p: int, l: int) -> list[tuple[int, ...]]:
     return counterexamples
 
 
-def _length_groups(keys: Sequence[tuple[int, ...]]) -> list[list[int]]:
-    """Indices of rows with equal keys, each length-1 row in a group of its own.
+def _length_groups(lengths: np.ndarray, js: np.ndarray) -> list[np.ndarray]:
+    """Indices of rows with equal (length, j), each length-1 row in a group of its own.
 
-    key[0] is the row length.  numpy multiplies a one-element array in
-    place by another kernel than a longer one (it rounds without fused
-    multiply-add), and a stack of length-1 rows is one longer array; a
-    length-1 row formed alone rounds as the one-cell evaluation does.
+    numpy multiplies a one-element array in place by another kernel than a
+    longer one (it rounds without fused multiply-add), and a stack of
+    length-1 rows is one longer array; a length-1 row formed alone rounds
+    as the one-cell evaluation does.
     """
-    groups: dict[tuple[int, ...], list[int]] = {}
-    for i, key in enumerate(keys):
-        groups.setdefault(key if key[0] != 1 else (1, -1, i), []).append(i)
-    return list(groups.values())
+    keys = lengths * (int(js.max(initial=0)) + 1) + js
+    keys[lengths == 1] = -1 - np.flatnonzero(lengths == 1)
+    order = np.argsort(keys, kind="stable")
+    return np.split(order, np.flatnonzero(np.diff(keys[order])) + 1)
+
+
+def _gathered_row_sums(
+    lengths: np.ndarray,
+    a: np.ndarray,
+    q: np.ndarray,
+    lo: np.ndarray,
+    shifts: np.ndarray,
+    js: np.ndarray,
+    t: np.ndarray,
+    differenced: bool,
+) -> np.ndarray:
+    """Sums over k in [lo, lo + L) of w(k) prod_i S(a, k + s_i, q), one per row.
+
+    Row r takes L = lengths[r], the first js[r] entries of shifts[r] and
+    the r-th entry of each other column.  w(k) is prod_i S(a, k + s_i + t,
+    q) for differenced rows and e_q(-t k) otherwise.  Every table entry
+    is gathered from one buffer of the rows' base tables S(1, ., q), since
+    S(a, k, q) = S(1, a k, q).  Rows of one (L, j) are formed in one array,
+    a block of about TABLE_BLOCK_BYTES at a time; each sum runs along one
+    contiguous row, and a length-1 row alone (_length_groups).
+    """
+    sums = np.empty(len(lengths), dtype=np.complex128)
+    if not len(lengths):
+        return sums
+    moduli = sorted(set(q.tolist()))
+    buffer = np.concatenate([kloosterman_table(1, m) for m in moduli])
+    start = np.concatenate(([0], np.cumsum(moduli)[:-1]))[np.searchsorted(moduli, q)]
+    for group in _length_groups(lengths, js):
+        L, j = int(lengths[group[0]]), int(js[group[0]])
+        for block in table_row_blocks(len(group), L):
+            rows = group[block]
+            a_, q_, t_, start_ = (c[rows, None] for c in (a, q, t, start))
+            kk = lo[rows, None] + np.arange(L)
+            prod = np.ones(kk.shape, dtype=np.complex128)
+            for c in range(j):
+                sk = kk + shifts[rows, c, None]
+                for step in (0, 1) if differenced else (0,):
+                    # a < q <= INVERSE_TABLE_CAP, so a * k fits int64
+                    index = (sk + t_) % q_ if step else sk % q_
+                    index *= a_
+                    index %= q_
+                    index += start_
+                    prod *= buffer[index]
+            if not differenced:
+                prod = np.exp(-2j * np.pi * (kk % q_ * t_ % q_) / q_) * prod
+            sums[rows] = prod.sum(axis=1)
+    return sums
 
 
 def onediff_ratios(
-    a: int,
-    q0: int,
-    q1: int,
-    cells: Sequence[tuple[int, IntegerInterval, tuple[int, ...]]],
+    cells: Sequence[tuple[int, int, int, int, IntegerInterval, tuple[int, ...]]],
 ) -> list[OnediffReport]:
-    """onediff_ratio(a, q0, q1, M, J, shifts) for every (M, J, shifts) cell.
+    """onediff_ratio(a, q0, q1, M, J, shifts) for every (a, q0, q1, M, J, shifts) cell.
 
-    The two tables are gathered once for all cells.  rhs_core does not
-    depend on M, so cells that differ only in M share it, and the inner
-    sums of every h and every cell are formed together, one array per
-    overlap length; each sum still runs along one contiguous row.
+    rhs_core does not depend on M, so cells that differ only in M share
+    it.  The lhs sums of every cell, and the inner sums of every h and
+    every cell, are formed one array per (row length, j) across the whole
+    grid (_gathered_row_sums), so every report is bitwise its one-cell
+    value.
     """
-    if q0 < 1 or q1 < 1:
-        raise DomainError("parts must be positive")
-    if math.gcd(q0, q1) != 1:
-        raise NotCoprime(f"gcd({q0}, {q1}) > 1")
-    q = q0 * q1
-    if math.gcd(a, q) != 1:
-        raise NotCoprime(f"gcd({a}, {q}) > 1")
-    cells = [(M, J, tuple(int(s) for s in shifts)) for M, J, shifts in cells]
+    cells = list(cells)
+    for a, q0, q1, *_ in cells:
+        if q0 < 1 or q1 < 1:
+            raise DomainError("parts must be positive")
+        if math.gcd(q0, q1) != 1:
+            raise NotCoprime(f"gcd({q0}, {q1}) > 1")
+        if math.gcd(a, q0 * q1) != 1:
+            raise NotCoprime(f"gcd({a}, {q0 * q1}) > 1")
     reports = [OnediffReport(0.0, 0.0, 0.0)] * len(cells)
-    live = []
-    for i, (M, J, shifts) in enumerate(cells):
+    # the live cells, and the (a, q0, q1, J, shifts) key of each one's rhs_core
+    live, key_of, rhs_index = [], [], {}
+    for i, (a, q0, q1, _, J, shifts) in enumerate(cells):
         K = len(J)
         if K == 0:
             continue
@@ -391,69 +495,52 @@ def onediff_ratios(
         if len(shifts) < 1:
             raise DomainError("at least one shift required")
         live.append(i)
+        # every sum reads k mod q, and q0 | q: the offset mod q keeps int64 k exact
+        key = (a, q0, q1, J.offset % (q0 * q1), K, tuple(int(s) for s in shifts))
+        key_of.append(rhs_index.setdefault(key, len(rhs_index)))
     if not live:
         return reports
+    rhs_keys = list(rhs_index)
+    j_max = max(len(key[5]) for key in rhs_keys)
+    # one entry per rhs key, a' = a * inv(q1)^2 mod q0; shifts are padded to
+    # j_max and reduced mod q, which serves the sums mod q0 too, as q0 | q
+    a_k, a1_k, q0_k, q1_k, lo_k, K_k, shifts_k, js_k = (np.array(c) for c in zip(*(
+        (a % (q0 * q1), 0 if q0 == 1 else a * pow(q1 % q0, -1, q0) ** 2 % q0, q0, q1, lo, K,
+         [s % (q0 * q1) for s in sh] + [0] * (j_max - len(sh)), len(sh))
+        for a, q0, q1, lo, K, sh in rhs_keys
+    )))
 
     # lhs = |T|^2, T = sum over k in J of e_q(-Mk) prod_i S(a, k+s_i, q)
-    table_q = kloosterman_table(a, q)
-    lhs = {}
-    keys = [(len(cells[i][1]), cells[i][1].offset, len(cells[i][2])) for i in live]
-    for group in _length_groups(keys):
-        rows = [live[g] for g in group]
-        J = cells[rows[0]][1]
-        ks = np.arange(J.offset, J.offset + len(J), dtype=np.int64)
-        shifts = np.array([[s % q for s in cells[i][2]] for i in rows], dtype=np.int64)
-        prod = np.ones((len(rows), len(ks)), dtype=np.complex128)
-        for c in range(shifts.shape[1]):
-            prod *= table_q[(ks + shifts[:, c, None]) % q]
-        Ms = np.array([cells[i][0] % q for i in rows], dtype=np.int64)[:, None]
-        weights = np.exp(-2j * np.pi * mulmod(ks % q, Ms, q) / q)
-        for i, t_val in zip(rows, (weights * prod).sum(axis=1).tolist()):
-            lhs[i] = abs(t_val) ** 2
+    c = np.array(key_of)
+    Ms = np.array([cells[i][3] % (cells[i][1] * cells[i][2]) for i in live])
+    t_vals = _gathered_row_sums(
+        K_k[c], a_k[c], q0_k[c] * q1_k[c], lo_k[c], shifts_k[c], js_k[c], Ms, differenced=False
+    ).tolist()
 
-    # inner(h) for every (J, shifts), with a' = a * inv(q1)^2 mod q0
-    a1 = 0 if q0 == 1 else a * pow(q1 % q0, -1, q0) ** 2 % q0
-    table_q0 = kloosterman_table(a1, q0)
-    rhs_keys = list(dict.fromkeys(
-        (cells[i][1].offset, len(cells[i][1]), cells[i][2]) for i in live
-    ))
-    row_key, row_lo, row_h, row_len = [], [], [], []
-    for k, (lo0, K, _) in enumerate(rhs_keys):
-        H = K // q1
-        for h in range(-H, H + 1):
-            lo = max(lo0, lo0 - q1 * h)
-            hi = min(lo0 + K, lo0 + K - q1 * h)
-            if h != 0 and lo < hi:
-                row_key.append(k)
-                row_lo.append(lo)
-                row_h.append(h)
-                row_len.append((hi - lo, len(rhs_keys[k][2])))
-    mags = np.empty(len(row_key))
-    for group in _length_groups(row_len):
-        L, j = row_len[group[0]]
-        kk = np.array([row_lo[r] for r in group], dtype=np.int64)[:, None] + np.arange(L)
-        shifts = np.array([[s % q0 for s in rhs_keys[row_key[r]][2]] for r in group],
-                          dtype=np.int64)
-        q1h = np.array([q1 * row_h[r] % q0 for r in group], dtype=np.int64)[:, None]
-        inner = np.ones(kk.shape, dtype=np.complex128)
-        for c in range(j):
-            inner *= table_q0[(kk + shifts[:, c, None]) % q0]
-            inner *= table_q0[(kk + shifts[:, c, None] + q1h) % q0]
-        sums = inner.sum(axis=1)
-        mags[group] = np.hypot(sums.real, sums.imag)  # rounds as abs(complex) does
-    inner_totals = [0.0] * len(rhs_keys)
-    for k, m in zip(row_key, mags.tolist()):
-        inner_totals[k] += m  # in h order, as the one-cell sum adds them
+    # inner(h): one row per h with 0 < |h| <= K/q1 and a nonempty overlap, in h order
+    H = K_k // q1_k
+    row_key = np.repeat(np.arange(len(rhs_keys)), 2 * H + 1)
+    h = np.arange(len(row_key)) - np.repeat(np.cumsum(2 * H + 1) - H - 1, 2 * H + 1)
+    q1h = q1_k[row_key] * h
+    length = K_k[row_key] - np.abs(q1h)
+    keep = (h != 0) & (length > 0)
+    row_key, q1h, length = row_key[keep], q1h[keep], length[keep]
+    sums = _gathered_row_sums(
+        length, a1_k[row_key], q0_k[row_key], lo_k[row_key] + np.maximum(0, -q1h),
+        shifts_k[row_key], js_k[row_key], q1h % q0_k[row_key], differenced=True,
+    )
+    mags = np.hypot(sums.real, sums.imag)  # rounds as abs(complex) does
+    # bincount adds each key's rows in h order, as the one-cell sum adds them
+    inner_totals = np.bincount(row_key, weights=mags, minlength=len(rhs_keys)).tolist()
 
-    rhs = {}
-    for key, total in zip(rhs_keys, inner_totals):
-        K, j = key[1], len(key[2])
-        rhs[key] = q1 ** (j + 1) * (K * float(q0) ** j + total)
-    for i in live:
-        M, J, shifts = cells[i]
-        rhs_core = rhs[(J.offset, len(J), shifts)]
-        ratio = lhs[i] / rhs_core if rhs_core > 0 else 0.0
-        reports[i] = OnediffReport(lhs[i], rhs_core, ratio)
+    rhs = [
+        q1 ** (len(sh) + 1) * (K * float(q0) ** len(sh) + total)
+        for (_, q0, q1, _, K, sh), total in zip(rhs_keys, inner_totals)
+    ]
+    for i, k, t_val in zip(live, key_of, t_vals):
+        lhs = abs(t_val) ** 2
+        ratio = lhs / rhs[k] if rhs[k] > 0 else 0.0
+        reports[i] = OnediffReport(lhs, rhs[k], ratio)
     return reports
 
 
@@ -474,7 +561,7 @@ def onediff_ratio(
     overlap {k in J : k + q1 h in J} and the sums use a' = a * inv(q1)^2
     mod q0.  The returned ratio is diagnostic, not an asserted bound.
     """
-    return onediff_ratios(a, q0, q1, [(M, J, shifts)])[0]
+    return onediff_ratios([(a, q0, q1, M, J, shifts)])[0]
 
 
 # --------------------------------------------------------------------------

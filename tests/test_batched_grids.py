@@ -17,6 +17,7 @@ from kloosterlab import cli, kloosterman, vdc_lab
 from kloosterlab.arith import factorize, primes_up_to
 from kloosterlab.kloosterman import (
     IntegerInterval,
+    SumValue,
     complete_kloosterman,
     crt_twists,
     kloosterman_table,
@@ -27,6 +28,7 @@ from kloosterlab.vdc_lab import (
     onediff_ratio,
     onediff_ratios,
     product_sums,
+    product_sums_crt,
     product_sums_squarefree,
     shifted_product_complete_sum,
     shifted_product_sum_squarefree,
@@ -130,16 +132,61 @@ class TestRowsAreTheOneRowValues:
                     one = shifted_product_sum_squarefree(a, tuple(shifts[i]), b, fq, method)
                     assert (got[i, c], errs[i, c]) == (one.as_complex, one.err)
 
+    def test_crt_batches_are_each_batch_alone(self):
+        # the prime parts of all batches that share (p, j) are one batch
+        batches = []
+        for q in (1, 2, 6, 15, 30, 35, 194, 210):
+            units = _units(q)[:5]
+            for shifts in ((), (0,), (1, q - 1), np.array([(u % 3, 5, u) for u in units])):
+                batches.append((units, shifts, factorize(q)))
+        bs = (0, 1, 7)
+        got = product_sums_crt(batches, bs)
+        assert len(got) == len(batches)
+        for (units, shifts, fq), (values, errs) in zip(batches, got):
+            alone, alone_errs = product_sums_squarefree(units, shifts, bs, fq)
+            assert np.array_equal(values, alone) and np.array_equal(errs, alone_errs)
+            for i, a in enumerate(units):
+                for c, b in enumerate(bs):
+                    # the prime parts, multiplied in crt_twists order by SumValue.mul
+                    row = shifts[i] if np.ndim(shifts) == 2 else shifts
+                    one = SumValue(1.0, 0.0, 0.0)
+                    for p, cbar in crt_twists(fq):
+                        twisted = tuple(int(s) * cbar % p for s in row)
+                        one = one.mul(shifted_product_complete_sum(a * cbar % p, twisted, b, p))
+                    assert (values[i, c], errs[i, c]) == (one.as_complex, one.err)
+
     def test_onediff_ratios(self):
         # K = 10 with q1 = 3 gives overlaps of length 1 at h = +-3
-        cells = [(M, IntegerInterval(off, K), s)
+        cells = [(2, 7, 3, M, IntegerInterval(off, K), s)
                  for K in (10, 11, 20) for off in (0, 4) for M in (0, 1) for s in ((0,), (1, 2))]
-        got = onediff_ratios(2, 7, 3, cells)
-        for (M, J, s), rep in zip(cells, got):
-            assert rep == onediff_ratio(2, 7, 3, M, J, s)
+        got = onediff_ratios(cells)
+        for cell, rep in zip(cells, got):
+            assert rep == onediff_ratio(*cell)
+
+    def test_onediff_grid_mixes_moduli(self, monkeypatch):
+        # several (a, q0, q1) in one call: K = q1 + 1 gives inner rows of
+        # length 1 at h = +-1 and K = q1 = 1 an lhs row of length 1
+        cells = [(a, q0, q1, M, IntegerInterval(off, K), s)
+                 for q0, q1 in ((7, 3), (5, 2), (11, 1), (1, 4), (13, 6))
+                 for a in (1, 2, 5) if math.gcd(a, q0 * q1) == 1
+                 for K in (q1, q1 + 1, 10, 31) for off in (0, -4)
+                 for M in (0, 3) for s in ((0,), (1, 2), (q0, 1, 5))]
+        want = [onediff_ratio(*cell) for cell in cells]
+        assert onediff_ratios(cells) == want
+        # the rows of one length split across many blocks
+        monkeypatch.setattr(kloosterman, "TABLE_BLOCK_BYTES", 16 * 10 * 4)
+        assert onediff_ratios(cells) == want
+
+    def test_onediff_offsets_past_int64(self):
+        # the sums depend on the offset mod q only, so k stays exact in int64
+        for off in (2**63 - 5, 2**64 + 3, -(2**63) - 1):
+            for q0, q1 in ((5, 2), (7, 3)):
+                J = IntegerInterval(off, 10)
+                want = onediff_ratio(1, q0, q1, 1, IntegerInterval(off % (q0 * q1), 10))
+                assert onediff_ratio(1, q0, q1, 1, J) == want
 
     def test_onediff_empty_cell(self):
-        assert onediff_ratios(1, 5, 2, [(0, IntegerInterval(0, 0), ())]) == [(0.0, 0.0, 0.0)]
+        assert onediff_ratios([(1, 5, 2, 0, IntegerInterval(0, 0), ())]) == [(0.0, 0.0, 0.0)]
 
 
 def _pushed_base(p):

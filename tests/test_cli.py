@@ -124,7 +124,7 @@ class TestSingleQueries:
         path = os.environ.get("PYTHONPATH")
         env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
         proc = subprocess.Popen(
-            [sys.executable, "-m", "kloosterlab", "sweep", "--x", "2e12", "--q", "15",
+            [sys.executable, "-m", "kloosterlab", "sweep", "--x", "1000", "--q", "15",
              "--residues", "2"],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
         )
@@ -211,6 +211,8 @@ class TestSingleQueries:
         (None, ["sweep", "--x", "1e400", "--q", "7", "--residues", "1"], "2^1023"),
         ("", ["verify-report", "{cfg}"], "no report header"),
         ("garbage\n", ["verify-report", "{cfg}"], "no report header"),
+        (None, ["sweep", "--x", "2e12", "--q", "15", "--residues", "2"],
+         "above the hyperbola's cap"),
     ], ids=["unknown-key", "invalid-json", "bad-x-flag", "negative-x", "zero-q",
             "missing-report", "string-eta", "bool-delta", "null-eps", "string-q-exp",
             "string-jobs", "float-seed", "interval-sum-too-long", "interval-sum-q-past-cap",
@@ -220,7 +222,7 @@ class TestSingleQueries:
             "eta-above-1", "bool-sample", "report-non-integer-x", "report-without-x",
             "json-report-without-rows", "json-row-without-error", "report-invalid-json",
             "split-not-q", "q-lo-exp-above-q-hi-exp", "non-integer-x", "x-past-floats",
-            "empty-report", "report-without-header"])
+            "empty-report", "report-without-header", "x-above-hyperbola-cap"])
     def test_malformed_input_exits_2(self, tmp_path, capsys, config, argv, needle):
         cfg = tmp_path / "config.json"
         if config is not None:
@@ -312,10 +314,12 @@ class TestSweep:
                          "--out", str(tmp_path / name)]) == 0
         a, b = ((tmp_path / name).read_bytes() for name in ("a.csv", "b.csv"))
         assert a == b and b"\n1000000,7," in a
-        # an x past 2^53, where floats drop digits, keeps every one
+        # an x past 2^53, where floats drop digits, keeps every one; it is
+        # above the hyperbola's cap, and the error names it exactly
+        capsys.readouterr()
         assert main(["sweep", "--x", "12345678901234567890", "--q", "7", "--residues", "1",
-                     "--out", str(tmp_path / "c.csv")]) == 0
-        assert {r["x"] for r in load_report(str(tmp_path / "c.csv"))} == {12345678901234567890}
+                     "--out", str(tmp_path / "c.csv")]) == 2
+        assert "x = 12345678901234567890 above" in capsys.readouterr().err
 
     def test_duplicate_moduli_run_once(self, tmp_path):
         once = run_sweep(_config(tmp_path, x_values=[1000], q_list=[7],
@@ -450,6 +454,21 @@ class TestVerifyReport:
         assert not ok
         assert lines[0].startswith("MISMATCH x=1000000 q=15 ")
         assert len(lines) == 2
+
+    def test_recomputes_a_modulus_above_ten_million(self, tmp_path):
+        # q = 10000019 is prime and above the unit mask's cap, so no sweep
+        # writes this row; the oracle recomputes it exactly all the same
+        row = "100000000,10000019,2,{},\n"
+        path = tmp_path / "report.csv"
+        header = "# schema=2\nx,q,a,E_exact,error\n"
+        path.write_text(header + row.format("-148754357/5000009"))
+        assert verify_report(str(path), fraction=1.0) == (
+            True, ["verify: 1/1 rows recomputed, all exact"])
+        path.write_text(header + row.format("-148754356/5000009"))
+        ok, lines = verify_report(str(path), fraction=1.0)
+        assert not ok
+        assert lines[0] == ("MISMATCH x=100000000 q=10000019 a=2: report "
+                            "-148754356/5000009 recomputed -148754357/5000009")
 
     def test_empty_reports_verify(self, tmp_path):
         # a header without rows (a sweep whose windows hold no integer) and

@@ -93,8 +93,17 @@ class TestDivisorSum:
             assert split_divisor_sum_ap(x, q, a) == divisor_sum_ap(ApQuery(x, q, a))
         assert split_main_term(x, 9699690) == divisor_main_term(x, 9699690).rational
 
+    def test_main_term_against_the_coprime_split_count(self):
+        # x below q, square x and x around them; the test oracle counts
+        # coprime n by one period of q, with no Mobius inversion
+        for q in (1, 2, 4, 6, 12, 30, 97, 210, 1001, 2310, 4096):
+            phi = sum(math.gcd(t, q) == 1 for t in range(1, q + 1))
+            for x in (1, 2, 3, 4, 9, 10, 48, 49, 50, 120, 121, 500, 1000, 3600, 3601):
+                want = Fraction(coprime_tau_sum_split(x, q, math.isqrt(x)), phi)
+                assert split_main_term(x, q) == want, (x, q)
+
     def test_split_count_caps(self):
-        for x, q in ((0, 7), (HYPERBOLA_X_CAP + 1, 7), (1000, 0), (1000, 10**7 + 1)):
+        for x, q in ((0, 7), (HYPERBOLA_X_CAP + 1, 7), (1000, 0), (1000, 10**12 + 1)):
             with pytest.raises(DomainError):
                 split_divisor_sum_ap(x, q, 1)
             with pytest.raises(DomainError):
