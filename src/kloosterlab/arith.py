@@ -309,18 +309,38 @@ def inverse_mod(u, m) -> np.ndarray:
 def inverse_table(q: int) -> np.ndarray:
     """inv[n] for n in [0, q) with n invertible mod q, and -1 elsewhere.
 
-    O(q) memory, so q is capped at INVERSE_TABLE_CAP.  Built in blocks of
-    2^20 residues to bound the Euclid temporaries.
+    O(q) memory, so q is capped at INVERSE_TABLE_CAP.  A prime power is
+    built by inverse_mod (Euclid) in blocks of 2^20 residues, to bound its
+    temporaries.  Any other q adds its prime-power parts' (cached) tables
+    by CRT: with m_i the parts and c_i = (q/m_i)^-1 mod m_i, inv(n) =
+    sum_i (q/m_i) (inv_i(n mod m_i) c_i mod m_i) mod q, each part's table
+    added to every row of [0, q) viewed as q/m_i rows of m_i: one vector
+    add per part.
     """
     if q < 1:
         raise DomainError("modulus must be positive")
     if q > INVERSE_TABLE_CAP:
         raise DomainError(f"inverse table limited to q <= {INVERSE_TABLE_CAP}")
-    step = 1 << 20
-    inv = np.concatenate([
-        inverse_mod(np.arange(lo, min(lo + step, q), dtype=np.int64), q)
-        for lo in range(0, q, step)
-    ])
+    parts = factorize(q).factors
+    if len(parts) > 1:
+        inv = np.zeros(q, dtype=np.int64)
+        for p, e in parts:
+            m = p**e
+            part = inverse_table(m)
+            term = part * pow(q // m, -1, m) % m * (q // m)
+            # a non-unit part is far enough below 0 that no sum with it reaches 0
+            term[part < 0] = -len(parts) * q
+            rows = inv.reshape(q // m, m)  # a view: n mod m is the column
+            rows += term
+        units = inv >= 0
+        inv %= q
+        inv[~units] = -1
+    else:
+        step = 1 << 20
+        inv = np.concatenate([
+            inverse_mod(np.arange(lo, min(lo + step, q), dtype=np.int64), q)
+            for lo in range(0, q, step)
+        ])
     inv.flags.writeable = False
     return inv
 

@@ -8,10 +8,10 @@ reporting the epsilon = 0 total alongside the user-supplied epsilon.
 The window factorizer assigns the primes of a squarefree modulus to
 four parts so that each part lands inside a prescribed closed interval,
 minimizing the sum of log-distances to the window centers (ties broken
-by the lexicographically smallest part tuple).  The search is an
-exhaustive depth-first enumeration over part assignments with pruning
-that only removes provably dead branches, so the returned assignment is
-the exact optimum.
+by the lexicographically smallest part tuple).  The search is a
+depth-first branch and bound over part assignments whose cuts remove
+only branches that are infeasible or provably worse than a leaf already
+found, so the returned assignment is the exact optimum.
 """
 
 from __future__ import annotations
@@ -193,6 +193,12 @@ def window_objective(parts: Sequence[int], windows: WindowSpec) -> float:
     return math.fsum(abs(math.log(parts[j]) - centers[j]) for j in range(4))
 
 
+# A branch is cut only when its lower bound exceeds the best leaf by more
+# than this: far above the rounding of the float logs, so a cut branch
+# holds no leaf that ties the best one.
+_BOUND_MARGIN = 1e-9
+
+
 def factorize_to_windows(
     q: FactoredInteger, windows: WindowSpec
 ) -> Optional[ModulusSplit]:
@@ -200,15 +206,29 @@ def factorize_to_windows(
 
     Returns the feasible assignment minimizing window_objective, ties
     broken by lexicographically smallest (q0, q1, q2, q3); None when no
-    assignment fits.  Exhaustive depth-first search; partial products
-    that already exceed a window's top, or parts that cannot reach
-    their window's bottom even with all unassigned primes, are pruned.
+    assignment fits.  Depth-first branch and bound over the primes in
+    descending order.  A branch ends when a partial product exceeds its
+    window's top, when a part cannot reach its window's bottom even with
+    every unassigned prime, or when a lower bound on its objective
+    exceeds the best leaf so far by more than _BOUND_MARGIN.
+
+    The bound: the final log L_j of part j lies in the range [a_j, b_j]
+    that it can still reach (within its window, from its product now to
+    that times every unassigned prime).  With x_j the point of that range
+    nearest the centre c_j, |L_j - c_j| = |x_j - c_j| + |L_j - x_j|, and
+    since the L_j sum to log q, the objective is at least
+    sum_j |x_j - c_j| + |log q - sum_j x_j|.  Each prime goes first to
+    the part furthest below its centre, so good leaves come early.
     """
     if not q.squarefree:
         raise NotSquarefree(f"{q.value} is not squarefree")
     primes = sorted(q.primes, reverse=True)
     los = [w[0] for w in windows.intervals]
     his = [w[1] for w in windows.intervals]
+    log_los = [math.log(lo) for lo in los]
+    log_his = [math.log(hi) for hi in his]
+    centers = windows.center_logs
+    log_q = math.log(q.value)
     n = len(primes)
     suffix = [1] * (n + 1)
     for i in range(n - 1, -1, -1):
@@ -228,8 +248,18 @@ def factorize_to_windows(
                 if best is None or cand < best:
                     best = cand
             return
+        logs = [math.log(d) for d in parts]
+        if best is not None:
+            log_rem = math.log(rem)
+            spread = nearest = 0.0
+            for j in range(4):
+                x = min(max(centers[j], logs[j], log_los[j]), logs[j] + log_rem, log_his[j])
+                spread += abs(x - centers[j])
+                nearest += x
+            if spread + abs(log_q - nearest) > best[0] + _BOUND_MARGIN:
+                return
         p = primes[i]
-        for j in range(4):
+        for j in sorted(range(4), key=lambda j: logs[j] - centers[j]):
             d = parts[j] * p
             if d > his[j]:
                 continue

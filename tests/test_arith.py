@@ -233,6 +233,33 @@ class TestResidueTables:
             else:
                 assert not mask[n] and inv[n] == -1
 
+    def test_inverse_table_is_euclid_below_5000(self):
+        # q with two or more prime parts take the CRT route (the others are
+        # inverse_mod itself); __wrapped__ bypasses the lru_cache
+        for q in range(1, 5000):
+            if len(factorize(q).factors) < 2:
+                continue
+            want = inverse_mod(np.arange(q, dtype=np.int64), q)
+            assert np.array_equal(inverse_table.__wrapped__(q), want), q
+
+    @pytest.mark.parametrize("q", [9699690, INVERSE_TABLE_CAP])
+    def test_large_composite_inverse_table(self, q):
+        # 2*3*...*19 (eight prime parts) and 2^7 * 5^7 (two prime-power parts)
+        inv = inverse_table.__wrapped__(q)
+        assert inv.shape == (q,) and not inv.flags.writeable
+        rng = random.Random(q)
+        sample = np.array([0, 1, 2, q - 2, q - 1] + rng.sample(range(q), 4000), dtype=np.int64)
+        assert np.array_equal(inv[sample], inverse_mod(sample, q))
+        # every entry: n * inv[n] = 1 mod q where inv[n] >= 0, and exactly
+        # q - phi(q) entries are -1, so no unit is marked as a non-unit
+        for lo in range(0, q, 1 << 20):
+            n = np.arange(lo, min(lo + (1 << 20), q), dtype=np.int64)
+            block = inv[lo : lo + len(n)]
+            units = block >= 0
+            assert np.all(n[units] * block[units] % q == 1)
+            assert np.all(block[~units] == -1)
+        assert int((inv < 0).sum()) == q - multiplicative_profile(factorize(q))[1]
+
     @pytest.mark.parametrize("m", [1, 2, 10007, 360360, 2**61 - 1, 2**62 - 1])
     def test_inverse_mod_matches_pow(self, m):
         rng = random.Random(m)

@@ -248,6 +248,28 @@ class TestFactorizeToWindows:
                 want = window_assignment_oracle(products, w)
                 assert (got.parts if got else None) == want, (q, w)
 
+    @pytest.mark.parametrize("q", [9699690, 111546435, 223092870])
+    def test_against_oracle_many_primes(self, q):
+        # omega = 8, 8, 9: windows around a seeded assignment, random
+        # windows, the x = 1e12 target windows and four equal windows
+        # (every permutation ties, so the tie-break decides)
+        fq = factorize(q)
+        products = assignment_products(fq.primes)
+        rng = random.Random(q)
+        specs = [WindowSpec(((1.0, float(q)),) * 4), _random_windows(rng, q)]
+        specs += [target_windows(10**12, q, eta) for eta in (0.15, 0.25)]
+        for _ in range(3):
+            parts = [1, 1, 1, 1]
+            for p in fq.primes:
+                parts[rng.randrange(4)] *= p
+            specs.append(WindowSpec(tuple(
+                (d * math.exp(-rng.uniform(0.0, 1.5)), d * math.exp(rng.uniform(0.0, 1.5)))
+                for d in parts
+            )))
+        for w in specs:
+            got = factorize_to_windows(fq, w)
+            assert (got.parts if got else None) == window_assignment_oracle(products, w), w
+
     def test_tie_break_lexicographic(self):
         # all windows identical: permuted assignments tie exactly, so the
         # lexicographically smallest part tuple must win

@@ -7,8 +7,8 @@ tests/data/lemma_full.txt is the stdout of
 for the suites in SUITE_ORDER, concatenated.  Every figure in it is a
 maximum over a grid, so a change to any cell that moves a maximum shows
 here.  The runs use one BLAS thread because the completion line depends
-on it: its matrix products round differently when BLAS splits them, and
-the same code prints max deviation = 3.53e-14 at one thread and 3.46e-14
+on it: its matrix product rounds differently when BLAS splits it, and
+the same code prints max deviation = 5.46e-14 at one thread and 5.42e-14
 at two.
 """
 
