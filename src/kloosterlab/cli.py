@@ -15,7 +15,6 @@ acceptance tests and ``scripts/pin_constants.py`` all call these.
 
 from __future__ import annotations
 
-import argparse
 import csv
 import io
 import json
@@ -23,21 +22,22 @@ import math
 import os
 import random
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
 from . import __version__
 from .arith import (
+    INVERSE_TABLE_CAP,
     SMOOTH_MODULI_LOG2_CAP,
     ModulusSplit,
     SmoothnessSpec,
     factorize,
     is_prime,
+    multiplicative_profile,
     primes_up_to,
     smooth_squarefree_moduli,
     unit_mask,
@@ -67,7 +67,7 @@ from .kloosterman import (
     table_err,
     table_row_blocks,
 )
-from .oracle import split_divisor_sum_ap, split_main_term
+from .oracle import Q_CAP, split_divisor_sum_ap, split_main_term
 from .vdc_lab import (
     GRID_SEED,
     PINNED_COMPLETEEXP_EVEN_B0,
@@ -82,6 +82,9 @@ from .vdc_lab import (
     product_sums_squarefree,
     vanishing_lemma_check,
 )
+
+if TYPE_CHECKING:  # argparse is imported where the parser is built
+    import argparse
 
 SCHEMA_VERSION = 2
 EXIT_OK, EXIT_FAIL, EXIT_USAGE = 0, 1, 2
@@ -242,16 +245,55 @@ def _cell_moduli(config: SweepConfig, x: int) -> list[int]:
     return [f.value for f in smooth_squarefree_moduli(lo, hi, SmoothnessSpec(bound))]
 
 
+def _cell_residues(idx: int, q: int, config: SweepConfig) -> list[int]:
+    """The residues of cell idx, ascending: every unit mod q, or a sample
+    of m of them drawn with the cell's seed.  Up to the unit mask's cap
+    the sample is taken from the listed units; above it, by rejection on
+    gcd(a, q) = 1, which costs q/phi(q) draws a unit on average."""
+    m = config.sample_size
+    if q <= INVERSE_TABLE_CAP:
+        units = np.flatnonzero(unit_mask(q)).tolist()
+        if m is not None and m < len(units):
+            units = sorted(random.Random(config.seed ^ idx).sample(units, m))
+        return units
+    if q > Q_CAP:
+        raise DomainError(
+            f"q = {q} above the split count's cap {Q_CAP}: verify-report "
+            "could not recompute its rows"
+        )
+    if m is None:
+        raise DomainError(
+            f'residues "all" at q = {q} needs the unit mask, limited to '
+            f'q <= {INVERSE_TABLE_CAP}; use residues {{"sample": m}}'
+        )
+    phi = multiplicative_profile(factorize(q))[1]
+    if m >= phi:
+        raise DomainError(
+            f"residues sample {m} >= phi({q}) = {phi} lists every unit, which "
+            f"needs the unit mask, limited to q <= {INVERSE_TABLE_CAP}"
+        )
+    rng = random.Random(config.seed ^ idx)
+    picked: set[int] = set()
+    while len(picked) < m:
+        a = rng.randrange(q)
+        if math.gcd(a, q) == 1:
+            picked.add(a)
+    return sorted(picked)
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def _compute_cell(payload: tuple) -> list[dict]:
     """All rows of one (x, q) cell.  Must stay a top-level function so
     process pools can pickle it; determinism does not depend on which
     worker runs it."""
     idx, x, q, config = payload
-    units = np.flatnonzero(unit_mask(q)).tolist()
-    sample = config.sample_size
-    if sample is not None and sample < len(units):
-        rng = random.Random(config.seed ^ idx)
-        units = sorted(rng.sample(units, sample))
+    units = _cell_residues(idx, q, config)
 
     try:
         qs = target_sizes(x, q)
@@ -308,10 +350,14 @@ def run_sweep(config: SweepConfig) -> tuple[list[dict], dict]:
         for q in _cell_moduli(config, x):
             cells.append((x, q))
     payloads = [(idx, x, q, config) for idx, (x, q) in enumerate(cells)]
-    if config.jobs == 1:
+    # a fork-started pool starts all its workers at the first submit
+    workers = min(config.jobs, len(payloads), _usable_cpus())
+    if workers <= 1:
         results = [_compute_cell(p) for p in payloads]
     else:
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
+        from concurrent.futures import ProcessPoolExecutor  # only a pool needs it
+
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_compute_cell, payloads, chunksize=1))
     rows = [row for cell_rows in results for row in cell_rows]
     rows.sort(key=lambda r: (r["x"], r["q"], r["a"]))
@@ -902,6 +948,8 @@ def cmd_verify_report(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="kloosterlab",
         description="Numeric laboratory for divisor sums in progressions "

@@ -213,6 +213,12 @@ class TestSingleQueries:
         ("garbage\n", ["verify-report", "{cfg}"], "no report header"),
         (None, ["sweep", "--x", "2e12", "--q", "15", "--residues", "2"],
          "above the hyperbola's cap"),
+        (None, ["sweep", "--x", "100000000", "--q", "10000019"], "q <= 10000000"),
+        (None, ["sweep", "--x", "100000000", "--q", "10000019", "--residues", "10000018"],
+         "phi(10000019) = 10000018 lists every unit, which needs the unit mask, "
+         "limited to q <= 10000000"),
+        (None, ["sweep", "--x", "1000", "--q", "1000000000039", "--residues", "2"],
+         "split count's cap 1000000000000"),
     ], ids=["unknown-key", "invalid-json", "bad-x-flag", "negative-x", "zero-q",
             "missing-report", "string-eta", "bool-delta", "null-eps", "string-q-exp",
             "string-jobs", "float-seed", "interval-sum-too-long", "interval-sum-q-past-cap",
@@ -222,7 +228,9 @@ class TestSingleQueries:
             "eta-above-1", "bool-sample", "report-non-integer-x", "report-without-x",
             "json-report-without-rows", "json-row-without-error", "report-invalid-json",
             "split-not-q", "q-lo-exp-above-q-hi-exp", "non-integer-x", "x-past-floats",
-            "empty-report", "report-without-header", "x-above-hyperbola-cap"])
+            "empty-report", "report-without-header", "x-above-hyperbola-cap",
+            "all-residues-past-cap", "sample-of-every-unit-past-cap",
+            "sample-past-oracle-cap"])
     def test_malformed_input_exits_2(self, tmp_path, capsys, config, argv, needle):
         cfg = tmp_path / "config.json"
         if config is not None:
@@ -231,6 +239,31 @@ class TestSingleQueries:
         assert main(argv) == 2
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ") and needle in lines[0]
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Each sweep pool's max_workers.  The pool is replaced by one that
+    maps in this process, so no process starts."""
+    import concurrent.futures
+
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable, chunksize=1):
+            return map(fn, iterable)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    return sizes
 
 
 def _config(tmp_path, **kw):
@@ -282,6 +315,56 @@ class TestSweep:
         assert all(math.gcd(r["a"], 105) == 1 for r in rows)
         rows2, _ = run_sweep(config)
         assert rows == rows2
+
+    @pytest.mark.parametrize("jobs, cells, cpus, workers", [
+        (100000, 2, 8, 2),     # no more workers than cells
+        (100000, 5, 4, 4),     # nor than usable CPUs
+        (3, 5, 8, 3),          # nor than jobs
+        (2, 1, 8, None),       # one cell runs in-process
+        (4, 5, 1, None),       # so does one usable CPU
+    ])
+    def test_pool_is_bounded(self, tmp_path, monkeypatch, pool_sizes,
+                             jobs, cells, cpus, workers):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
+        q_list = [15, 21, 33, 35, 101][:cells]
+        config = _config(tmp_path, q_list=q_list, residues={"sample": 2}, jobs=jobs)
+        report = render_report(config, *run_sweep(config))
+        assert pool_sizes == ([] if workers is None else [workers])
+        serial = _config(tmp_path, q_list=q_list, residues={"sample": 2}, jobs=1)
+        assert report == render_report(serial, *run_sweep(serial))
+
+    def test_pool_falls_back_to_cpu_count(self, tmp_path, monkeypatch, pool_sizes):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        run_sweep(_config(tmp_path, q_list=[15, 21, 33, 35], residues={"sample": 1},
+                          jobs=100000))
+        assert pool_sizes == [3]
+
+    def test_sampled_residues_above_the_unit_mask_cap(self, tmp_path, monkeypatch):
+        # q = 10000019 is prime and 10000030 = 2 5 1000003 is not; both are
+        # above the unit mask's cap, so residues are drawn by seeded
+        # rejection on gcd(a, q) = 1 and no unit listing is built
+        def no_mask(q):
+            raise AssertionError("the sweep listed the units")
+
+        monkeypatch.setattr(cli, "unit_mask", no_mask)
+        moduli = [10000019, 10000030]
+        config = _config(tmp_path, x_values=[10**8], q_list=moduli, residues={"sample": 3})
+        rows, summary = run_sweep(config)
+        assert len(rows) == 6 and not any(r["error"] for r in rows)
+        for idx, q in enumerate(moduli):
+            rng, want = random.Random(config.seed ^ idx), set()
+            while len(want) < 3:
+                a = rng.randrange(q)
+                if math.gcd(a, q) == 1:
+                    want.add(a)
+            assert [r["a"] for r in rows if r["q"] == q] == sorted(want)
+        assert run_sweep(config) == (rows, summary)
+        path = tmp_path / "report.csv"
+        path.write_text(render_report(config, rows, summary))
+        assert verify_report(str(path), fraction=1.0) == (
+            True, ["verify: 6/6 rows recomputed, all exact"])
 
     def test_sampled_residues_follow_cell_seed(self, tmp_path):
         # random.sample picks by a different algorithm for populations
@@ -524,3 +607,29 @@ class TestVerifyReport:
         path.write_text(render_report(config, rows, summary))
         ok, lines = verify_report(str(path), seed=1, fraction=0.5)
         assert ok, lines
+
+
+class TestImportFootprint:
+    def _fresh_modules(self, statement: str) -> set[str]:
+        # a fresh interpreter, so no earlier test's import hides one
+        code = (f"import sys\nbefore = set(sys.modules)\n{statement}\n"
+                "print('\\n'.join(sorted(set(sys.modules) - before)))\n")
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+            check=True, timeout=120,
+        ).stdout
+        return set(out.split())
+
+    def test_cli_loads_no_pool_or_parser(self):
+        # only a jobs > 1 sweep forks, and only main() parses arguments
+        loaded = self._fresh_modules("import kloosterlab.cli")
+        assert "kloosterlab.cli" in loaded
+        assert not loaded & {"concurrent.futures", "multiprocessing", "argparse"}
+
+    def test_package_root_loads_no_submodule(self):
+        loaded = self._fresh_modules("import kloosterlab")
+        assert "kloosterlab" in loaded
+        assert not {m for m in loaded if m.startswith("kloosterlab.")}
