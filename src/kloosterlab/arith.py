@@ -39,7 +39,7 @@ def is_prime(n: int) -> bool:
     """Deterministic primality test for n up to 2^62."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_WITNESSES:  # the witnesses are the first 12 primes
         if n % p == 0:
             return n == p
     d = n - 1

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .arith import FactoredInteger, ModulusSplit
 from .errors import DomainError, NotSquarefree
@@ -64,8 +64,18 @@ class BoundReport:
     parameters: dict
 
 
-def _report(computed: float, terms: list[tuple[str, float]], total_eps0: float,
+def _report(computed: float, terms_at: Callable[[float], list[tuple[str, float]]],
             parameters: dict) -> BoundReport:
+    """The report of the terms terms_at(eps) at eps = parameters["eps"],
+    with their total at eps = 0 beside it."""
+    eps = parameters["eps"]
+    try:
+        if not math.isfinite(eps):
+            raise DomainError(f"eps must be finite, got {eps!r}")
+        terms = terms_at(eps)
+        total_eps0 = math.fsum(v for _, v in terms_at(0.0))
+    except OverflowError:
+        raise DomainError(f"the bound terms at eps = {eps!r} pass the float range") from None
     total = math.fsum(v for _, v in terms)
     ratio = computed / total if total > 0 else 0.0
     return BoundReport(computed, tuple(terms), total, total_eps0, ratio, parameters)
@@ -103,10 +113,7 @@ def shortkloost_rhs(
         out.append(("completion", qe * q**0.5 * parts[0] ** (-tl / 2)))
         return out
 
-    terms = terms_at(eps)
-    total_eps0 = math.fsum(v for _, v in terms_at(0.0))
-    return _report(computed, terms, total_eps0,
-                   {"N": N, "split": parts, "eps": eps})
+    return _report(computed, terms_at, {"N": N, "split": parts, "eps": eps})
 
 
 def divisorthm_rhs(
@@ -144,10 +151,7 @@ def divisorthm_rhs(
         out.append(("completion", mult * q**0.5 * q0 ** (-1 / 16)))
         return out
 
-    terms = terms_at(eps)
-    total_eps0 = math.fsum(v for _, v in terms_at(0.0))
-    return _report(computed, terms, total_eps0,
-                   {"x": x, "split": split.parts, "delta": delta, "eps": eps})
+    return _report(computed, terms_at, {"x": x, "split": split.parts, "delta": delta, "eps": eps})
 
 
 def target_sizes(x: int, q: int) -> tuple[float, float, float, float]:

@@ -65,7 +65,6 @@ from .kloosterman import (
     incomplete_kloosterman,
     kloosterman_tables,
     table_err,
-    table_row_blocks,
 )
 from .oracle import Q_CAP, split_divisor_sum_ap, split_main_term
 from .vdc_lab import (
@@ -184,6 +183,9 @@ class SweepConfig:
         if self.jobs < 1:
             raise DomainError("jobs must be >= 1")
         if isinstance(self.residues, dict):
+            unknown = set(map(str, self.residues)) - {"sample"}
+            if unknown:
+                raise DomainError(f"unknown residues key(s): {', '.join(sorted(unknown))}")
             m = self.residues.get("sample")
             if type(m) is not int or m < 1:
                 raise DomainError("residues sample size must be a positive int")
@@ -620,15 +622,13 @@ def check_orthogonality(size: str = "small") -> CheckResult:
     cells = 0
     for p in primes_up_to(p_max):
         scale = p * p - p
-        for block in table_row_blocks(p - 1, p):
-            tables = kloosterman_tables(range(block.start + 1, block.stop + 1), p)
-            s1 = product_sums(tables, (0,), (0,), p)[:, 0]
-            s2 = product_sums(tables, (0, 0), (0,), p)[:, 0]
-            # np.hypot rounds as abs(complex) does; np.abs does not
-            worst_first = max(worst_first, float((np.hypot(s1.real, s1.imag) / p).max()))
-            dev = np.hypot(s2.real - scale, s2.imag) / scale
-            worst_second = max(worst_second, float(dev.max()))
-            cells += len(tables)
+        s1 = product_sums(range(1, p), (0,), (0,), p)[:, 0]
+        s2 = product_sums(range(1, p), (0, 0), (0,), p)[:, 0]
+        # np.hypot rounds as abs(complex) does; np.abs does not
+        worst_first = max(worst_first, float((np.hypot(s1.real, s1.imag) / p).max()))
+        dev = np.hypot(s2.real - scale, s2.imag) / scale
+        worst_second = max(worst_second, float(dev.max()))
+        cells += p - 1
     observed = {"max |sum S|/p": worst_first,
                 "max rel.dev of sum S^2 from p^2-p": worst_second}
     allowed = dict.fromkeys(observed, 1e-6)
@@ -660,7 +660,7 @@ def check_multiplicativity(size: str = "small") -> CheckResult:
             batches.append((residues, shifts, fq))
     # the prime parts of every q are evaluated in one batch per (p, j)
     crt = product_sums_crt(batches, (0, 1))
-    direct = [product_sums_squarefree(r, s, (0, 1), fq, "direct") for r, s, fq in batches]
+    direct = [product_sums_squarefree(r, s, (0, 1), fq) for r, s, fq in batches]
     (c, c_err), (d, d_err) = ([np.concatenate(x) for x in zip(*sums)] for sums in (crt, direct))
     dev = np.hypot(c.real - d.real, c.imag - d.imag)
     budget = np.maximum(c_err + d_err, 1e-12)
@@ -908,7 +908,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     rows, summary = run_sweep(config)
     text = render_report(config, rows, summary)
     if config.out:
-        Path(config.out).write_text(text)
+        try:
+            Path(config.out).write_text(text)
+        except OSError as exc:
+            raise DomainError(f"cannot write {config.out}: {exc.strerror or exc}") from None
         print(f"wrote {config.out} ({len(rows)} rows)")
     else:
         sys.stdout.write(text)

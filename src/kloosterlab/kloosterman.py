@@ -8,8 +8,9 @@ moduli are split by twisted multiplicativity,
 
 so only sums to prime(-power) modulus are ever summed directly.  The
 parts and their twists come from crt_twists, which the squarefree
-product sums of vdc_lab share.  A direct-summation mode is kept as the
-oracle for the split evaluator.
+product sums of vdc_lab share.  The definitional summation over all
+units mod q, _direct_sum, is the oracle that the tests compare the split
+evaluator against.
 
 Every numeric result carries an absolute error bound: each evaluated
 term contributes 4 machine epsilons, and products propagate first-order
@@ -92,10 +93,6 @@ class SumValue:
         return SumValue(z.real, z.imag, err)
 
 
-def _from_complex(z: complex, err: float) -> SumValue:
-    return SumValue(z.real, z.imag, err)
-
-
 @lru_cache(maxsize=1024)
 def _base_table(q: int) -> np.ndarray:
     """S(1, k, q) for all k mod q, as one FFT of the inverse-phase vector.
@@ -173,7 +170,7 @@ def _direct_sum(a: int, b: int, q: int) -> SumValue:
     units = np.nonzero(inv >= 0)[0]
     phases = (a * inv[units] + b * units) % q
     z = complex(np.exp(2j * np.pi * phases / q).sum())
-    return _from_complex(z, _TERM_EPS * len(units))
+    return SumValue(z.real, z.imag, _TERM_EPS * len(units))
 
 
 def _prime_part(a: int, b: int, p: int) -> SumValue:
@@ -185,7 +182,7 @@ def _prime_part(a: int, b: int, p: int) -> SumValue:
         # Ramanujan sum over units: exactly mu(p) = -1 for prime p.
         return SumValue(-1.0, 0.0, 0.0)
     z = complex(_base_table(p)[a * b % p])
-    return _from_complex(z, table_err(p))
+    return SumValue(z.real, z.imag, table_err(p))
 
 
 def crt_twists(q: FactoredInteger) -> list[tuple[int, int]]:
@@ -197,30 +194,15 @@ def crt_twists(q: FactoredInteger) -> list[tuple[int, int]]:
     return [(m, pow(q.value // m % m, -1, m)) for m in (p**e for p, e in q.factors)]
 
 
-def complete_kloosterman(a: int, b: int, q: int, method: str = "crt") -> SumValue:
-    """The complete Kloosterman sum S(a, b; q).
-
-    method "crt" (default) splits q into prime-power parts by twisted
-    multiplicativity; "direct" performs the definitional summation and
-    serves as the independent oracle.
-    """
+def complete_kloosterman(a: int, b: int, q: int) -> SumValue:
+    """The complete Kloosterman sum S(a, b; q), split into prime-power parts
+    by twisted multiplicativity."""
     if q < 1:
         raise DomainError(f"modulus {q} must be >= 1")
-    if method == "direct":
-        return _direct_sum(a, b, q)
-    if method != "crt":
-        raise DomainError(f"unknown method {method!r}")
-    a %= q
-    b %= q
     result = SumValue(1.0, 0.0, 0.0)
     for m, cbar in crt_twists(factorize(q)):
-        am = a * cbar % m
-        bm = b * cbar % m
-        if is_prime(m):
-            part = _prime_part(am, bm, m)
-        else:
-            part = _direct_sum(am, bm, m)
-        result = result.mul(part)
+        part = _prime_part if is_prime(m) else _direct_sum
+        result = result.mul(part(a * cbar % m, b * cbar % m, m))
     return result
 
 
@@ -252,4 +234,4 @@ def incomplete_kloosterman(a: int, q: int, interval: IntegerInterval) -> SumValu
         return SumValue(0.0, 0.0, 0.0)
     phases = mulmod(invs, a, q)
     z = complex(np.exp(2j * np.pi * phases / q).sum())
-    return _from_complex(z, _TERM_EPS * len(invs))
+    return SumValue(z.real, z.imag, _TERM_EPS * len(invs))

@@ -19,8 +19,11 @@ pipeline for incomplete Kloosterman sums:
     for a whole grid of (a, q0, q1) cells at once: its inner sums are
     the differenced sums of 2-fold Kloosterman products.
 
-Each batched function has a one-cell public counterpart that is its
-one-row case, and a batched entry is bitwise the one-cell value.
+completion_check, shifted_product_complete_sum,
+shifted_product_sum_squarefree and onediff_ratio are the one-cell cases
+of the batched functions that the lemma grids call, and a batched entry
+is bitwise the one-cell value.  product_sums_squarefree sums over all k
+mod q and is the oracle for the CRT route of product_sums_crt.
 
 The differencing and product-sum inequalities carry unspecified
 constants, so the checkers report ratios against the bound with epsilon
@@ -181,47 +184,39 @@ def _product_sum_err(q: int, n_terms: int, j: int) -> float:
     return n_terms * (per_term + _TERM_EPS * bound**j)
 
 
-def product_sums(tables: np.ndarray, shifts, bs: Sequence[int], q: int) -> np.ndarray:
-    """(r, len(bs)) array of sum over k mod q of e_q(-kb) prod_i tables[:, k + s_i].
+def product_sums(residues: Sequence[int], shifts, bs: Sequence[int], q: int) -> np.ndarray:
+    """(len(residues), len(bs)) array of sum over k mod q of e_q(-kb) prod_i S(a, k + s_i, q).
 
-    tables is (r, q); shifts is one tuple (s_1, ..., s_j) for every row or
-    an (r, j) array, row i shifted by shifts[i].  j = 0 sums e_q(-kb)
-    alone.  The products are formed in shift order and each sum runs along
-    one contiguous row, so an entry is bitwise the same whichever rows
-    share the call.
+    Row i has a = residues[i], which must be coprime to q when j >= 1;
+    shifts is one tuple (s_1, ..., s_j) for every row or a
+    (len(residues), j) array, row i shifted by shifts[i].  j = 0 sums
+    e_q(-kb) alone and gathers no table.  The tables are gathered a block
+    of rows at a time (table_row_blocks); the products are formed in
+    shift order and each sum runs along one contiguous row, so an entry
+    is bitwise the same whichever rows share the call.
     """
-    tables = np.asarray(tables)
     shifts = np.asarray(shifts, dtype=np.int64) % q
     ks = np.arange(q, dtype=np.int64)
-    rows = np.arange(len(tables))[:, None]
-    prod = np.ones(tables.shape, dtype=np.complex128)
-    for i in range(shifts.shape[-1]):
-        prod *= tables[rows, (ks + shifts[..., i, None]) % q]
-    out = np.empty((len(tables), len(bs)), dtype=np.complex128)
-    for col, b in enumerate(bs):
-        b = int(b) % q
-        # at b = 0 every phase is 1: the products are summed alone
-        summand = prod * np.exp(-2j * np.pi * mulmod(ks, b, q) / q) if b else prod
-        out[:, col] = summand.sum(axis=1)
-    return out
-
-
-def _blocked_product_sums(
-    residues: Sequence[int], shifts, bs: Sequence[int], q: int
-) -> np.ndarray:
-    """product_sums of the tables of residues mod q, gathered a block of rows at a time.
-
-    j = 0 multiplies no table: every row is the one row of phase sums,
-    and no table is gathered.
-    """
-    shifts = np.asarray(shifts, dtype=np.int64)
-    if shifts.shape[-1] == 0:
-        ones = np.ones((1, q), dtype=np.complex128)
-        return np.repeat(product_sums(ones, (), bs, q), len(residues), axis=0)
+    # at b = 0 every phase is 1: the products are summed alone
+    phases = [np.exp(-2j * np.pi * mulmod(ks, b, q) / q) if b else None
+              for b in (int(b) % q for b in bs)]
     out = np.empty((len(residues), len(bs)), dtype=np.complex128)
+
+    def add_up(rows: slice, prod: np.ndarray) -> None:
+        for col, phase in enumerate(phases):
+            out[rows, col] = (prod if phase is None else prod * phase).sum(axis=1)
+
+    if shifts.shape[-1] == 0:  # every row is the one row of phase sums
+        add_up(slice(None), np.ones((1, q), dtype=np.complex128))
+        return out
     for block in table_row_blocks(len(residues), q):
+        tables = kloosterman_tables(residues[block], q)
         block_shifts = shifts if shifts.ndim == 1 else shifts[block]
-        out[block] = product_sums(kloosterman_tables(residues[block], q), block_shifts, bs, q)
+        rows = np.arange(len(tables))[:, None]
+        prod = np.ones(tables.shape, dtype=np.complex128)
+        for i in range(shifts.shape[-1]):
+            prod *= tables[rows, (ks + block_shifts[..., i, None]) % q]
+        add_up(block, prod)
     return out
 
 
@@ -236,7 +231,7 @@ def _prime_product_sums(
     if j == 0:
         exact = [float(p) if b % p == 0 else 0.0 for b in bs]
         return np.tile(np.array(exact, dtype=np.complex128), (len(residues), 1)), 0.0
-    return _blocked_product_sums(residues, shifts, bs, p), _product_sum_err(p, p, j)
+    return product_sums(residues, shifts, bs, p), _product_sum_err(p, p, j)
 
 
 def shifted_product_complete_sum(
@@ -329,50 +324,29 @@ def product_sums_crt(
 
 
 def product_sums_squarefree(
-    residues: Sequence[int],
-    shifts,
-    bs: Sequence[int],
-    q: FactoredInteger,
-    method: str = "crt",
+    residues: Sequence[int], shifts, bs: Sequence[int], q: FactoredInteger
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Product sums to squarefree q and their errs, each (len(residues), len(bs)).
+    """Product sums to squarefree q and their errs, each (len(residues), len(bs)),
+    summed directly over k mod q: the oracle for product_sums_crt.
 
     Row i has a = residues[i], coprime to q, and shifts as in product_sums.
-    method "crt" is product_sums_crt's one-batch case; "direct" sums over
-    k mod q and is the oracle for the multiplicative route.
     """
-    if method == "crt":
-        return product_sums_crt([(residues, shifts, q)], bs)[0]
-    if method != "direct":
-        raise DomainError(f"unknown method {method!r}")
     _check_squarefree_units(residues, q)
     qv = q.value
     if qv > INVERSE_TABLE_CAP:  # O(q) a row, capped as the tables are
         raise DomainError(f"direct product sums limited to q <= {INVERSE_TABLE_CAP}")
-    shifts = np.asarray(shifts, dtype=np.int64) % qv
-    err = _product_sum_err(qv, qv, max(shifts.shape[-1], 1))
-    shape = (len(residues), len(bs))
-    return _blocked_product_sums(residues, shifts, bs, qv), np.full(shape, err)
+    err = _product_sum_err(qv, qv, max(np.shape(shifts)[-1], 1))
+    return product_sums(residues, shifts, bs, qv), np.full((len(residues), len(bs)), err)
 
 
 def shifted_product_sum_squarefree(
-    a: int,
-    shifts: tuple[int, ...],
-    b: int,
-    q: FactoredInteger,
-    method: str = "crt",
+    a: int, shifts: tuple[int, ...], b: int, q: FactoredInteger
 ) -> SumValue:
-    """The analogous product sum to squarefree modulus q: product_sums_squarefree's
-    one-cell case.
-
-    method "crt" multiplies prime-modulus sums with unit-twisted
-    arguments; "direct" sums over k mod q and is the oracle for the
-    multiplicative route.
-    """
-    if q.value == 1:
-        return SumValue(1.0, 0.0, 0.0)
+    """The analogous product sum to squarefree modulus q, by CRT from
+    prime-modulus sums with unit-twisted arguments: product_sums_crt's
+    one-cell case."""
     shifts = [tuple(int(s) % q.value for s in shifts)]
-    values, errs = product_sums_squarefree([a], shifts, [b], q, method)
+    values, errs = product_sums_crt([([a], shifts, q)], [b])[0]
     z = complex(values[0, 0])
     return SumValue(z.real, z.imag, float(errs[0, 0]))
 
@@ -637,9 +611,7 @@ def completeexp_scan(p_max: int = 199) -> CompleteexpScan:
             tuples = list(dict.fromkeys(shifts for shifts, _ in grid))
             bs = [b for shifts, b in grid if shifts == tuples[0]]
             rows = [(a, shifts) for shifts in tuples for a in residues]
-            values = _blocked_product_sums(
-                [a for a, _ in rows], [shifts for _, shifts in rows], bs, p
-            )
+            values = product_sums([a for a, _ in rows], [shifts for _, shifts in rows], bs, p)
             mags = np.hypot(values.real, values.imag)  # rounds as abs(complex) does
             cells += mags.size
             even_b0 = np.array([

@@ -7,6 +7,7 @@ functions, bitwise; and, per grid check, one mutation of the batched path
 that the check must detect.
 """
 
+import inspect
 import math
 from functools import lru_cache
 
@@ -15,6 +16,7 @@ import pytest
 
 from kloosterlab import cli, kloosterman, vdc_lab
 from kloosterlab.arith import factorize, primes_up_to
+from kloosterlab.errors import NotCoprime
 from kloosterlab.kloosterman import (
     IntegerInterval,
     SumValue,
@@ -75,10 +77,9 @@ class TestAgainstTheOracle:
     @pytest.mark.parametrize("p", PRIMES)
     def test_prime_product_sums(self, p):
         units = _units(p)
-        tables = kloosterman_tables(units, p)
         bs = sorted({0, 1, p - 1})
         for shifts in _shift_tuples(p):
-            got = product_sums(tables, shifts, bs, p)
+            got = product_sums(units, shifts, bs, p)
             for i, a in enumerate(units):
                 for c, b in enumerate(bs):
                     err = shifted_product_complete_sum(a, shifts, b, p).err
@@ -93,12 +94,32 @@ class TestAgainstTheOracle:
         units = _units(q)
         bs = sorted({0, 1, q - 1})
         for shifts in _shift_tuples(q)[:6]:
-            for method in ("crt", "direct"):
-                got, errs = product_sums_squarefree(units, shifts, bs, fq, method)
+            routes = {"crt": product_sums_crt([(units, shifts, fq)], bs)[0],
+                      "direct": product_sums_squarefree(units, shifts, bs, fq)}
+            for route, (got, errs) in routes.items():
                 for i, a in enumerate(units):
                     for c, b in enumerate(bs):
                         want = _product_sum_brute(a, shifts, b, q)
-                        assert abs(got[i, c] - want) <= errs[i, c] + 1e-12, (method, a, shifts, b)
+                        assert abs(got[i, c] - want) <= errs[i, c] + 1e-12, (route, a, shifts, b)
+
+
+def test_product_sums_reject_a_non_unit_residue():
+    # the non-unit 2018 = 2 * 1009 sits in the second block of rows
+    for shifts in ((0,), (0, 1)):
+        with pytest.raises(NotCoprime):
+            product_sums(list(range(1, 40)) + [2018], shifts, (0, 1), 1009)
+    # j = 0 gathers no table: every row is the same row of phase sums
+    assert np.array_equal(product_sums([3], (), (0, 1), 15), product_sums([1], (), (0, 1), 15))
+
+
+def test_no_public_function_takes_a_method():
+    # each quantity has one evaluator; its oracle is a function of its own
+    for module in (kloosterman, vdc_lab):
+        for name, fn in vars(module).items():
+            if name.startswith("_") or not inspect.isfunction(fn):
+                continue
+            if fn.__module__ == module.__name__:
+                assert "method" not in inspect.signature(fn).parameters, (module, name)
 
 
 class TestRowsAreTheOneRowValues:
@@ -115,8 +136,7 @@ class TestRowsAreTheOneRowValues:
         p = 53
         rows = [(a, s) for a in (1, 2, 52) for s in ((0, 1), (3, 3), (7, 52))]
         bs = (0, 1, 17)
-        tables = kloosterman_tables([a for a, _ in rows], p)
-        got = product_sums(tables, np.array([s for _, s in rows]), bs, p)
+        got = product_sums([a for a, _ in rows], np.array([s for _, s in rows]), bs, p)
         for i, (a, shifts) in enumerate(rows):
             for c, b in enumerate(bs):
                 assert got[i, c] == shifted_product_complete_sum(a, shifts, b, p).as_complex
@@ -125,12 +145,14 @@ class TestRowsAreTheOneRowValues:
         fq = factorize(210)
         units = [1, 11, 209]
         shifts = np.array([(0, 1), (2, 105), (1, 209)])
-        for method in ("crt", "direct"):
-            got, errs = product_sums_squarefree(units, shifts, (0, 1), fq, method)
-            for i, a in enumerate(units):
-                for c, b in enumerate((0, 1)):
-                    one = shifted_product_sum_squarefree(a, tuple(shifts[i]), b, fq, method)
-                    assert (got[i, c], errs[i, c]) == (one.as_complex, one.err)
+        got, errs = product_sums_crt([(units, shifts, fq)], (0, 1))[0]
+        direct, direct_errs = product_sums_squarefree(units, shifts, (0, 1), fq)
+        for i, a in enumerate(units):
+            for c, b in enumerate((0, 1)):
+                one = shifted_product_sum_squarefree(a, tuple(shifts[i]), b, fq)
+                assert (got[i, c], errs[i, c]) == (one.as_complex, one.err)
+                one, one_err = product_sums_squarefree([a], [shifts[i]], [b], fq)
+                assert (direct[i, c], direct_errs[i, c]) == (one[0, 0], one_err[0, 0])
 
     def test_crt_batches_are_each_batch_alone(self):
         # the prime parts of all batches that share (p, j) are one batch
@@ -143,7 +165,7 @@ class TestRowsAreTheOneRowValues:
         got = product_sums_crt(batches, bs)
         assert len(got) == len(batches)
         for (units, shifts, fq), (values, errs) in zip(batches, got):
-            alone, alone_errs = product_sums_squarefree(units, shifts, bs, fq)
+            alone, alone_errs = product_sums_crt([(units, shifts, fq)], bs)[0]
             assert np.array_equal(values, alone) and np.array_equal(errs, alone_errs)
             for i, a in enumerate(units):
                 for c, b in enumerate(bs):
@@ -255,7 +277,7 @@ class TestEachGridDetectsAMutation:
         # both sums are invariant under permuting k, so no reindexing
         # mutation (such as a rolled table) can be seen by this check
         assert cli.check_orthogonality("small").ok
-        monkeypatch.setattr(cli, "kloosterman_tables", _scaled(kloosterman_tables, 1 + 1e-5))
+        monkeypatch.setattr(vdc_lab, "kloosterman_tables", _scaled(kloosterman_tables, 1 + 1e-5))
         assert not cli.check_orthogonality("small").ok
 
     def test_magnitudes_see_a_table_scaled_by_one_part_in_a_million(self, monkeypatch):
@@ -273,7 +295,7 @@ class TestEachGridDetectsAMutation:
             for q in range(2, 106):
                 for a, b in ((1, 1), (2, 5)):
                     got = complete_kloosterman(a, b, q)
-                    want = complete_kloosterman(a, b, q, "direct")
+                    want = kloosterman._direct_sum(a, b, q)
                     if abs(got.as_complex - want.as_complex) > got.err + want.err:
                         return True
             return False

@@ -219,6 +219,20 @@ class TestSingleQueries:
          "limited to q <= 10000000"),
         (None, ["sweep", "--x", "1000", "--q", "1000000000039", "--residues", "2"],
          "split count's cap 1000000000000"),
+        (None, ["bound", "divisor", "--x", "100", "--q", "30", "--split", "2,3,5,1",
+                "--eps", "nan"], "eps must be finite"),
+        (None, ["bound", "divisor", "--x", "100", "--q", "30", "--split", "2,3,5,1",
+                "--eps", "inf"], "eps must be finite"),
+        (None, ["bound", "short-kloosterman", "--split", "2,3,5", "--N", "10", "--eps", "nan"],
+         "eps must be finite"),
+        (None, ["bound", "divisor", "--x", "100", "--q", "30", "--split", "2,3,5,1",
+                "--eps", "1e300"], "float range"),
+        ('{"x_values": [2000], "q_list": [15], "residues": {"sample": 2, "bogus": 1}}',
+         ["sweep", "--config", "{cfg}"], "unknown residues key(s): bogus"),
+        (None, ["sweep", "--x", "1000", "--q", "15", "--residues", "2",
+                "--out", "{tmp}/no-such-dir/x.csv"], "cannot write"),
+        (None, ["sweep", "--x", "1000", "--q", "15", "--residues", "2", "--out", "{tmp}"],
+         "cannot write"),
     ], ids=["unknown-key", "invalid-json", "bad-x-flag", "negative-x", "zero-q",
             "missing-report", "string-eta", "bool-delta", "null-eps", "string-q-exp",
             "string-jobs", "float-seed", "interval-sum-too-long", "interval-sum-q-past-cap",
@@ -230,12 +244,14 @@ class TestSingleQueries:
             "split-not-q", "q-lo-exp-above-q-hi-exp", "non-integer-x", "x-past-floats",
             "empty-report", "report-without-header", "x-above-hyperbola-cap",
             "all-residues-past-cap", "sample-of-every-unit-past-cap",
-            "sample-past-oracle-cap"])
+            "sample-past-oracle-cap", "nan-eps-divisor-bound", "inf-eps-divisor-bound",
+            "nan-eps-short-kloosterman-bound", "huge-eps-divisor-bound", "unknown-residues-key", "out-in-missing-dir",
+            "out-is-a-dir"])
     def test_malformed_input_exits_2(self, tmp_path, capsys, config, argv, needle):
         cfg = tmp_path / "config.json"
         if config is not None:
             cfg.write_text(config)
-        argv = [a.format(cfg=cfg, missing=tmp_path / "missing.csv") for a in argv]
+        argv = [a.format(cfg=cfg, missing=tmp_path / "missing.csv", tmp=tmp_path) for a in argv]
         assert main(argv) == 2
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ") and needle in lines[0]

@@ -10,6 +10,7 @@ from kloosterlab.errors import DomainError, NotCoprime
 from kloosterlab.kloosterman import (
     IntegerInterval,
     SumValue,
+    _direct_sum,
     complete_kloosterman,
     incomplete_kloosterman,
     kloosterman_table,
@@ -54,13 +55,9 @@ class TestCompleteKloosterman:
     def test_direct_mode_matches_crt(self):
         for q in (6, 35, 101, 143):
             for a, b in ((1, 2), (4, 9)):
-                c = complete_kloosterman(a, b, q, "crt")
-                d = complete_kloosterman(a, b, q, "direct")
+                c = complete_kloosterman(a, b, q)
+                d = _direct_sum(a, b, q)
                 assert abs(c.as_complex - d.as_complex) <= c.err + d.err + 1e-12
-
-    def test_unknown_method(self):
-        with pytest.raises(DomainError):
-            complete_kloosterman(1, 1, 5, "magic")
 
     def test_reality(self):
         # conjugation symmetry n -> -n forces real values
@@ -132,7 +129,7 @@ class TestKloostermanCrt:
                 continue
             for a, b in ((1, 0), (2, 3)):
                 got = complete_kloosterman(a, b, q)
-                want = complete_kloosterman(a, b, q, "direct")
+                want = _direct_sum(a, b, q)
                 assert abs(got.as_complex - want.as_complex) <= got.err + want.err
 
 

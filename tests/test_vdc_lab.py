@@ -25,6 +25,8 @@ from kloosterlab.vdc_lab import (
     completion_deviations,
     onediff_ratio,
     partial_sum_max,
+    product_sums,
+    product_sums_squarefree,
     shifted_product_complete_sum,
     shifted_product_sum_squarefree,
     vanishing_lemma_check,
@@ -294,8 +296,8 @@ class TestShiftedProductSquarefree:
     def test_fifteen_both_routes(self):
         fq = factorize(15)
         crt = shifted_product_sum_squarefree(1, (0,), 0, fq)
-        direct = shifted_product_sum_squarefree(1, (0,), 0, fq, "direct")
-        assert abs(crt.as_complex - direct.as_complex) <= crt.err + direct.err
+        direct, direct_err = product_sums_squarefree([1], [(0,)], [0], fq)
+        assert abs(crt.as_complex - direct[0, 0]) <= crt.err + direct_err[0, 0]
 
     def test_unit_modulus(self):
         v = shifted_product_sum_squarefree(1, (0,), 0, factorize(1))
@@ -314,7 +316,7 @@ class TestShiftedProductSquarefree:
         # as the tables are, also at j = 0, which gathers no table
         for shifts in ((), (0,)):
             with pytest.raises(DomainError):
-                shifted_product_sum_squarefree(1, shifts, 0, factorize(10**7 + 1), "direct")
+                product_sums_squarefree([1], [shifts], [0], factorize(10**7 + 1))
 
     def test_grid_crt_vs_direct(self):
         for q in (6, 10, 21, 30, 66, 105):
@@ -323,8 +325,8 @@ class TestShiftedProductSquarefree:
             for shifts in ((), (1,), (0, 2), (3, q // 2)):
                 for b in (0, 1):
                     c = shifted_product_sum_squarefree(a, shifts, b, fq)
-                    d = shifted_product_sum_squarefree(a, shifts, b, fq, "direct")
-                    assert abs(c.as_complex - d.as_complex) <= c.err + d.err, (
+                    d, d_err = product_sums_squarefree([a], [shifts], [b], fq)
+                    assert abs(c.as_complex - d[0, 0]) <= c.err + d_err[0, 0], (
                         q, shifts, b,
                     )
 
