@@ -167,7 +167,10 @@ def target_sizes(x: int, q: int) -> tuple[float, float, float, float]:
 
 
 def admissible(varpi: float, eta: float) -> bool:
-    """True iff 246*varpi + 18*eta < 1, strictly."""
+    """True iff 246*varpi + 18*eta < 1, strictly; varpi and eta must be finite."""
+    for name, v in (("varpi", varpi), ("eta", eta)):
+        if not math.isfinite(v):
+            raise DomainError(f"{name} must be finite, got {v!r}")
     return 246.0 * varpi + 18.0 * eta < 1.0
 
 

@@ -72,7 +72,8 @@ from .vdc_lab import (
     PINNED_COMPLETEEXP_EVEN_B0,
     PINNED_COMPLETEEXP_GENERIC,
     PINNED_ONEDIFF_RATIO,
-    completeexp_scan,
+    all_even_multiplicities,
+    completeexp_shift_grid,
     completion_deviations,
     onediff_grid_cells,
     onediff_ratios,
@@ -676,19 +677,43 @@ def check_multiplicativity(size: str = "small") -> CheckResult:
 
 
 def check_magnitudes(size: str = "small") -> CheckResult:
-    """Product-sum magnitude ratios against their pins and the 2^j caps."""
-    scan = completeexp_scan(101 if size == "small" else 199)
-    observed = {f"generic j={j}": r for j, r in scan.max_generic.items()}
-    allowed = {f"generic j={j}": PINNED_COMPLETEEXP_GENERIC[j] for j in scan.max_generic}
-    for j, r in scan.max_even_b0.items():
+    """Product-sum magnitude ratios against their pins and the 2^j caps.
+
+    Over completeexp_shift_grid(p, j) and a in {1, 2}: generic cells are scaled by
+    p^{(j+1)/2}; b = 0 cells with all-even shift multiplicities by p^{(j+2)/2}
+    (these also obey the hard cap 2^j from the per-factor Weil bound).
+    """
+    p_max = 101 if size == "small" else 199
+    max_generic = {1: 0.0, 2: 0.0, 3: 0.0}
+    max_even_b0 = {2: 0.0}
+    cells = 0
+    for p in primes_up_to(p_max):
+        residues = [a for a in (1, 2 % p) if a % p]
+        for j in max_generic:
+            tuples, bs = completeexp_shift_grid(p, j)
+            rows = [(a, shifts) for shifts in tuples for a in residues]
+            values = product_sums([a for a, _ in rows], [shifts for _, shifts in rows], bs, p)
+            mags = np.hypot(values.real, values.imag)  # rounds as abs(complex) does
+            cells += mags.size
+            even = np.array([all_even_multiplicities(p, shifts) for _, shifts in rows])
+            even_b0 = even[:, None] & (np.array(bs) == 0)
+            if even_b0.any() and j in max_even_b0:
+                top = float((mags[even_b0] / p ** ((j + 2) / 2)).max())
+                max_even_b0[j] = max(max_even_b0[j], top)
+            if not even_b0.all():
+                top = float((mags[~even_b0] / p ** ((j + 1) / 2)).max())
+                max_generic[j] = max(max_generic[j], top)
+    observed = {f"generic j={j}": r for j, r in max_generic.items()}
+    allowed = {f"generic j={j}": PINNED_COMPLETEEXP_GENERIC[j] for j in max_generic}
+    for j, r in max_even_b0.items():
         observed[f"even b=0 j={j}"] = r
         allowed[f"even b=0 j={j}"] = min(PINNED_COMPLETEEXP_EVEN_B0.get(j, 2.0**j), 2.0**j)
     ok = _within(observed, allowed)
-    return CheckResult("product-sums magnitudes", scan.cells, observed, allowed, ok, (
-        f"product-sums magnitudes ({scan.cells} cells): generic ratios "
-        f"{ {j: round(v, 6) for j, v in scan.max_generic.items()} } vs pinned "
+    return CheckResult("product-sums magnitudes", cells, observed, allowed, ok, (
+        f"product-sums magnitudes ({cells} cells): generic ratios "
+        f"{ {j: round(v, 6) for j, v in max_generic.items()} } vs pinned "
         f"{PINNED_COMPLETEEXP_GENERIC}; even b=0 "
-        f"{ {j: round(v, 6) for j, v in scan.max_even_b0.items()} } vs pinned "
+        f"{ {j: round(v, 6) for j, v in max_even_b0.items()} } vs pinned "
         f"{PINNED_COMPLETEEXP_EVEN_B0} (hard caps 2^j): "
         f"{'ok' if ok else 'EXCEEDED'}"
     ))
@@ -797,6 +822,8 @@ def cmd_error_term(args: argparse.Namespace) -> int:
 
 
 def cmd_targets(args: argparse.Namespace) -> int:
+    both = args.varpi is not None and args.eta is not None
+    ok = admissible(args.varpi, args.eta) if both else None  # raises before any output
     qs = target_sizes(args.x, args.q)
     for j, v in enumerate(qs):
         print(f"Q{j} = {v:.12g}")
@@ -805,9 +832,8 @@ def cmd_targets(args: argparse.Namespace) -> int:
         w = target_windows(args.x, args.q, args.eta)
         for j, (lo, hi) in enumerate(w.intervals):
             print(f"window{j} = [{lo:.12g}, {hi:.12g}]")
-    if args.varpi is not None and args.eta is not None:
-        print(f"admissible(varpi={args.varpi}, eta={args.eta}) = "
-              f"{admissible(args.varpi, args.eta)}")
+    if both:
+        print(f"admissible(varpi={args.varpi}, eta={args.eta}) = {ok}")
     return EXIT_OK
 
 
@@ -904,6 +930,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             overrides[name] = v
     base.update(overrides)
     config = SweepConfig(**base)
+    if config.out:  # an unwritable path fails before the sweep, not after it
+        out = Path(config.out)
+        if out.is_dir() or not out.parent.is_dir():
+            raise DomainError(f"cannot write {config.out}: not a file in an existing directory")
 
     rows, summary = run_sweep(config)
     text = render_report(config, rows, summary)

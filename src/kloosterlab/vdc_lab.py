@@ -48,7 +48,6 @@ from .arith import (
     inverse_table,
     is_prime,
     mulmod,
-    primes_up_to,
 )
 from .errors import DomainError, NotCoprime, NotSquarefree
 from .kloosterman import (
@@ -169,8 +168,8 @@ def partial_sum_max(a: int, q: int, M: int, K: int, r: int) -> float:
         raise DomainError(f"modulus {q} must be >= 1")
     if math.gcd(a, q) != 1:
         raise NotCoprime(f"gcd({a}, {q}) > 1")
-    start = (r - 1) * K
-    ks = start + 1 + np.arange(K, dtype=np.int64)
+    # only k mod q matters: the start mod q keeps int64 k exact for any r
+    ks = (r - 1) * K % q + 1 + np.arange(K, dtype=np.int64)
     table = kloosterman_table(a, q)
     weights = np.exp(-2j * np.pi * mulmod(ks % q, M % q, q) / q)
     running = np.cumsum(weights * table[ks % q])
@@ -258,15 +257,6 @@ def _check_squarefree_units(residues: Sequence[int], q: FactoredInteger) -> None
             raise NotCoprime(f"gcd({a}, {q.value}) > 1")
 
 
-def _ranges(starts: Sequence[int], counts: Sequence[int]) -> np.ndarray:
-    """The ranges [start, start + count), concatenated into one index array."""
-    counts = np.asarray(counts, dtype=np.int64)
-    ends = np.cumsum(counts)
-    return np.repeat(np.asarray(starts, dtype=np.int64) - ends + counts, counts) + np.arange(
-        ends[-1] if len(ends) else 0
-    )
-
-
 def product_sums_crt(
     batches: Sequence[tuple[Sequence[int], object, FactoredInteger]], bs: Sequence[int]
 ) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -275,46 +265,30 @@ def product_sums_crt(
 
     The prime-modulus parts of all batches that share (p, j) are evaluated
     in one _prime_product_sums call, with the arguments twisted by
-    crt_twists; each row is bitwise the same in any batch.  Each row then
-    multiplies its parts in crt_twists order, with the order and rounding
-    of SumValue.mul (real arithmetic and np.hypot: numpy's complex
-    multiply and abs round differently from Python's); the rows of all
-    batches take each part position in one array.
+    crt_twists; each row is bitwise the same in any batch.  The groups are
+    then multiplied into their rows by ascending p, which is crt_twists
+    order, with the order and rounding of SumValue.mul (real arithmetic
+    and np.hypot: numpy's complex multiply and abs round differently from
+    Python's).
     """
-    twists, part_rows = [], {}
-    for n, (residues, shifts, q) in enumerate(batches):
+    groups, row_start = {}, [0]
+    for residues, shifts, q in batches:
         _check_squarefree_units(residues, q)
         shifts = np.asarray(shifts, dtype=np.int64) % q.value
         shifts = np.broadcast_to(shifts, (len(residues), shifts.shape[-1]))
-        parts = crt_twists(q)
-        twists.append([p for p, _ in parts])
-        for p, cbar in parts:
-            part_rows.setdefault((p, shifts.shape[-1]), []).append(
-                (n, [a * cbar % p for a in residues], shifts * cbar % p)
+        rows = np.arange(row_start[-1], row_start[-1] + len(residues))
+        row_start.append(row_start[-1] + len(residues))
+        for p, cbar in crt_twists(q):
+            groups.setdefault((p, shifts.shape[-1]), []).append(
+                (rows, [a * cbar % p for a in residues], shifts * cbar % p)
             )
-    # every part's rows in one array; part_start[n, p] is where batch n's part p begins
-    part_values, part_errs, part_start, lo = [], [], {}, 0
-    for (p, _), group in part_rows.items():
-        residues = [a for _, batch_residues, _ in group for a in batch_residues]
-        shifts = np.concatenate([batch_shifts for *_, batch_shifts in group])
-        values, err = _prime_product_sums(residues, shifts, [b % p for b in bs], p)
-        part_values.append(values)
-        part_errs.append(np.full(len(residues), err))
-        for n, batch_residues, _ in group:
-            part_start[n, p] = lo
-            lo += len(batch_residues)
-    sizes = [len(residues) for residues, _, _ in batches]
-    row_start = np.cumsum([0] + sizes).tolist()
     shape = (row_start[-1], len(bs))
     re, im, err = np.ones(shape), np.zeros(shape), np.zeros(shape)
-    if part_values:
-        part_values, part_errs = np.concatenate(part_values), np.concatenate(part_errs)
-    for t in range(max(map(len, twists), default=0)):
-        live = [n for n, primes in enumerate(twists) if len(primes) > t]
-        counts = [sizes[n] for n in live]
-        rows = _ranges([row_start[n] for n in live], counts)
-        parts = _ranges([part_start[n, twists[n][t]] for n in live], counts)
-        part, part_err = part_values[parts], part_errs[parts, None]
+    for (p, _), group in sorted(groups.items()):
+        rows = np.concatenate([batch_rows for batch_rows, _, _ in group])
+        residues = [a for _, batch_residues, _ in group for a in batch_residues]
+        shifts = np.concatenate([batch_shifts for *_, batch_shifts in group])
+        part, part_err = _prime_product_sums(residues, shifts, [b % p for b in bs], p)
         pre, pim, r, i, e = part.real, part.imag, re[rows], im[rows], err[rows]
         err[rows] = np.hypot(r, i) * part_err + np.hypot(pre, pim) * e + e * part_err
         re[rows], im[rows] = r * pre - i * pim, r * pim + i * pre
@@ -542,14 +516,15 @@ def onediff_ratio(
 
 
 # --------------------------------------------------------------------------
-# Deterministic grids for the pinned-regression checks.
+# Deterministic grids for the pinned-regression checks, scanned by cli's checks.
 # --------------------------------------------------------------------------
 
 GRID_SEED = 0xC0FFEE
 
 
-def completeexp_shift_grid(p: int, j: int) -> list[tuple[tuple[int, ...], int]]:
-    """Deterministic (shifts, b) sample for the product-sum magnitude grid.
+def completeexp_shift_grid(p: int, j: int) -> tuple[list[tuple[int, ...]], list[int]]:
+    """Deterministic (shift tuples, bs) sample for the product-sum magnitude
+    grid, which pairs every tuple with every b; each is listed once, b mod p.
 
     Mixes structured tuples (constant, pairwise-repeated, staggered) with
     a few pseudorandom ones drawn from a seed fixed by (p, j), so reruns
@@ -570,61 +545,12 @@ def completeexp_shift_grid(p: int, j: int) -> list[tuple[tuple[int, ...], int]]:
     rng = random.Random(GRID_SEED + 1000003 * p + 101 * j)
     for _ in range(4):
         tuples.append(tuple(rng.randrange(p) for _ in range(j)))
-    bs = [0, 1, p - 1]
-    seen = set()
-    grid = []
-    for s in tuples:
-        for b in bs:
-            key = (s, b % p)
-            if key not in seen:
-                seen.add(key)
-                grid.append((s, b % p))
-    return grid
+    return list(dict.fromkeys(tuples)), list(dict.fromkeys(b % p for b in (0, 1, p - 1)))
 
 
 def all_even_multiplicities(p: int, shifts: tuple[int, ...]) -> bool:
     counts = Counter(s % p for s in shifts)
     return all(c % 2 == 0 for c in counts.values())
-
-
-class CompleteexpScan(NamedTuple):
-    max_generic: dict[int, float]
-    max_even_b0: dict[int, float]
-    cells: int
-
-
-def completeexp_scan(p_max: int = 199) -> CompleteexpScan:
-    """Scan the deterministic product-sum grid and report ratio maxima.
-
-    Generic cells are scaled by p^{(j+1)/2}; b = 0 cells with all-even
-    shift multiplicities by p^{(j+2)/2} (these also obey the hard cap
-    2^j from the per-factor Weil bound).
-    """
-    max_generic = {1: 0.0, 2: 0.0, 3: 0.0}
-    max_even_b0 = {2: 0.0}
-    cells = 0
-    for p in primes_up_to(p_max):
-        residues = [a for a in (1, 2 % p) if a % p]
-        for j in (1, 2, 3):
-            # the grid pairs each of its distinct shift tuples with the same b's
-            grid = completeexp_shift_grid(p, j)
-            tuples = list(dict.fromkeys(shifts for shifts, _ in grid))
-            bs = [b for shifts, b in grid if shifts == tuples[0]]
-            rows = [(a, shifts) for shifts in tuples for a in residues]
-            values = product_sums([a for a, _ in rows], [shifts for _, shifts in rows], bs, p)
-            mags = np.hypot(values.real, values.imag)  # rounds as abs(complex) does
-            cells += mags.size
-            even_b0 = np.array([
-                [b % p == 0 and all_even_multiplicities(p, shifts) for b in bs]
-                for _, shifts in rows
-            ])
-            if even_b0.any() and j in max_even_b0:
-                top = float((mags[even_b0] / p ** ((j + 2) / 2)).max())
-                max_even_b0[j] = max(max_even_b0[j], top)
-            if not even_b0.all():
-                top = float((mags[~even_b0] / p ** ((j + 1) / 2)).max())
-                max_generic[j] = max(max_generic[j], top)
-    return CompleteexpScan(max_generic, max_even_b0, cells)
 
 
 def onediff_grid_cells() -> Iterator[tuple[int, int, int, int, int, tuple[int, ...]]]:

@@ -233,6 +233,10 @@ class TestSingleQueries:
                 "--out", "{tmp}/no-such-dir/x.csv"], "cannot write"),
         (None, ["sweep", "--x", "1000", "--q", "15", "--residues", "2", "--out", "{tmp}"],
          "cannot write"),
+        (None, ["targets", "--x", "1000000", "--q", "10000", "--varpi", "nan", "--eta", "0.1"],
+         "varpi must be finite"),
+        (None, ["targets", "--x", "1000000", "--q", "10000", "--varpi", "inf", "--eta", "0.1"],
+         "varpi must be finite"),
     ], ids=["unknown-key", "invalid-json", "bad-x-flag", "negative-x", "zero-q",
             "missing-report", "string-eta", "bool-delta", "null-eps", "string-q-exp",
             "string-jobs", "float-seed", "interval-sum-too-long", "interval-sum-q-past-cap",
@@ -246,7 +250,7 @@ class TestSingleQueries:
             "all-residues-past-cap", "sample-of-every-unit-past-cap",
             "sample-past-oracle-cap", "nan-eps-divisor-bound", "inf-eps-divisor-bound",
             "nan-eps-short-kloosterman-bound", "huge-eps-divisor-bound", "unknown-residues-key", "out-in-missing-dir",
-            "out-is-a-dir"])
+            "out-is-a-dir", "nan-varpi", "inf-varpi"])
     def test_malformed_input_exits_2(self, tmp_path, capsys, config, argv, needle):
         cfg = tmp_path / "config.json"
         if config is not None:
@@ -255,6 +259,18 @@ class TestSingleQueries:
         assert main(argv) == 2
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ") and needle in lines[0]
+
+    @pytest.mark.parametrize("out", ["{tmp}/no-such-dir/x.csv", "{tmp}"])
+    def test_unwritable_out_fails_before_the_sweep(self, tmp_path, capsys, monkeypatch, out):
+        def no_cell(payload):
+            raise AssertionError("a cell was computed")
+
+        monkeypatch.setattr(cli, "_compute_cell", no_cell)
+        argv = ["sweep", "--x", "1000", "--q", "15", "--residues", "2",
+                "--out", out.format(tmp=tmp_path)]
+        assert main(argv) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and "cannot write" in lines[0]
 
 
 @pytest.fixture

@@ -1,4 +1,5 @@
 import cmath
+import hashlib
 import math
 import random
 
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from kloosterlab import vdc_lab
 from kloosterlab.arith import factorize, primes_up_to
-from kloosterlab.cli import check_completion, completion_grid_intervals
+from kloosterlab.cli import check_completion, check_magnitudes, completion_grid_intervals
 from kloosterlab.errors import DomainError, NotCoprime, NotSquarefree
 from kloosterlab.kloosterman import IntegerInterval, incomplete_kloosterman, kloosterman_table
 from kloosterlab.vdc_lab import (
@@ -19,7 +20,6 @@ from kloosterlab.vdc_lab import (
     _completion_sides,
     _interval_indicator,
     all_even_multiplicities,
-    completeexp_scan,
     completeexp_shift_grid,
     completion_check,
     completion_deviations,
@@ -248,6 +248,12 @@ class TestPartialSumMax:
         with pytest.raises(DomainError):
             partial_sum_max(1, 7, 0, 0, 1)
 
+    @pytest.mark.parametrize("r", [(2**63 - 2) // 4 + 1, 2**70])
+    def test_blocks_past_int64(self, r):
+        # only k mod 7 matters, and each block starts at k = 5 mod 7, as block 2 does
+        assert (r - 1) * 4 % 7 == 4
+        assert partial_sum_max(1, 7, 1, 4, r) == partial_sum_max(1, 7, 1, 4, 2)
+
 
 class TestShiftedProductPrime:
     def test_empty_product_orthogonality(self):
@@ -384,14 +390,17 @@ class TestPinnedGrids:
     def test_shift_grid_deterministic(self):
         assert completeexp_shift_grid(13, 2) == completeexp_shift_grid(13, 2)
 
-    def test_shift_grid_pairs_every_tuple_with_the_same_bs(self):
-        # completeexp_scan evaluates the grid as one (tuples x bs) block
+    def test_shift_grid_is_pinned(self):
+        # the sha256 of every (shifts, b) cell in grid order: the grid the pins were measured on
+        grids = []
         for p in primes_up_to(199):
             for j in (1, 2, 3):
-                grid = completeexp_shift_grid(p, j)
-                tuples = list(dict.fromkeys(s for s, _ in grid))
-                bs = list(dict.fromkeys(b for _, b in grid))
-                assert grid == [(s, b) for s in tuples for b in bs], (p, j)
+                tuples, bs = completeexp_shift_grid(p, j)
+                assert len(set(tuples)) == len(tuples) and len(set(bs)) == len(bs)
+                assert all(0 <= b < p for b in bs)
+                grids.append([(s, b) for s in tuples for b in bs])
+        digest = hashlib.sha256(repr(grids).encode()).hexdigest()
+        assert digest == "4bea5e7272df4e2f2256f8387b6ccb4600bd60f5bf7ab53b56e0d409a4b8caa2"
 
     def test_even_multiplicity_classifier(self):
         assert all_even_multiplicities(7, (3, 3))
@@ -400,12 +409,13 @@ class TestPinnedGrids:
         assert not all_even_multiplicities(7, (1, 1, 2))
 
     def test_scan_small_within_pins(self):
-        scan = completeexp_scan(61)
-        for j, r in scan.max_generic.items():
-            assert r <= PINNED_COMPLETEEXP_GENERIC[j]
-        for j, r in scan.max_even_b0.items():
-            assert r <= PINNED_COMPLETEEXP_EVEN_B0[j]
-            assert r <= 2.0**j
+        result = check_magnitudes("small")
+        assert result.ok
+        for j in (1, 2, 3):
+            assert result.observed[f"generic j={j}"] <= PINNED_COMPLETEEXP_GENERIC[j]
+        for j in PINNED_COMPLETEEXP_EVEN_B0:
+            assert result.observed[f"even b=0 j={j}"] <= PINNED_COMPLETEEXP_EVEN_B0[j]
+            assert result.observed[f"even b=0 j={j}"] <= 2.0**j
 
     def test_onediff_sample_within_pin(self):
         for q0, q1, K in ((7, 3, 10), (11, 2, 20), (13, 6, 30)):
