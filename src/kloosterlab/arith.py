@@ -1,11 +1,10 @@
-"""Exact integer and multiplicative-function primitives.
+"""Exact integer primitives.
 
 Everything here is pure integer arithmetic: factorization (trial
 division by the primes up to 10^4, then Pollard rho), vectorized
 modular inverses and inverse tables, overflow-safe modular products of
-int64 arrays, the standard multiplicative functions (Mobius, Euler phi,
-generalized divisor counts tau_l), and sieves for smooth squarefree
-moduli.  All heavier modules build on these.
+int64 arrays, Euler's phi, and sieves for smooth squarefree moduli.
+All heavier modules build on these.
 """
 
 from __future__ import annotations
@@ -139,20 +138,6 @@ class FactoredInteger:
     def primes(self) -> tuple[int, ...]:
         return tuple(p for p, _ in self.factors)
 
-    def divisors(self) -> list[int]:
-        """All positive divisors, ascending."""
-        divs = [1]
-        for p, e in self.factors:
-            divs = [d * pe for d in divs for pe in _prime_powers(p, e)]
-        return sorted(divs)
-
-
-def _prime_powers(p: int, e: int) -> list[int]:
-    out = [1]
-    for _ in range(e):
-        out.append(out[-1] * p)
-    return out
-
 
 @dataclass(frozen=True)
 class SmoothnessSpec:
@@ -229,21 +214,9 @@ def factorize(n: int) -> FactoredInteger:
     return FactoredInteger(n, tuple(sorted(factors.items())))
 
 
-def multiplicative_profile(n: FactoredInteger, l: int = 2) -> tuple[int, int, int]:
-    """(mu, phi, tau_l) for a factored integer.
-
-    tau_l counts ordered l-tuples of positive integers with product n;
-    tau_2 is the ordinary divisor-count function.
-    """
-    if l < 2:
-        raise DomainError(f"l = {l} must be >= 2")
-    mu = 0 if not n.squarefree else (-1) ** len(n.factors)
-    phi = 1
-    tau_l = 1
-    for p, e in n.factors:
-        phi *= (p - 1) * p ** (e - 1)
-        tau_l *= math.comb(e + l - 1, l - 1)
-    return mu, phi, tau_l
+def totient(n: FactoredInteger) -> int:
+    """Euler's phi of a factored integer."""
+    return math.prod((p - 1) * p ** (e - 1) for p, e in n.factors)
 
 
 def smooth_squarefree_moduli(

@@ -158,6 +158,10 @@ def target_sizes(x: int, q: int) -> tuple[float, float, float, float]:
     """The four target part sizes; their product is q."""
     if x < 1 or q < 1:
         raise DomainError("x and q must be >= 1")
+    try:
+        x, q = float(x), float(q)
+    except OverflowError:
+        raise DomainError("x and q must be below 2^1024 to take float powers") from None
     return (
         q ** (-2 / 15) * x ** (1 / 3),
         q ** (-1 / 15) * x ** (1 / 6),
@@ -180,17 +184,22 @@ def target_windows(x: int, q: int, eta: float) -> WindowSpec:
     Window widths are x^eta for parts 1..3 and x^{3 eta} for part 0, so
     any x^eta-smooth squarefree q admits a greedy factorization into them.
     """
+    if not math.isfinite(eta):
+        raise DomainError(f"eta must be finite, got {eta!r}")
     if eta <= 0:
         raise DomainError(f"eta = {eta} must be > 0")
     q0, q1, q2, q3 = target_sizes(x, q)
-    return WindowSpec(
-        (
-            (q0 * x ** (-7 * eta / 5), q0 * x ** (8 * eta / 5)),
-            (q1 * x ** (-eta / 5), q1 * x ** (4 * eta / 5)),
-            (q2 * x ** (-3 * eta / 5), q2 * x ** (2 * eta / 5)),
-            (q3 * x ** (-4 * eta / 5), q3 * x ** (eta / 5)),
+    try:
+        return WindowSpec(
+            (
+                (q0 * x ** (-7 * eta / 5), q0 * x ** (8 * eta / 5)),
+                (q1 * x ** (-eta / 5), q1 * x ** (4 * eta / 5)),
+                (q2 * x ** (-3 * eta / 5), q2 * x ** (2 * eta / 5)),
+                (q3 * x ** (-4 * eta / 5), q3 * x ** (eta / 5)),
+            )
         )
-    )
+    except OverflowError:
+        raise DomainError(f"eta = {eta} puts a window past the float range") from None
 
 
 def window_objective(parts: Sequence[int], windows: WindowSpec) -> float:

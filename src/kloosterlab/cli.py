@@ -37,9 +37,9 @@ from .arith import (
     SmoothnessSpec,
     factorize,
     is_prime,
-    multiplicative_profile,
     primes_up_to,
     smooth_squarefree_moduli,
+    totient,
     unit_mask,
 )
 from .bounds_opt import (
@@ -269,7 +269,7 @@ def _cell_residues(idx: int, q: int, config: SweepConfig) -> list[int]:
             f'residues "all" at q = {q} needs the unit mask, limited to '
             f'q <= {INVERSE_TABLE_CAP}; use residues {{"sample": m}}'
         )
-    phi = multiplicative_profile(factorize(q))[1]
+    phi = totient(factorize(q))
     if m >= phi:
         raise DomainError(
             f"residues sample {m} >= phi({q}) = {phi} lists every unit, which "
@@ -823,13 +823,14 @@ def cmd_error_term(args: argparse.Namespace) -> int:
 
 def cmd_targets(args: argparse.Namespace) -> int:
     both = args.varpi is not None and args.eta is not None
-    ok = admissible(args.varpi, args.eta) if both else None  # raises before any output
+    # everything that can raise runs before any output
+    ok = admissible(args.varpi, args.eta) if both else None
     qs = target_sizes(args.x, args.q)
+    w = None if args.eta is None else target_windows(args.x, args.q, args.eta)
     for j, v in enumerate(qs):
         print(f"Q{j} = {v:.12g}")
     print(f"product = {math.prod(qs):.12g} (q = {args.q})")
-    if args.eta is not None:
-        w = target_windows(args.x, args.q, args.eta)
+    if w is not None:
         for j, (lo, hi) in enumerate(w.intervals):
             print(f"window{j} = [{lo:.12g}, {hi:.12g}]")
     if both:
@@ -839,13 +840,14 @@ def cmd_targets(args: argparse.Namespace) -> int:
 
 def cmd_factorize(args: argparse.Namespace) -> int:
     fq = factorize(args.q)
+    both = args.x is not None and args.eta is not None
+    windows = target_windows(args.x, args.q, args.eta) if both else None
     pretty = " * ".join(
         f"{p}^{e}" if e > 1 else str(p) for p, e in fq.factors
     ) or "1"
     print(f"{args.q} = {pretty} (squarefree = {fq.squarefree})")
-    if args.x is None or args.eta is None:
+    if windows is None:
         return EXIT_OK
-    windows = target_windows(args.x, args.q, args.eta)
     split = factorize_to_windows(fq, windows)
     if split is None:
         print("window factorization: infeasible")

@@ -26,7 +26,7 @@ from .arith import (
     factorize,
     inverse_mod,
     mulmod,
-    multiplicative_profile,
+    totient,
     unit_mask,
 )
 from .errors import DomainError, NotCoprime
@@ -166,8 +166,7 @@ def divisor_main_term(x: int, q: int, method: str = "hyperbola") -> ExactValue:
         raise DomainError(f"q = {q} must be >= 1")
     if x < 1:
         return ExactValue(Fraction(0), 0.0)
-    _, phi, _ = multiplicative_profile(factorize(q))
-    value = Fraction(coprime_tau_sum(x, q, method), phi)
+    value = Fraction(coprime_tau_sum(x, q, method), totient(factorize(q)))
     return ExactValue(value, float(value))
 
 

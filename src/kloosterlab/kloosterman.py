@@ -6,11 +6,13 @@ moduli are split by twisted multiplicativity,
 
     S(a, b; m*n) = S(a*nbar, b*nbar; m) * S(a*mbar, b*mbar; n),
 
-so only sums to prime(-power) modulus are ever summed directly.  The
-parts and their twists come from crt_twists, which the squarefree
-product sums of vdc_lab share.  The definitional summation over all
-units mod q, _direct_sum, is the oracle that the tests compare the split
-evaluator against.
+and each prime-power part p^e is read from the cached FFT table of
+S(1, k; p^e): S(a, b; p^e) = p * S(a/p, b/p; p^(e-1)) while p divides a
+and b, then S(a, b; m) = S(1, ab; m) once a or b is a unit.  The parts
+and their twists come from crt_twists, which the squarefree product
+sums of vdc_lab share.  The definitional summation over all units mod
+q, _direct_sum, is the oracle that the tests compare the split
+evaluator against; no production route calls it.
 
 Every numeric result carries an absolute error bound: each evaluated
 term contributes 4 machine epsilons, and products propagate first-order
@@ -33,7 +35,6 @@ from .arith import (
     factorize,
     inverse_mod,
     inverse_table,
-    is_prime,
     mulmod,
 )
 from .errors import DomainError, NotCoprime
@@ -173,16 +174,23 @@ def _direct_sum(a: int, b: int, q: int) -> SumValue:
     return SumValue(z.real, z.imag, _TERM_EPS * len(units))
 
 
-def _prime_part(a: int, b: int, p: int) -> SumValue:
-    a %= p
-    b %= p
-    if a == 0 and b == 0:
-        return SumValue(float(p - 1), 0.0, 0.0)
+def _prime_power_part(a: int, b: int, p: int, e: int) -> SumValue:
+    """S(a, b; p^e), read from the cached table of S(1, k; m) for m = p^e."""
+    m = p**e
+    a %= m
+    b %= m
+    scale = 1
+    while e >= 2 and a % p == 0 and b % p == 0:
+        # S(a, b; p^e) = p * S(a/p, b/p; p^(e-1)) when p | a and p | b
+        a, b, m, e, scale = a // p, b // p, m // p, e - 1, scale * p
+    if a % p == 0 and b % p == 0:  # e = 1: every unit contributes 1
+        return SumValue(float(scale * (p - 1)), 0.0, 0.0)
     if a == 0 or b == 0:
-        # Ramanujan sum over units: exactly mu(p) = -1 for prime p.
-        return SumValue(-1.0, 0.0, 0.0)
-    z = complex(_base_table(p)[a * b % p])
-    return SumValue(z.real, z.imag, table_err(p))
+        # Ramanujan sum at a unit: exactly mu(m), -1 for a prime, else 0.
+        return SumValue(float(-scale if e == 1 else 0), 0.0, 0.0)
+    # a or b is a unit mod p: S(a, b; m) = S(1, ab; m)
+    z = complex(_base_table(m)[a * b % m])
+    return SumValue(scale * z.real, scale * z.imag, scale * table_err(m))
 
 
 def crt_twists(q: FactoredInteger) -> list[tuple[int, int]]:
@@ -199,10 +207,10 @@ def complete_kloosterman(a: int, b: int, q: int) -> SumValue:
     by twisted multiplicativity."""
     if q < 1:
         raise DomainError(f"modulus {q} must be >= 1")
+    fq = factorize(q)
     result = SumValue(1.0, 0.0, 0.0)
-    for m, cbar in crt_twists(factorize(q)):
-        part = _prime_part if is_prime(m) else _direct_sum
-        result = result.mul(part(a * cbar % m, b * cbar % m, m))
+    for (p, e), (_, cbar) in zip(fq.factors, crt_twists(fq)):
+        result = result.mul(_prime_power_part(a * cbar, b * cbar, p, e))
     return result
 
 

@@ -51,6 +51,7 @@ from .arith import (
 )
 from .errors import DomainError, NotCoprime, NotSquarefree
 from .kloosterman import (
+    SHORT_SUM_LENGTH_CAP,
     IntegerInterval,
     SumValue,
     _TERM_EPS,
@@ -161,9 +162,12 @@ def completion_check(a: int, q: int, interval: IntegerInterval) -> float:
 
 
 def partial_sum_max(a: int, q: int, M: int, K: int, r: int) -> float:
-    """max over L = 0..K of |sum_{(r-1)K < k <= (r-1)K+L} e_q(-Mk) S(a,k,q)|."""
-    if K < 1:
-        raise DomainError(f"block length K = {K} must be >= 1")
+    """max over L = 0..K of |sum_{(r-1)K < k <= (r-1)K+L} e_q(-Mk) S(a,k,q)|.
+
+    K is capped at SHORT_SUM_LENGTH_CAP, as the length of a short sum is.
+    """
+    if not 1 <= K <= SHORT_SUM_LENGTH_CAP:
+        raise DomainError(f"block length K = {K} must be in [1, {SHORT_SUM_LENGTH_CAP}]")
     if q < 1:
         raise DomainError(f"modulus {q} must be >= 1")
     if math.gcd(a, q) != 1:

@@ -1,7 +1,8 @@
 """Brute-force reference implementations used only by the tests.
 
 Everything here favors obviousness over speed: definitional loops in
-plain Python, flat enumerations, no caching.  The one shared piece of
+plain Python (kloosterman_brute_grid multiplies its two phase matrices
+with numpy), flat enumerations, no caching.  The one shared piece of
 production code is window_objective, since the optimization target is
 part of the contract being checked, not of the search being validated.
 """
@@ -11,6 +12,8 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+
+import numpy as np
 
 from kloosterlab.bounds_opt import WindowSpec, window_objective
 
@@ -28,6 +31,15 @@ def kloosterman_brute(a: int, b: int, q: int) -> complex:
         if math.gcd(n, q) == 1:
             total += e_q(a * pow(n, -1, q) + b * n, q)
     return total
+
+
+def kloosterman_brute_grid(q: int) -> np.ndarray:
+    """Definitional S(a, b; q) for every a, b mod q, as one matrix product:
+    [e_q(a * nbar)] (a by unit n) times [e_q(b * n)] (unit n by b)."""
+    units = [n for n in range(q) if math.gcd(n, q) == 1]
+    left = np.array([[e_q(a * pow(n, -1, q), q) for n in units] for a in range(q)])
+    right = np.array([[e_q(b * n, q) for b in range(q)] for n in units])
+    return left @ right
 
 
 def incomplete_brute(a: int, q: int, m: int, n: int) -> complex:
@@ -131,13 +143,6 @@ def factor_brute(n: int) -> tuple[tuple[int, int], ...]:
 
 def totient_brute(n: int) -> int:
     return sum(1 for k in range(1, n + 1) if math.gcd(k, n) == 1)
-
-
-def tau_l_brute(n: int, l: int) -> int:
-    """Ordered l-tuples with product n, by direct recursion."""
-    if l == 1:
-        return 1
-    return sum(tau_l_brute(n // d, l - 1) for d in range(1, n + 1) if n % d == 0)
 
 
 def assignment_products(primes: tuple[int, ...]) -> list[tuple[int, int, int, int]]:

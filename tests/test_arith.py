@@ -19,13 +19,13 @@ from kloosterlab.arith import (
     inverse_mod,
     inverse_table,
     mulmod,
-    multiplicative_profile,
     smooth_squarefree_moduli,
+    totient,
     unit_mask,
 )
 from kloosterlab.errors import DomainError, NotSquarefree
 
-from oracles import factor_brute, mobius_brute, tau_l_brute, totient_brute
+from brute import factor_brute, totient_brute
 
 
 class TestFactorize:
@@ -106,47 +106,28 @@ class TestFactorize:
 
 
 class TestMultiplicativeProfile:
+    """Euler's phi, the one multiplicative function the pipelines read."""
+
     def test_unit(self):
-        assert multiplicative_profile(factorize(1)) == (1, 1, 1)
+        assert totient(factorize(1)) == 1
 
     def test_twelve(self):
-        assert multiplicative_profile(factorize(12), 2) == (0, 4, 6)
-
-    def test_tau3_of_four(self):
-        assert multiplicative_profile(factorize(4), 3)[2] == 6
-
-    def test_l_too_small(self):
-        with pytest.raises(DomainError):
-            multiplicative_profile(factorize(10), 1)
+        assert totient(factorize(12)) == 4
 
     def test_against_brute(self):
-        for n in (1, 2, 9, 30, 64, 97, 360):
-            f = factorize(n)
-            for l in (2, 3, 4):
-                mu, phi, tl = multiplicative_profile(f, l)
-                assert mu == mobius_brute(n)
-                assert phi == totient_brute(n)
-                assert tl == tau_l_brute(n, l)
+        for n in [*range(1, 301), 360, 1024, 3**7, 30030]:
+            assert totient(factorize(n)) == totient_brute(n), n
 
     def test_divisor_sum_identities(self):
-        # sum_{d|n} mu(d) = [n == 1], sum_{d|n} phi(d) = n,
-        # tau_l(n) = sum_{d|n} tau_{l-1}(d), exhaustively to 10^4.
-        for n in range(1, 10001):
-            f = factorize(n)
-            divs = f.divisors()
-            mus = phis = 0
-            tau2 = tau3 = 0
-            for d in divs:
-                fd = factorize(d)
-                mu, phi, t2 = multiplicative_profile(fd, 2)
-                mus += mu
-                phis += phi
-                tau2 += 1
-                tau3 += t2
-            assert mus == (1 if n == 1 else 0)
-            assert phis == n
-            assert multiplicative_profile(f, 2)[2] == tau2
-            assert multiplicative_profile(f, 3)[2] == tau3
+        # sum_{d|n} phi(d) = n, exhaustively to 10^4: each d is added to
+        # the sums of its multiples, found by a scan.
+        limit = 10**4
+        sums = [0] * (limit + 1)
+        for d in range(1, limit + 1):
+            phi = totient(factorize(d))
+            for n in range(d, limit + 1, d):
+                sums[n] += phi
+        assert sums[1:] == list(range(1, limit + 1))
 
 
 class TestSmoothSquarefree:
@@ -258,7 +239,7 @@ class TestResidueTables:
             units = block >= 0
             assert np.all(n[units] * block[units] % q == 1)
             assert np.all(block[~units] == -1)
-        assert int((inv < 0).sum()) == q - multiplicative_profile(factorize(q))[1]
+        assert int((inv < 0).sum()) == q - totient(factorize(q))
 
     @pytest.mark.parametrize("m", [1, 2, 10007, 360360, 2**61 - 1, 2**62 - 1])
     def test_inverse_mod_matches_pow(self, m):

@@ -1,7 +1,7 @@
 """The batched table gather and product sums that every lemma grid runs on.
 
 Three kinds of test: entries against the definitional oracle in
-oracles.py (pow inverses and cmath, one term at a time) within the
+brute.py (pow inverses and cmath, one term at a time) within the
 tracked err; rows of a batched call against the one-row public
 functions, bitwise; and, per grid check, one mutation of the batched path
 that the check must detect.
@@ -36,7 +36,7 @@ from kloosterlab.vdc_lab import (
     shifted_product_sum_squarefree,
 )
 
-from oracles import e_q, kloosterman_brute
+from brute import e_q, kloosterman_brute
 
 SQUAREFREE = [q for q in range(1, 61) if factorize(q).squarefree]
 PRIMES = primes_up_to(60)

@@ -4,8 +4,10 @@ perfbench/spans.py wraps functions by (module, name) and reads the cache
 statistics of the lru-cached tables; perfbench/worker.py reads
 SIEVE_X_CAP, and perfbench/pin.py asks for the tau-sieve route by
 keyword.  A renamed binding would otherwise show only when the benchmark
-runs.  spans.py is loaded by file path: perfbench/ is not put on
-sys.path, because it has an `oracles` module of its own, like tests/.
+runs.  spans.py is loaded by file path, so perfbench/ is not put on
+sys.path.  The two suites' brute-force modules have distinct names
+(tests/brute.py, perfbench/oracles.py), so one pytest session collects
+both suites.
 """
 
 import importlib

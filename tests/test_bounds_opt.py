@@ -19,7 +19,7 @@ from kloosterlab.bounds_opt import (
 )
 from kloosterlab.errors import DomainError, NotSquarefree
 
-from oracles import assignment_products, window_assignment_oracle
+from brute import assignment_products, window_assignment_oracle
 
 
 class TestShortKloostRhs:

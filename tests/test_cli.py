@@ -24,7 +24,7 @@ from kloosterlab.cli import (
 )
 from kloosterlab.kloosterman import IntegerInterval, incomplete_kloosterman
 
-from oracles import incomplete_brute
+from brute import incomplete_brute
 
 # a two-row report, for the verify-report cases of test_malformed_input_exits_2
 TWO_ROW_REPORT = "# schema=2\nx,q,a,E_exact,error\n10,3,1,1/1,\n10,3,2,-1/1,\n"
@@ -237,6 +237,15 @@ class TestSingleQueries:
          "varpi must be finite"),
         (None, ["targets", "--x", "1000000", "--q", "10000", "--varpi", "inf", "--eta", "0.1"],
          "varpi must be finite"),
+        (None, ["targets", "--x", str(10**400), "--q", "7"], "below 2^1024"),
+        (None, ["factorize", "--q", "210", "--x", str(10**400), "--eta", "0.1"], "below 2^1024"),
+        (None, ["bound", "divisor", "--x", str(10**400), "--q", "210", "--eta", "0.2"],
+         "below 2^1024"),
+        (None, ["targets", "--x", "1000000", "--q", "10000", "--eta", "nan"],
+         "eta must be finite"),
+        (None, ["factorize", "--q", "210", "--x", "1000000", "--eta", "nan"],
+         "eta must be finite"),
+        (None, ["targets", "--x", "1000000", "--q", "10000", "--eta", "100"], "float range"),
     ], ids=["unknown-key", "invalid-json", "bad-x-flag", "negative-x", "zero-q",
             "missing-report", "string-eta", "bool-delta", "null-eps", "string-q-exp",
             "string-jobs", "float-seed", "interval-sum-too-long", "interval-sum-q-past-cap",
@@ -250,15 +259,20 @@ class TestSingleQueries:
             "all-residues-past-cap", "sample-of-every-unit-past-cap",
             "sample-past-oracle-cap", "nan-eps-divisor-bound", "inf-eps-divisor-bound",
             "nan-eps-short-kloosterman-bound", "huge-eps-divisor-bound", "unknown-residues-key", "out-in-missing-dir",
-            "out-is-a-dir", "nan-varpi", "inf-varpi"])
+            "out-is-a-dir", "nan-varpi", "inf-varpi", "targets-x-past-floats",
+            "factorize-x-past-floats", "divisor-bound-x-past-floats", "targets-nan-eta",
+            "factorize-nan-eta", "targets-huge-eta"])
     def test_malformed_input_exits_2(self, tmp_path, capsys, config, argv, needle):
         cfg = tmp_path / "config.json"
         if config is not None:
             cfg.write_text(config)
         argv = [a.format(cfg=cfg, missing=tmp_path / "missing.csv", tmp=tmp_path) for a in argv]
         assert main(argv) == 2
-        lines = capsys.readouterr().err.splitlines()
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ") and needle in lines[0]
+        if argv[0] == "targets":  # checked before anything is printed
+            assert captured.out == ""
 
     @pytest.mark.parametrize("out", ["{tmp}/no-such-dir/x.csv", "{tmp}"])
     def test_unwritable_out_fails_before_the_sweep(self, tmp_path, capsys, monkeypatch, out):

@@ -18,7 +18,7 @@ from kloosterlab.divisor_ap import (
 from kloosterlab.errors import DomainError, NotCoprime
 from kloosterlab.oracle import split_divisor_sum_ap, split_main_term
 
-from oracles import coprime_tau_sum_split, divisor_sum_brute, divisor_sum_split, tau_brute
+from brute import coprime_tau_sum_split, divisor_sum_brute, divisor_sum_split, tau_brute
 
 
 class TestDivisorSum:
@@ -151,9 +151,9 @@ class TestMainTerm:
 
     def test_denominator_divides_phi(self):
         for x, q in ((100, 12), (57, 30), (1000, 97)):
-            from kloosterlab.arith import factorize, multiplicative_profile
+            from kloosterlab.arith import factorize, totient
 
-            phi = multiplicative_profile(factorize(q))[1]
+            phi = totient(factorize(q))
             v = divisor_main_term(x, q)
             assert phi % v.rational.denominator == 0
 

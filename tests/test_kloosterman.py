@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -5,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kloosterlab.arith import factorize, inverse_table, multiplicative_profile
+from kloosterlab import kloosterman
+from kloosterlab.arith import factorize, inverse_table
 from kloosterlab.errors import DomainError, NotCoprime
 from kloosterlab.kloosterman import (
     IntegerInterval,
@@ -17,7 +19,7 @@ from kloosterlab.kloosterman import (
     table_err,
 )
 
-from oracles import incomplete_brute, kloosterman_brute
+from brute import incomplete_brute, kloosterman_brute, kloosterman_brute_grid, mobius_brute
 
 
 def close(value: SumValue, target: complex, slack: float = 1e-9) -> bool:
@@ -118,9 +120,8 @@ class TestKloostermanCrt:
 
     def test_mu_via_crt(self):
         got = complete_kloosterman(1, 0, 105)
-        mu = multiplicative_profile(factorize(105))[0]
-        assert close(got, mu)
-        assert mu == -1
+        assert close(got, mobius_brute(105))
+        assert mobius_brute(105) == -1
 
     def test_twisted_multiplicativity_grid(self):
         for q in range(2, 400):
@@ -133,6 +134,43 @@ class TestKloostermanCrt:
                 assert abs(got.as_complex - want.as_complex) <= got.err + want.err
 
 
+class TestPrimePowerParts:
+    """Each prime-power part is read from its FFT table once the common
+    factors of p are scaled out of a and b; exact values where the table
+    is not needed."""
+
+    @pytest.mark.parametrize(
+        "q", [4, 8, 9, 16, 25, 27, 32, 49, 81, 121, 125, 128, 12, 72, 200, 675]
+    )
+    def test_every_pair_against_brute(self, q):
+        want = kloosterman_brute_grid(q)
+        for a, b in ((1, 1), (0, 3), (q - 1, q // 2)):
+            assert abs(want[a, b] - kloosterman_brute(a, b, q)) <= 1e-9
+        for a in range(q):
+            for b in range(q):
+                assert close(complete_kloosterman(a, b, q), want[a, b]), (a, b, q)
+
+    def test_no_production_route_calls_the_oracle(self, monkeypatch):
+        def direct_sum(a, b, q):
+            raise AssertionError(f"S({a}, {b}; {q}) summed over all units")
+
+        monkeypatch.setattr(kloosterman, "_direct_sum", direct_sum)
+        for q in range(1, 301):
+            assert close(complete_kloosterman(3, 5, q), kloosterman_brute(3, 5, q)), q
+
+    def test_squarefree_values_pinned(self):
+        # Prime parts are table reads and exact values, as they were when
+        # this digest was recorded: every squarefree sum is bitwise fixed.
+        values = [
+            repr(complete_kloosterman(a, b, q))
+            for q in range(1, 301)
+            if factorize(q).squarefree
+            for a, b in ((0, 0), (1, 0), (0, 1), (1, 1), (3, 5), (7, 2), (q - 1, 6))
+        ]
+        digest = hashlib.sha256("\n".join(values).encode()).hexdigest()
+        assert digest == "46ff6725bdb5a33d6d4aef7b811699533716b450a8e05a40da3d585fa2c7b2e3"
+
+
 class TestIncomplete:
     def test_empty(self):
         assert incomplete_kloosterman(1, 6, IntegerInterval(4, 0)).as_complex == 0
@@ -143,9 +181,8 @@ class TestIncomplete:
 
     def test_full_period_is_mu(self):
         for q in (2, 3, 6, 30, 105, 210):
-            mu = multiplicative_profile(factorize(q))[0]
             v = incomplete_kloosterman(1, q, IntegerInterval(0, q))
-            assert close(v, mu), q
+            assert close(v, mobius_brute(q)), q
 
     def test_against_brute(self):
         for q, m, n in ((7, 0, 5), (12, -3, 12), (101, 50, 60), (30, 5, 25)):

@@ -32,7 +32,7 @@ from kloosterlab.vdc_lab import (
     vanishing_lemma_check,
 )
 
-from oracles import e_q, interval_fourier_brute, kloosterman_brute, mobius_brute
+from brute import e_q, interval_fourier_brute, kloosterman_brute, mobius_brute
 
 
 def _interval_dfts(q, intervals):
@@ -247,6 +247,14 @@ class TestPartialSumMax:
     def test_rejects_zero_block(self):
         with pytest.raises(DomainError):
             partial_sum_max(1, 7, 0, 0, 1)
+
+    def test_rejects_block_past_cap_before_allocating(self, monkeypatch):
+        def arange(*args, **kwargs):
+            raise AssertionError("allocated the block")
+
+        monkeypatch.setattr(vdc_lab.np, "arange", arange)
+        with pytest.raises(DomainError, match=r"\[1, 10000000\]"):
+            partial_sum_max(1, 7, 0, 10**11, 1)
 
     @pytest.mark.parametrize("r", [(2**63 - 2) // 4 + 1, 2**70])
     def test_blocks_past_int64(self, r):
