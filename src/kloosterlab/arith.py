@@ -140,17 +140,6 @@ class FactoredInteger:
 
 
 @dataclass(frozen=True)
-class SmoothnessSpec:
-    """Admits integers all of whose prime factors are <= bound."""
-
-    bound: int
-
-    def __post_init__(self) -> None:
-        if self.bound < 1:
-            raise DomainError("smoothness bound must be >= 1")
-
-
-@dataclass(frozen=True)
 class ModulusSplit:
     """An ordered factorization q = q0 * q1 * ... * ql of a squarefree modulus.
 
@@ -219,29 +208,29 @@ def totient(n: FactoredInteger) -> int:
     return math.prod((p - 1) * p ** (e - 1) for p, e in n.factors)
 
 
-def smooth_squarefree_moduli(
-    lo: int, hi: int, spec: SmoothnessSpec
-) -> list[FactoredInteger]:
-    """All squarefree integers in [lo, hi] whose prime factors are <= spec.bound.
+def smooth_squarefree_moduli(lo: int, hi: int, bound: int) -> list[FactoredInteger]:
+    """All squarefree integers in [lo, hi] whose prime factors are <= bound.
 
     An array sieve over rem = lo..hi: for each prime p <= min(bound,
     sqrt(hi)) the multiples of p^2 are zeroed and the multiples of p
     divided by p, one slice each.  What is left of n is 1, a prime above
     sqrt(hi) (n <= hi has at most one), or a product of primes above the
     bound, so n is admitted iff 0 < rem <= bound.  Factor tuples are built
-    for the survivors only.  The span hi - lo is capped at 10^8 and hi at
-    2^40.
+    for the survivors only.  bound must be >= 1, the span hi - lo is
+    capped at 10^8 and hi at 2^40; anything else raises DomainError.
     """
+    if bound < 1:
+        raise DomainError("smoothness bound must be >= 1")
     if not (1 <= lo <= hi):
         raise DomainError(f"bad range [{lo}, {hi}]")
     if hi > 1 << SMOOTH_MODULI_LOG2_CAP or hi - lo > 10**8:
         raise DomainError("range too large for eager enumeration")
     rem = np.arange(lo, hi + 1, dtype=np.int64)
-    primes = primes_up_to(min(spec.bound, math.isqrt(hi)))
+    primes = primes_up_to(min(bound, math.isqrt(hi)))
     for p in primes:
         rem[(-lo) % (p * p) :: p * p] = 0
         rem[(-lo) % p :: p] //= p
-    keep = np.flatnonzero((rem > 0) & (rem <= spec.bound))
+    keep = np.flatnonzero((rem > 0) & (rem <= bound))
     values, tails = keep + lo, rem[keep]
     factor_lists: list[list[tuple[int, int]]] = [[] for _ in keep]
     for p in primes:

@@ -37,11 +37,6 @@ class WindowSpec:
             if not (0 < lo <= hi):
                 raise DomainError(f"bad window [{lo}, {hi}]")
 
-    def contains(self, parts: Sequence[int]) -> bool:
-        return all(
-            lo <= d <= hi for d, (lo, hi) in zip(parts, self.intervals)
-        ) and len(parts) == 4
-
     @property
     def center_logs(self) -> tuple[float, float, float, float]:
         return tuple(0.5 * (math.log(lo) + math.log(hi)) for lo, hi in self.intervals)
@@ -81,14 +76,13 @@ def _report(computed: float, terms_at: Callable[[float], list[tuple[str, float]]
     return BoundReport(computed, tuple(terms), total, total_eps0, ratio, parameters)
 
 
-def shortkloost_rhs(
-    N: int, split: ModulusSplit, eps: float = 0.0, computed: float = 0.0
-) -> BoundReport:
+def shortkloost_rhs(N: int, split: ModulusSplit, eps: float = 0.0) -> BoundReport:
     """Bound terms for the incomplete-sum estimate with an l-step split.
 
     Terms: the l differencing terms N^{2^-j} q^{1/2 - 2^-j} q_{l-j+1}^{2^-j},
     the balance term N^{2^-l} q^{1/2 - 2^-l} q0^{2^-(l+1)}, and the
-    completion term q^{1/2} q0^{-2^-(l+1)}; everything times q^eps.
+    completion term q^{1/2} q0^{-2^-(l+1)}; everything times q^eps.  No
+    sum is evaluated here, so the report's computed and ratio are 0.
     """
     if split.l < 1:
         raise DomainError("split must have l >= 1 (at least two parts)")
@@ -113,7 +107,7 @@ def shortkloost_rhs(
         out.append(("completion", qe * q**0.5 * parts[0] ** (-tl / 2)))
         return out
 
-    return _report(computed, terms_at, {"N": N, "split": parts, "eps": eps})
+    return _report(0.0, terms_at, {"N": N, "split": parts, "eps": eps})
 
 
 def divisorthm_rhs(

@@ -34,7 +34,6 @@ from .arith import (
     INVERSE_TABLE_CAP,
     SMOOTH_MODULI_LOG2_CAP,
     ModulusSplit,
-    SmoothnessSpec,
     factorize,
     is_prime,
     primes_up_to,
@@ -245,36 +244,21 @@ def _cell_moduli(config: SweepConfig, x: int) -> list[int]:
     if lo > hi:
         return []
     bound = max(2, math.floor(x**config.eta))
-    return [f.value for f in smooth_squarefree_moduli(lo, hi, SmoothnessSpec(bound))]
+    return [f.value for f in smooth_squarefree_moduli(lo, hi, bound)]
 
 
 def _cell_residues(idx: int, q: int, config: SweepConfig) -> list[int]:
     """The residues of cell idx, ascending: every unit mod q, or a sample
     of m of them drawn with the cell's seed.  Up to the unit mask's cap
     the sample is taken from the listed units; above it, by rejection on
-    gcd(a, q) = 1, which costs q/phi(q) draws a unit on average."""
+    gcd(a, q) = 1, which costs q/phi(q) draws a unit on average (run_sweep
+    has checked that q <= Q_CAP and m < phi(q) there)."""
     m = config.sample_size
     if q <= INVERSE_TABLE_CAP:
         units = np.flatnonzero(unit_mask(q)).tolist()
         if m is not None and m < len(units):
             units = sorted(random.Random(config.seed ^ idx).sample(units, m))
         return units
-    if q > Q_CAP:
-        raise DomainError(
-            f"q = {q} above the split count's cap {Q_CAP}: verify-report "
-            "could not recompute its rows"
-        )
-    if m is None:
-        raise DomainError(
-            f'residues "all" at q = {q} needs the unit mask, limited to '
-            f'q <= {INVERSE_TABLE_CAP}; use residues {{"sample": m}}'
-        )
-    phi = totient(factorize(q))
-    if m >= phi:
-        raise DomainError(
-            f"residues sample {m} >= phi({q}) = {phi} lists every unit, which "
-            f"needs the unit mask, limited to q <= {INVERSE_TABLE_CAP}"
-        )
     rng = random.Random(config.seed ^ idx)
     picked: set[int] = set()
     while len(picked) < m:
@@ -297,11 +281,7 @@ def _compute_cell(payload: tuple) -> list[dict]:
     worker runs it."""
     idx, x, q, config = payload
     units = _cell_residues(idx, q, config)
-
-    try:
-        qs = target_sizes(x, q)
-    except KloosterlabError:
-        qs = (None, None, None, None)
+    qs = target_sizes(x, q)  # SweepConfig keeps x and q below 2^1023
     split = None
     split_error = ""
     try:
@@ -317,41 +297,53 @@ def _compute_cell(payload: tuple) -> list[dict]:
         except KloosterlabError:
             bound_total = None
 
-    main: Optional[Fraction] = None
+    # SweepConfig and run_sweep keep x and q <= 10^12: neither call raises
+    main = divisor_main_term(x, q).rational
+    parts = (None,) * 4 if split is None else split.parts
     rows = []
     for a in units:
-        row: dict = {
+        e = Fraction(divisor_sum_ap(ApQuery(x, q, a))) - main
+        abs_e = abs(float(e))
+        rows.append({
             "x": x, "q": q, "a": a,
-            "E_exact": None, "abs_E": None, "scaled_E": None,
-            "bound_total": bound_total, "ratio": None,
-            "q0": None, "q1": None, "q2": None, "q3": None,
+            "E_exact": _fmt_fraction(e), "abs_E": abs_e, "scaled_E": q * abs_e / x,
+            "bound_total": bound_total,
+            "ratio": abs_e / bound_total if bound_total is not None and bound_total > 0 else None,
+            "q0": parts[0], "q1": parts[1], "q2": parts[2], "q3": parts[3],
             "Q0": qs[0], "Q1": qs[1], "Q2": qs[2], "Q3": qs[3],
             "error": split_error,
-        }
-        if split is not None:
-            row["q0"], row["q1"], row["q2"], row["q3"] = split.parts
-        try:
-            if main is None:
-                main = divisor_main_term(x, q).rational
-            e = Fraction(divisor_sum_ap(ApQuery(x, q, a))) - main
-            abs_e = abs(float(e))
-            row["E_exact"] = _fmt_fraction(e)
-            row["abs_E"] = abs_e
-            row["scaled_E"] = q * abs_e / x
-            if bound_total is not None and bound_total > 0:
-                row["ratio"] = abs_e / bound_total
-        except KloosterlabError as exc:
-            row["error"] = f"{type(exc).__name__}: {exc}"
-        rows.append(row)
+        })
     return rows
 
 
 def run_sweep(config: SweepConfig) -> tuple[list[dict], dict]:
-    """Execute a sweep; returns (rows sorted by (x, q, a), summary)."""
+    """Execute a sweep; returns (rows sorted by (x, q, a), summary).
+
+    A cell whose residues cannot be drawn raises DomainError before any
+    cell is computed."""
     cells = []
+    m = config.sample_size
     for x in sorted(set(config.x_values)):
         for q in _cell_moduli(config, x):
             cells.append((x, q))
+            if q <= INVERSE_TABLE_CAP:  # its residues come from the unit mask
+                continue
+            if q > Q_CAP:
+                raise DomainError(
+                    f"q = {q} above the split count's cap {Q_CAP}: verify-report "
+                    "could not recompute its rows"
+                )
+            if m is None:
+                raise DomainError(
+                    f'residues "all" at q = {q} needs the unit mask, limited to '
+                    f'q <= {INVERSE_TABLE_CAP}; use residues {{"sample": m}}'
+                )
+            phi = totient(factorize(q))
+            if m >= phi:
+                raise DomainError(
+                    f"residues sample {m} >= phi({q}) = {phi} lists every unit, which "
+                    f"needs the unit mask, limited to q <= {INVERSE_TABLE_CAP}"
+                )
     payloads = [(idx, x, q, config) for idx, (x, q) in enumerate(cells)]
     # a fork-started pool starts all its workers at the first submit
     workers = min(config.jobs, len(payloads), _usable_cpus())
@@ -568,12 +560,12 @@ def check_weil(size: str = "small") -> CheckResult:
     ))
 
 
-def completion_grid_intervals(q: int, count: int = 20) -> list[IntegerInterval]:
-    """Seeded random intervals of length <= q for the completion grid."""
+def completion_grid_intervals(q: int) -> list[IntegerInterval]:
+    """20 seeded random intervals of length <= q for the completion grid."""
     rng = random.Random(GRID_SEED ^ (q * 0x9E3779B1))
     return [
         IntegerInterval(rng.randrange(-2 * q, 2 * q + 1), rng.randint(0, q))
-        for _ in range(count)
+        for _ in range(20)
     ]
 
 
@@ -787,7 +779,9 @@ SUITES = {
 
 
 def _print_sum_value(label: str, value) -> None:
-    print(f"{label} = {value.re:.12g} {value.im:+.3g}i   (err <= {value.err:.3g})")
+    # adding 0.0 turns a signed zero -0.0 into 0.0 and leaves every other value as it is
+    re, im = value.re + 0.0, value.im + 0.0
+    print(f"{label} = {re:.12g} {im:+.3g}i   (err <= {value.err:.3g})")
 
 
 def cmd_kloosterman(args: argparse.Namespace) -> int:

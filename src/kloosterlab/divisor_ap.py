@@ -90,8 +90,11 @@ def _hyperbola_count(x: int, q: int, a: int) -> int:
     Pairs have u <= y or v <= y (y = isqrt(x)), so the count is
     2 * sum_{u<=y} #{v <= x/u} - sum_{u<=y} #{v <= y}.  For g = gcd(u, q)
     the congruence is solvable iff g | a, and then v runs over the class
-    v0 = (a * inv(u/g mod q/g) mod q) / g modulo q/g.
+    v0 = (a * inv(u/g mod q/g) mod q) / g modulo q/g.  The u and the
+    classes are int64 arrays, so q must be below 2^63.
     """
+    if q >= 1 << 63:
+        raise DomainError(f"hyperbola limited to q < 2^63 (int64), got q = {q}")
     y, u, big_x = _hyperbola_split(x)
     a %= q
     g = np.gcd(u, q)

@@ -37,7 +37,7 @@ import itertools
 import math
 import random
 from collections import Counter
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -378,18 +378,17 @@ def _gathered_row_sums(
     lo: np.ndarray,
     shifts: np.ndarray,
     js: np.ndarray,
-    t: np.ndarray,
-    differenced: bool,
+    phase: Optional[np.ndarray],
 ) -> np.ndarray:
-    """Sums over k in [lo, lo + L) of w(k) prod_i S(a, k + s_i, q), one per row.
+    """Sums over k in [lo, lo + L) of e_q(-t k) prod_i S(a, k + s_i, q), one per row.
 
     Row r takes L = lengths[r], the first js[r] entries of shifts[r] and
-    the r-th entry of each other column.  w(k) is prod_i S(a, k + s_i + t,
-    q) for differenced rows and e_q(-t k) otherwise.  Every table entry
-    is gathered from one buffer of the rows' base tables S(1, ., q), since
-    S(a, k, q) = S(1, a k, q).  Rows of one (L, j) are formed in one array,
-    a block of about TABLE_BLOCK_BYTES at a time; each sum runs along one
-    contiguous row, and a length-1 row alone (_length_groups).
+    the r-th entry of each other column; t = phase[r], and no phase is
+    applied when phase is None.  Every table entry is gathered from one
+    buffer of the rows' base tables S(1, ., q), since S(a, k, q) = S(1,
+    a k, q).  Rows of one (L, j) are formed in one array, a block of about
+    TABLE_BLOCK_BYTES at a time; each sum runs along one contiguous row,
+    and a length-1 row alone (_length_groups).
     """
     sums = np.empty(len(lengths), dtype=np.complex128)
     if not len(lengths):
@@ -401,20 +400,18 @@ def _gathered_row_sums(
         L, j = int(lengths[group[0]]), int(js[group[0]])
         for block in table_row_blocks(len(group), L):
             rows = group[block]
-            a_, q_, t_, start_ = (c[rows, None] for c in (a, q, t, start))
+            a_, q_, start_ = (c[rows, None] for c in (a, q, start))
             kk = lo[rows, None] + np.arange(L)
             prod = np.ones(kk.shape, dtype=np.complex128)
             for c in range(j):
-                sk = kk + shifts[rows, c, None]
-                for step in (0, 1) if differenced else (0,):
-                    # a < q <= INVERSE_TABLE_CAP, so a * k fits int64
-                    index = (sk + t_) % q_ if step else sk % q_
-                    index *= a_
-                    index %= q_
-                    index += start_
-                    prod *= buffer[index]
-            if not differenced:
-                prod = np.exp(-2j * np.pi * (kk % q_ * t_ % q_) / q_) * prod
+                # a < q <= INVERSE_TABLE_CAP, so a * k fits int64
+                index = (kk + shifts[rows, c, None]) % q_
+                index *= a_
+                index %= q_
+                index += start_
+                prod *= buffer[index]
+            if phase is not None:
+                prod = np.exp(-2j * np.pi * (kk % q_ * phase[rows, None] % q_) / q_) * prod
             sums[rows] = prod.sum(axis=1)
     return sums
 
@@ -469,7 +466,7 @@ def onediff_ratios(
     c = np.array(key_of)
     Ms = np.array([cells[i][3] % (cells[i][1] * cells[i][2]) for i in live])
     t_vals = _gathered_row_sums(
-        K_k[c], a_k[c], q0_k[c] * q1_k[c], lo_k[c], shifts_k[c], js_k[c], Ms, differenced=False
+        K_k[c], a_k[c], q0_k[c] * q1_k[c], lo_k[c], shifts_k[c], js_k[c], Ms
     ).tolist()
 
     # inner(h): one row per h with 0 < |h| <= K/q1 and a nonempty overlap, in h order
@@ -480,9 +477,12 @@ def onediff_ratios(
     length = K_k[row_key] - np.abs(q1h)
     keep = (h != 0) & (length > 0)
     row_key, q1h, length = row_key[keep], q1h[keep], length[keep]
+    # inner(h) is a product of 2j factors, over the shifts s_1, s_1 + t, ..., s_j, s_j + t
+    sh, t = shifts_k[row_key], (q1h % q0_k[row_key])[:, None]
+    paired = np.stack((sh, sh + t), axis=2).reshape(len(sh), 2 * j_max)
     sums = _gathered_row_sums(
         length, a1_k[row_key], q0_k[row_key], lo_k[row_key] + np.maximum(0, -q1h),
-        shifts_k[row_key], js_k[row_key], q1h % q0_k[row_key], differenced=True,
+        paired, 2 * js_k[row_key], None,
     )
     mags = np.hypot(sums.real, sums.imag)  # rounds as abs(complex) does
     # bincount adds each key's rows in h order, as the one-cell sum adds them

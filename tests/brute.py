@@ -156,6 +156,13 @@ def assignment_products(primes: tuple[int, ...]) -> list[tuple[int, int, int, in
     return out
 
 
+def parts_in_windows(windows: WindowSpec, parts) -> bool:
+    """True iff there are four parts and each lies in its closed window."""
+    return len(parts) == 4 and all(
+        lo <= d <= hi for d, (lo, hi) in zip(parts, windows.intervals)
+    )
+
+
 def window_assignment_oracle(
     products: list[tuple[int, int, int, int]], windows: WindowSpec
 ):

@@ -39,7 +39,7 @@ from kloosterlab.divisor_ap import (
 )
 from kloosterlab.kloosterman import _direct_sum, complete_kloosterman
 
-from brute import assignment_products, mobius_brute, window_assignment_oracle
+from brute import assignment_products, mobius_brute, parts_in_windows, window_assignment_oracle
 
 
 def _report(criterion: int, ok: bool, detail: str) -> None:
@@ -286,7 +286,7 @@ def test_c11_end_to_end_sweep(tmp_path):
         key = (r["x"], r["q"])
         if key not in window_cache:
             window_cache[key] = target_windows(r["x"], r["q"], 0.25)
-        if not window_cache[key].contains((r["q0"], r["q1"], r["q2"], r["q3"])):
+        if not parts_in_windows(window_cache[key], (r["q0"], r["q1"], r["q2"], r["q3"])):
             in_windows = False
 
     out = tmp_path / "sweep.csv"

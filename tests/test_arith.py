@@ -14,7 +14,6 @@ from kloosterlab.arith import (
     INVERSE_TABLE_CAP,
     FactoredInteger,
     ModulusSplit,
-    SmoothnessSpec,
     factorize,
     inverse_mod,
     inverse_table,
@@ -132,24 +131,27 @@ class TestMultiplicativeProfile:
 
 class TestSmoothSquarefree:
     def test_no_primes_allowed(self):
-        assert smooth_squarefree_moduli(2, 100, SmoothnessSpec(1)) == []
+        assert smooth_squarefree_moduli(2, 100, 1) == []
+
+    def test_bound_below_one(self):
+        with pytest.raises(DomainError, match="smoothness bound"):
+            smooth_squarefree_moduli(2, 100, 0)
 
     def test_window(self):
-        vals = [f.value for f in smooth_squarefree_moduli(10, 40, SmoothnessSpec(7))]
+        vals = [f.value for f in smooth_squarefree_moduli(10, 40, 7)]
         assert vals == [10, 14, 15, 21, 30, 35]
 
     def test_point(self):
-        got = smooth_squarefree_moduli(105, 105, SmoothnessSpec(7))
+        got = smooth_squarefree_moduli(105, 105, 7)
         assert [f.value for f in got] == [105]
         assert got[0].factors == ((3, 1), (5, 1), (7, 1))
 
     def test_inverted_range(self):
         with pytest.raises(DomainError):
-            smooth_squarefree_moduli(10, 5, SmoothnessSpec(7))
+            smooth_squarefree_moduli(10, 5, 7)
 
     def test_matches_factorize(self):
-        spec = SmoothnessSpec(13)
-        got = {f.value for f in smooth_squarefree_moduli(1, 3000, spec)}
+        got = {f.value for f in smooth_squarefree_moduli(1, 3000, 13)}
         want = {
             n
             for n in range(1, 3001)
@@ -160,7 +162,7 @@ class TestSmoothSquarefree:
     def test_large_prime_tail(self):
         # a single prime above sqrt(hi) must still be admitted when the
         # bound allows it
-        got = [f.value for f in smooth_squarefree_moduli(9973, 9973, SmoothnessSpec(9973))]
+        got = [f.value for f in smooth_squarefree_moduli(9973, 9973, 9973)]
         assert got == [9973]
 
     @pytest.mark.parametrize("lo, hi, bound", [
@@ -179,7 +181,7 @@ class TestSmoothSquarefree:
             f = factorize(n)
             if f.squarefree and all(p <= bound for p in f.primes):
                 want.append((f.value, f.factors))
-        got = smooth_squarefree_moduli(lo, hi, SmoothnessSpec(bound))
+        got = smooth_squarefree_moduli(lo, hi, bound)
         assert [(f.value, f.factors) for f in got] == want
 
 

@@ -7,6 +7,7 @@ functions, bitwise; and, per grid check, one mutation of the batched path
 that the check must detect.
 """
 
+import hashlib
 import inspect
 import math
 from functools import lru_cache
@@ -27,6 +28,7 @@ from kloosterlab.kloosterman import (
     table_err,
 )
 from kloosterlab.vdc_lab import (
+    onediff_grid_cells,
     onediff_ratio,
     onediff_ratios,
     product_sums,
@@ -209,6 +211,14 @@ class TestRowsAreTheOneRowValues:
 
     def test_onediff_empty_cell(self):
         assert onediff_ratios([(1, 5, 2, 0, IntegerInterval(0, 0), ())]) == [(0.0, 0.0, 0.0)]
+
+    def test_onediff_full_grid_is_pinned(self):
+        # every report of the full differencing grid, bitwise (the sha256 of
+        # their repr): a change in the order of any product or sum shows here
+        cells = [(a, q0, q1, M, IntegerInterval(0, K), shifts)
+                 for q0, q1, K, M, a, shifts in onediff_grid_cells()]
+        digest = hashlib.sha256(repr(onediff_ratios(cells)).encode()).hexdigest()
+        assert digest == "ae5c0b089abc5a93df5523a859b0e376617e8efd9d299edba1b7b1673fa41f20"
 
 
 def _pushed_base(p):

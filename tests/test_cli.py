@@ -42,6 +42,11 @@ class TestSingleQueries:
         assert "S(1, 1; 3) = -1" in out
         assert "weil ratio" in out
 
+    def test_kloosterman_exact_zero_has_no_sign(self, capsys):
+        # S(0, 4; 72) multiplies an exact zero part by a negative one: -0.0
+        assert main(["kloosterman", "0", "4", "72"]) == 0
+        assert capsys.readouterr().out == "S(0, 4; 72) = 0 +0i   (err <= 0)\n"
+
     def test_kloosterman_ramanujan_composite(self, capsys):
         # complete sums accept any a; gcd(6, 15) = 3 still evaluates
         assert main(["kloosterman", "6", "0", "15"]) == 0
@@ -65,6 +70,10 @@ class TestSingleQueries:
     def test_divisor(self, capsys):
         assert main(["divisor", "--x", "10", "--q", "3", "--a", "1"]) == 0
         assert "= 10" in capsys.readouterr().out
+
+    def test_divisor_at_the_largest_int64_modulus(self, capsys):
+        assert main(["divisor", "--x", "100", "--q", str(2**63 - 1), "--a", "1"]) == 0
+        assert capsys.readouterr().out == "D(100, 9223372036854775807, 1) = 1\n"
 
     def test_error_term(self, capsys):
         assert main(["error-term", "--x", "10", "--q", "3", "--a", "1"]) == 0
@@ -246,6 +255,8 @@ class TestSingleQueries:
         (None, ["factorize", "--q", "210", "--x", "1000000", "--eta", "nan"],
          "eta must be finite"),
         (None, ["targets", "--x", "1000000", "--q", "10000", "--eta", "100"], "float range"),
+        (None, ["divisor", "--x", "100", "--q", str(2**70), "--a", "1"], "q < 2^63"),
+        (None, ["error-term", "--x", "100", "--q", str(2**70), "--a", "1"], "q < 2^63"),
     ], ids=["unknown-key", "invalid-json", "bad-x-flag", "negative-x", "zero-q",
             "missing-report", "string-eta", "bool-delta", "null-eps", "string-q-exp",
             "string-jobs", "float-seed", "interval-sum-too-long", "interval-sum-q-past-cap",
@@ -261,7 +272,8 @@ class TestSingleQueries:
             "nan-eps-short-kloosterman-bound", "huge-eps-divisor-bound", "unknown-residues-key", "out-in-missing-dir",
             "out-is-a-dir", "nan-varpi", "inf-varpi", "targets-x-past-floats",
             "factorize-x-past-floats", "divisor-bound-x-past-floats", "targets-nan-eta",
-            "factorize-nan-eta", "targets-huge-eta"])
+            "factorize-nan-eta", "targets-huge-eta", "divisor-q-past-int64",
+            "error-term-q-past-int64"])
     def test_malformed_input_exits_2(self, tmp_path, capsys, config, argv, needle):
         cfg = tmp_path / "config.json"
         if config is not None:
@@ -273,6 +285,20 @@ class TestSingleQueries:
         assert len(lines) == 1 and lines[0].startswith("error: ") and needle in lines[0]
         if argv[0] == "targets":  # checked before anything is printed
             assert captured.out == ""
+
+    @pytest.mark.parametrize("argv, needle", [
+        (["--x", "1000000000000", "--q", "111546435,10000000000000", "--residues", "3"],
+         "split count's cap"),
+        (["--x", "100000000", "--q", "15,10000019"], "unit mask"),
+        (["--x", "100000000", "--q", "15,10000019", "--residues", "10000018"], "phi(10000019)"),
+    ], ids=["past-oracle-cap", "all-residues-past-cap", "sample-of-every-unit-past-cap"])
+    def test_sweep_rejects_a_bad_cell_before_any_cell(self, capsys, monkeypatch, argv, needle):
+        calls = []
+        monkeypatch.setattr(cli, "_compute_cell", calls.append)
+        assert main(["sweep", *argv]) == 2
+        assert calls == []
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and needle in lines[0]
 
     @pytest.mark.parametrize("out", ["{tmp}/no-such-dir/x.csv", "{tmp}"])
     def test_unwritable_out_fails_before_the_sweep(self, tmp_path, capsys, monkeypatch, out):
