@@ -18,7 +18,8 @@ import numpy as np
 
 from .errors import DomainError, NotSquarefree
 
-MAX_VALUE = 1 << 62
+# factorize takes n < 2^63, the int64 range of the hyperbola's moduli
+MAX_VALUE = (1 << 63) - 1
 
 # Deterministic Miller-Rabin witnesses for all n < 3.3 * 10^24.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -35,7 +36,7 @@ SMOOTH_MODULI_LOG2_CAP = 40
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality test for n up to 2^62."""
+    """Deterministic primality test for n < 3.3 * 10^24 (factorize's n < 2^63 included)."""
     if n < 2:
         return False
     for p in _MR_WITNESSES:  # the witnesses are the first 12 primes
@@ -118,7 +119,7 @@ class FactoredInteger:
 
     def __post_init__(self) -> None:
         if not (1 <= self.value <= MAX_VALUE):
-            raise DomainError(f"value {self.value} outside [1, 2^62]")
+            raise DomainError(f"value {self.value} outside [1, 2^63)")
         prod = 1
         prev = 1
         for p, e in self.factors:
@@ -166,7 +167,7 @@ class ModulusSplit:
 
 
 def factorize(n: int) -> FactoredInteger:
-    """Full prime factorization of n, 1 <= n <= 2^62.
+    """Full prime factorization of n, 1 <= n < 2^63.
 
     Trial division by the primes up to 10^4, then Pollard rho for the
     cofactor m left over.  No table is built beyond those 1229 primes.
@@ -175,7 +176,7 @@ def factorize(n: int) -> FactoredInteger:
     and m < 10007^2, the square of the next prime.
     """
     if not (1 <= n <= MAX_VALUE):
-        raise DomainError(f"n = {n} outside [1, 2^62]")
+        raise DomainError(f"n = {n} outside [1, 2^63)")
     factors: dict[int, int] = {}
     m = n
     for p in primes_up_to(_TRIAL_LIMIT):

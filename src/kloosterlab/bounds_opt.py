@@ -44,26 +44,20 @@ class WindowSpec:
 
 @dataclass(frozen=True)
 class BoundReport:
-    """A computed magnitude paired with named bound terms and their total.
+    """Named bound terms and their total.
 
     bound_terms already carry every multiplier, so bound_total is their
     plain sum; bound_total_eps0 re-evaluates the same expression with
     epsilon = 0 so the q^epsilon factor's influence stays visible.
     """
 
-    computed: float
     bound_terms: tuple[tuple[str, float], ...]
     bound_total: float
     bound_total_eps0: float
-    ratio: float
-    parameters: dict
 
 
-def _report(computed: float, terms_at: Callable[[float], list[tuple[str, float]]],
-            parameters: dict) -> BoundReport:
-    """The report of the terms terms_at(eps) at eps = parameters["eps"],
-    with their total at eps = 0 beside it."""
-    eps = parameters["eps"]
+def _report(terms_at: Callable[[float], list[tuple[str, float]]], eps: float) -> BoundReport:
+    """The report of the terms terms_at(eps), with their total at eps = 0 beside it."""
     try:
         if not math.isfinite(eps):
             raise DomainError(f"eps must be finite, got {eps!r}")
@@ -71,9 +65,7 @@ def _report(computed: float, terms_at: Callable[[float], list[tuple[str, float]]
         total_eps0 = math.fsum(v for _, v in terms_at(0.0))
     except OverflowError:
         raise DomainError(f"the bound terms at eps = {eps!r} pass the float range") from None
-    total = math.fsum(v for _, v in terms)
-    ratio = computed / total if total > 0 else 0.0
-    return BoundReport(computed, tuple(terms), total, total_eps0, ratio, parameters)
+    return BoundReport(tuple(terms), math.fsum(v for _, v in terms), total_eps0)
 
 
 def shortkloost_rhs(N: int, split: ModulusSplit, eps: float = 0.0) -> BoundReport:
@@ -81,8 +73,7 @@ def shortkloost_rhs(N: int, split: ModulusSplit, eps: float = 0.0) -> BoundRepor
 
     Terms: the l differencing terms N^{2^-j} q^{1/2 - 2^-j} q_{l-j+1}^{2^-j},
     the balance term N^{2^-l} q^{1/2 - 2^-l} q0^{2^-(l+1)}, and the
-    completion term q^{1/2} q0^{-2^-(l+1)}; everything times q^eps.  No
-    sum is evaluated here, so the report's computed and ratio are 0.
+    completion term q^{1/2} q0^{-2^-(l+1)}; everything times q^eps.
     """
     if split.l < 1:
         raise DomainError("split must have l >= 1 (at least two parts)")
@@ -107,7 +98,7 @@ def shortkloost_rhs(N: int, split: ModulusSplit, eps: float = 0.0) -> BoundRepor
         out.append(("completion", qe * q**0.5 * parts[0] ** (-tl / 2)))
         return out
 
-    return _report(0.0, terms_at, {"N": N, "split": parts, "eps": eps})
+    return _report(terms_at, eps)
 
 
 def divisorthm_rhs(
@@ -115,7 +106,6 @@ def divisorthm_rhs(
     split: ModulusSplit,
     delta: float,
     eps: float = 0.0,
-    computed: float = 0.0,
 ) -> BoundReport:
     """Bound terms for the divisor error estimate with a four-part split.
 
@@ -145,7 +135,7 @@ def divisorthm_rhs(
         out.append(("completion", mult * q**0.5 * q0 ** (-1 / 16)))
         return out
 
-    return _report(computed, terms_at, {"x": x, "split": split.parts, "delta": delta, "eps": eps})
+    return _report(terms_at, eps)
 
 
 def target_sizes(x: int, q: int) -> tuple[float, float, float, float]:

@@ -32,7 +32,6 @@ import numpy as np
 from . import __version__
 from .arith import (
     INVERSE_TABLE_CAP,
-    SMOOTH_MODULI_LOG2_CAP,
     ModulusSplit,
     factorize,
     is_prime,
@@ -92,7 +91,7 @@ CSV_COLUMNS = [
     "x", "q", "a", "E_exact", "abs_E", "scaled_E", "bound_total", "ratio",
     "q0", "q1", "q2", "q3", "Q0", "Q1", "Q2", "Q3", "error",
 ]
-REPORT_FIELDS = ("x", "q", "a", "E_exact", "error")  # the columns verify-report reads
+REPORT_FIELDS = ("x", "q", "a", "E_exact")  # the columns verify-report reads
 
 
 def _fmt_real(v: float) -> str:
@@ -142,16 +141,18 @@ class SweepConfig:
             raise DomainError("x_values must be non-empty")
         for name in ("x_values", "q_list"):
             values = getattr(self, name)
-            # the bounds raise x and q to float powers
             if values is not None and not (
                 isinstance(values, (list, tuple))
-                and all(type(v) is int and 1 <= v < 2**1023 for v in values)
+                and all(type(v) is int and v >= 1 for v in values)
             ):
-                raise DomainError(f"{name} entries must be ints in [1, 2^1023): {values!r}")
+                raise DomainError(f"{name} entries must be ints >= 1: {values!r}")
         if max(self.x_values) > HYPERBOLA_X_CAP:
             raise DomainError(
                 f"x = {max(self.x_values)} above the hyperbola's cap {HYPERBOLA_X_CAP}"
             )
+        if max(self.q_list or [1]) > Q_CAP:
+            raise DomainError(f"q = {max(self.q_list)} above the split count's cap {Q_CAP}: "
+                              "verify-report could not recompute its rows")
         for name in ("eta", "delta", "eps", "q_lo_exp", "q_hi_exp"):
             v = getattr(self, name)
             if name.startswith("q_") and v is None:
@@ -233,12 +234,10 @@ def _cell_moduli(config: SweepConfig, x: int) -> list[int]:
     exponent window [x^q_lo_exp, x^q_hi_exp] holds no integer."""
     if config.q_list is not None:
         return sorted(set(config.q_list))
-    # checked before the float powers, which overflow far above the cap
-    if config.q_hi_exp * math.log2(x) > SMOOTH_MODULI_LOG2_CAP:
-        raise DomainError(
-            f"x^{config.q_hi_exp} at x = {x} passes the smooth-moduli cap "
-            f"2^{SMOOTH_MODULI_LOG2_CAP}"
-        )
+    # checked in logs, before the float powers, which overflow far above the cap
+    if config.q_hi_exp * math.log(x) > math.log(Q_CAP):
+        raise DomainError(f"x^{config.q_hi_exp} at x = {x} passes the split count's cap "
+                          f"{Q_CAP}: verify-report could not recompute its rows")
     lo = max(1, math.ceil(x**config.q_lo_exp))
     hi = math.floor(x**config.q_hi_exp)
     if lo > hi:
@@ -251,8 +250,8 @@ def _cell_residues(idx: int, q: int, config: SweepConfig) -> list[int]:
     """The residues of cell idx, ascending: every unit mod q, or a sample
     of m of them drawn with the cell's seed.  Up to the unit mask's cap
     the sample is taken from the listed units; above it, by rejection on
-    gcd(a, q) = 1, which costs q/phi(q) draws a unit on average (run_sweep
-    has checked that q <= Q_CAP and m < phi(q) there)."""
+    gcd(a, q) = 1, which costs q/phi(q) draws a unit on average (q <= Q_CAP,
+    and run_sweep has checked that m < phi(q) there)."""
     m = config.sample_size
     if q <= INVERSE_TABLE_CAP:
         units = np.flatnonzero(unit_mask(q)).tolist()
@@ -281,7 +280,7 @@ def _compute_cell(payload: tuple) -> list[dict]:
     worker runs it."""
     idx, x, q, config = payload
     units = _cell_residues(idx, q, config)
-    qs = target_sizes(x, q)  # SweepConfig keeps x and q below 2^1023
+    qs = target_sizes(x, q)
     split = None
     split_error = ""
     try:
@@ -320,7 +319,8 @@ def run_sweep(config: SweepConfig) -> tuple[list[dict], dict]:
     """Execute a sweep; returns (rows sorted by (x, q, a), summary).
 
     A cell whose residues cannot be drawn raises DomainError before any
-    cell is computed."""
+    cell is computed.  Every row has an exact E_exact; error names only a
+    failed window split."""
     cells = []
     m = config.sample_size
     for x in sorted(set(config.x_values)):
@@ -328,11 +328,6 @@ def run_sweep(config: SweepConfig) -> tuple[list[dict], dict]:
             cells.append((x, q))
             if q <= INVERSE_TABLE_CAP:  # its residues come from the unit mask
                 continue
-            if q > Q_CAP:
-                raise DomainError(
-                    f"q = {q} above the split count's cap {Q_CAP}: verify-report "
-                    "could not recompute its rows"
-                )
             if m is None:
                 raise DomainError(
                     f'residues "all" at q = {q} needs the unit mask, limited to '
@@ -360,16 +355,12 @@ def run_sweep(config: SweepConfig) -> tuple[list[dict], dict]:
 
 
 def _summarize(rows: list[dict]) -> dict:
-    good = [r for r in rows if not r["error"]]
-    ratios = [r["ratio"] for r in good if r["ratio"] is not None]
+    ratios = [r["ratio"] for r in rows if r["ratio"] is not None]
     infeasible = sum(1 for r in rows if r["q0"] is None)
-    e_sum = sum(
-        (_parse_fraction(r["E_exact"]) for r in good), start=Fraction(0)
-    )
+    e_sum = sum((_parse_fraction(r["E_exact"]) for r in rows), start=Fraction(0))
     per_x: dict[int, float] = {}
-    for r in good:
-        if r["scaled_E"] is not None:
-            per_x[r["x"]] = max(per_x.get(r["x"], 0.0), r["scaled_E"])
+    for r in rows:
+        per_x[r["x"]] = max(per_x.get(r["x"], 0.0), r["scaled_E"])
     fit_points = [(float(x), v) for x, v in sorted(per_x.items()) if v > 0]
     fit = None
     if len(fit_points) >= 2:
@@ -377,7 +368,7 @@ def _summarize(rows: list[dict]) -> dict:
         fit = {"slope": f.slope, "intercept": f.intercept, "residual": f.residual}
     return {
         "rows": len(rows),
-        "errors": len(rows) - len(good),
+        "errors": sum(1 for r in rows if r["error"]),
         "infeasible_splits": infeasible,
         "max_ratio": max(ratios) if ratios else None,
         "sum_E_exact": _fmt_fraction(e_sum),
@@ -412,7 +403,7 @@ def render_report(config: SweepConfig, rows: list[dict], summary: dict) -> str:
 
 
 def load_report(path: str) -> list[dict]:
-    """Rows of a CSV or JSON report, as dicts with x, q, a, E_exact, error.
+    """Rows of a CSV or JSON report, as dicts with x, q, a and E_exact.
 
     Columns are read by name, so schema 1 reports (which also carry
     runtime_ms) load as well.  A report that does not parse, or a row
@@ -453,22 +444,22 @@ def _report_row(path: str, n: int, rec: object) -> dict:
         if type(row[name]) is not int:  # JSON rows hold ints, CSV rows strings
             raise DomainError(f"{path}: row {n}: {name} = {v!r} is not an integer")
     row["E_exact"] = rec["E_exact"] or None
-    row["error"] = rec["error"]
     return row
 
 
 def verify_report(path: str, seed: int = 0, fraction: float = 0.01) -> tuple[bool, list[str]]:
     """Recompute a seeded sample of a report's rows and demand exact E values.
 
-    Sweeps compute every row by the hyperbola, so each row is recomputed
-    by the pure-Python split count of `oracle`, which shares no code with
-    it: split_divisor_sum_ap, about 2 sqrt(x) steps a row, and
-    split_main_term once per (x, q) cell.
+    The sample is drawn from every row with an E_exact, whatever its error
+    (old reports have rows without one).  Sweeps compute every row by the
+    hyperbola, so each is recomputed by the pure-Python split count of
+    `oracle`, which shares no code with it: split_divisor_sum_ap, about
+    2 sqrt(x) steps a row, and split_main_term once per (x, q) cell.
     """
     if not 0 < fraction <= 1:
         raise DomainError(f"fraction = {fraction} outside (0, 1]")
     rows = load_report(path)
-    candidates = [r for r in rows if not r["error"] and r["E_exact"]]
+    candidates = [r for r in rows if r["E_exact"]]
     if not candidates:
         return True, ["verify: no verifiable rows"]
     k = max(1, round(fraction * len(candidates)))
@@ -785,7 +776,7 @@ def _print_sum_value(label: str, value) -> None:
 
 
 def cmd_kloosterman(args: argparse.Namespace) -> int:
-    if args.interval is not None:
+    if args.interval:
         if args.b != 0:
             raise DomainError("interval sums take no linear twist; pass b = 0")
         m, n = args.interval
@@ -861,6 +852,7 @@ def _parse_split(text: str) -> ModulusSplit:
 
 
 def cmd_bound(args: argparse.Namespace) -> int:
+    computed = 0.0
     if args.which == "short-kloosterman":
         if args.split is None or args.N is None:
             raise DomainError("short-kloosterman bound needs --split and --N")
@@ -883,16 +875,16 @@ def cmd_bound(args: argparse.Namespace) -> int:
             if split is None:
                 print("window factorization infeasible; no bound evaluated")
                 return EXIT_FAIL
-        computed = 0.0
         if args.a is not None:
             computed = abs(error_term(ApQuery(args.x, args.q, args.a)).real)
-        report = divisorthm_rhs(args.x, split, args.delta, args.eps, computed)
+        report = divisorthm_rhs(args.x, split, args.delta, args.eps)
     for name, value in report.bound_terms:
         print(f"{name:12s} = {value:.12g}")
-    print(f"{'total':12s} = {report.bound_total:.12g} (eps = {report.parameters['eps']})")
+    print(f"{'total':12s} = {report.bound_total:.12g} (eps = {args.eps})")
     print(f"{'total@eps=0':12s} = {report.bound_total_eps0:.12g}")
-    if report.computed:
-        print(f"{'computed':12s} = {report.computed:.12g}  ratio = {report.ratio:.6g}")
+    if computed:
+        ratio = computed / report.bound_total if report.bound_total > 0 else 0.0
+        print(f"{'computed':12s} = {computed:.12g}  ratio = {ratio:.6g}")
     return EXIT_OK
 
 
@@ -1064,12 +1056,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "interval", None) is not None:
-        if args.command == "kloosterman":
-            if len(args.interval) == 0:
-                args.interval = None
-            elif len(args.interval) != 2:
-                parser.error("interval takes exactly two integers: M N")
+    if args.command == "kloosterman" and len(args.interval) not in (0, 2):
+        parser.error("interval takes exactly two integers: M N")
     try:
         code = args.func(args)
         sys.stdout.flush()

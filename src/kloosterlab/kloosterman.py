@@ -30,7 +30,6 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .arith import (
-    MAX_VALUE,
     FactoredInteger,
     factorize,
     inverse_mod,
@@ -101,14 +100,11 @@ def _base_table(q: int) -> np.ndarray:
     With y[n] = e_q(inv(n)) on units and 0 elsewhere, the sum S(1, k, q)
     = sum_n y[n] e^{2 pi i k n / q} is q times the inverse DFT of y.
     """
-    if q == 1:
-        t = np.array([1.0 + 0.0j])
-    else:
-        inv = inverse_table(q)
-        units = inv >= 0
-        y = np.zeros(q, dtype=np.complex128)
-        y[units] = np.exp(2j * np.pi * inv[units] / q)
-        t = np.fft.ifft(y) * q
+    inv = inverse_table(q)
+    units = inv >= 0
+    y = np.zeros(q, dtype=np.complex128)
+    y[units] = np.exp(2j * np.pi * inv[units] / q)
+    t = np.fft.ifft(y) * q
     t.flags.writeable = False
     return t
 
@@ -218,8 +214,9 @@ def incomplete_kloosterman(a: int, q: int, interval: IntegerInterval) -> SumValu
     """Sum of e_q(a * nbar) over n in the interval with gcd(n, q) = 1.
 
     Requires gcd(a, q) = 1, interval length N at most q and at most
-    SHORT_SUM_LENGTH_CAP, and q <= arith.MAX_VALUE.  Only the N residues
-    of the interval are inverted, so the cost is O(N) whatever q is.
+    SHORT_SUM_LENGTH_CAP, and q <= 2^62 (the residues offset % q + n < 2q
+    are int64).  Only the N residues of the interval are inverted, so the
+    cost is O(N) whatever q is.
     """
     if q < 1:
         raise DomainError(f"modulus {q} must be >= 1")
@@ -231,8 +228,8 @@ def incomplete_kloosterman(a: int, q: int, interval: IntegerInterval) -> SumValu
         return SumValue(0.0, 0.0, 0.0)
     if interval.length > SHORT_SUM_LENGTH_CAP:
         raise DomainError(f"interval length limited to {SHORT_SUM_LENGTH_CAP}")
-    if q > MAX_VALUE:
-        raise DomainError(f"modulus limited to q <= {MAX_VALUE}")
+    if q > 1 << 62:
+        raise DomainError(f"modulus limited to q <= 2^62 (int64 residues), got q = {q}")
     a %= q
     # offset % q + n < 2q <= 2^63: the residues fit int64
     residues = (interval.offset % q + np.arange(interval.length, dtype=np.int64)) % q

@@ -6,6 +6,7 @@ runtime is a few minutes, dominated by the window-factorizer oracle
 comparison and the end-to-end sweep.
 """
 
+import hashlib
 import itertools
 import math
 import random
@@ -269,6 +270,9 @@ def test_c11_end_to_end_sweep(tmp_path):
     config4 = SweepConfig(**base, jobs=4)
     rows, summary = run_sweep(config4)
     text = render_report(config4, rows, summary)
+    # the report's bytes, pinned: no BLAS product enters a sweep row
+    pinned = (hashlib.sha256(text.encode()).hexdigest()
+              == "74c0dcd20ab4cdbad5691626abd1651f2a29eca07d0f4a27d1b369a75f3dff11")
 
     rows_b, summary_b = run_sweep(config4)
     rerun_identical = render_report(config4, rows_b, summary_b) == text
@@ -295,7 +299,8 @@ def test_c11_end_to_end_sweep(tmp_path):
 
     fit = summary["scaled_E_fit"]
     ok = (
-        rerun_identical
+        pinned
+        and rerun_identical
         and jobs_identical
         and in_windows
         and feasible_rows > 0
@@ -307,7 +312,8 @@ def test_c11_end_to_end_sweep(tmp_path):
         11,
         ok,
         f"{summary['rows']} rows over x in {{1e5,3e5,1e6}}: byte-reproducible "
-        f"(rerun: {rerun_identical}, jobs 1 vs 4: {jobs_identical}); "
+        f"(pinned sha256: {pinned}, rerun: {rerun_identical}, jobs 1 vs 4: "
+        f"{jobs_identical}); "
         f"{feasible_rows} feasible rows all inside their windows: {in_windows}; "
         f"report verified: {verified}; fitted exponent of max q|E|/x vs x = "
         f"{fit['slope']:.4f} (reported, not asserted)",

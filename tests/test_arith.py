@@ -44,7 +44,7 @@ class TestFactorize:
         with pytest.raises(DomainError):
             factorize(0)
         with pytest.raises(DomainError):
-            factorize(2**62 + 1)
+            factorize(2**63)
 
     def test_reassembly_exhaustive_small(self):
         for n in range(1, 20001):

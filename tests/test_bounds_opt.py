@@ -108,10 +108,6 @@ class TestDivisorThmRhs:
         grown = divisorthm_rhs(10**6, ModulusSplit((31, 5, 7, 2)), 0.05).bound_total
         assert grown > base
 
-    def test_ratio_with_computed(self):
-        r = divisorthm_rhs(10**6, self.SPLIT, 0.05, computed=12.5)
-        assert r.ratio == pytest.approx(12.5 / r.bound_total, rel=1e-15)
-
 
 class TestTargetSizes:
     def test_worked_values(self):

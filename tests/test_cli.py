@@ -22,6 +22,7 @@ from kloosterlab.cli import (
     run_sweep,
     verify_report,
 )
+from kloosterlab.divisor_ap import ApQuery, error_term
 from kloosterlab.kloosterman import IntegerInterval, incomplete_kloosterman
 
 from brute import incomplete_brute
@@ -79,6 +80,12 @@ class TestSingleQueries:
         assert main(["error-term", "--x", "10", "--q", "3", "--a", "1"]) == 0
         assert "1/1" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("q", [2**62 + 1, 2**63 - 1])
+    def test_error_term_beyond_two_to_the_62(self, capsys, q):
+        # factorize takes every q < 2^63 that the hyperbola counts with
+        assert main(["error-term", "--x", "100", "--q", str(q), "--a", "1"]) == 0
+        assert capsys.readouterr().out.startswith(f"E(100, {q}, 1) = ")
+
     def test_error_term_not_coprime_exits_2(self, capsys):
         assert main(["error-term", "--x", "10", "--q", "6", "--a", "3"]) == 2
 
@@ -118,6 +125,18 @@ class TestSingleQueries:
         ]) == 0
         out = capsys.readouterr().out
         assert "leading" in out and "ratio" in out
+
+    def test_ratio_with_computed(self, capsys):
+        # the command computes |E(x, q, a)| and its ratio to the bound total
+        assert main([
+            "bound", "divisor", "--x", "10000", "--q", "1001", "--a", "2",
+            "--split", "13,11,7,1", "--delta", "0.05",
+        ]) == 0
+        last = capsys.readouterr().out.splitlines()[-1]
+        computed = abs(error_term(ApQuery(10000, 1001, 2)).real)
+        total = divisorthm_rhs(10000, ModulusSplit((13, 11, 7, 1)), 0.05).bound_total
+        assert last == f"computed     = {computed:.12g}  ratio = {computed / total:.6g}"
+        assert last == "computed     = 10.4527777778  ratio = 0.0324457"
 
     def test_usage_error_exit_code(self, capsys):
         assert main(["divisor", "--x", "0", "--q", "3", "--a", "1"]) == 2
@@ -217,7 +236,7 @@ class TestSingleQueries:
         (None, ["sweep", "--x", "1000000", "--q-lo-exp", "0.61", "--q-hi-exp", "0.6"],
          "q_lo_exp = 0.61 above q_hi_exp = 0.6"),
         (None, ["sweep", "--x", "1000.9", "--q", "7", "--residues", "1"], "1000.9"),
-        (None, ["sweep", "--x", "1e400", "--q", "7", "--residues", "1"], "2^1023"),
+        (None, ["sweep", "--x", "1e400", "--q", "7", "--residues", "1"], "hyperbola's cap"),
         ("", ["verify-report", "{cfg}"], "no report header"),
         ("garbage\n", ["verify-report", "{cfg}"], "no report header"),
         (None, ["sweep", "--x", "2e12", "--q", "15", "--residues", "2"],
@@ -476,6 +495,22 @@ class TestSweep:
                      "--out", str(tmp_path / "c.csv")]) == 2
         assert "x = 12345678901234567890 above" in capsys.readouterr().err
 
+    def test_rows_with_a_failed_split_are_summed(self, tmp_path):
+        # a non-squarefree q has no window split, but its rows' E are exact:
+        # they count in sum_E_exact and in the fit, and errors counts them
+        config = _config(tmp_path, x_values=[1000, 2000], q_list=[12, 15],
+                         residues={"sample": 2})
+        rows, summary = run_sweep(config)
+        assert [r["q"] for r in rows if r["error"]] == [12, 12, 12, 12]
+        assert summary["errors"] == 4
+        assert summary["sum_E_exact"] == cli._fmt_fraction(
+            sum(cli._parse_fraction(r["E_exact"]) for r in rows))
+        rows, summary = run_sweep(_config(tmp_path, x_values=[1000, 2000], q_list=[12],
+                                          residues={"sample": 2}))
+        per_x = [max(r["scaled_E"] for r in rows if r["x"] == x) for x in (1000, 2000)]
+        assert summary["scaled_E_fit"]["slope"] == pytest.approx(
+            math.log(per_x[1] / per_x[0]) / math.log(2))
+
     def test_duplicate_moduli_run_once(self, tmp_path):
         once = run_sweep(_config(tmp_path, x_values=[1000], q_list=[7],
                                  residues={"sample": 2}))
@@ -609,6 +644,24 @@ class TestVerifyReport:
         assert not ok
         assert lines[0].startswith("MISMATCH x=1000000 q=15 ")
         assert len(lines) == 2
+
+    def test_rows_with_a_failed_split_are_verified(self, tmp_path, capsys):
+        # 12 and 36 are not squarefree, so every row names its failed window
+        # split in error; its E_exact is exact all the same, and is checked
+        path = tmp_path / "report.csv"
+        assert main(["sweep", "--x", "1000", "--q", "12,36", "--residues", "2",
+                     "--out", str(path)]) == 0
+        text = path.read_text()
+        assert text.count("NotSquarefree") == 4
+        assert main(["verify-report", str(path), "--fraction", "1"]) == 0
+        assert "verify: 4/4 rows recomputed, all exact" in capsys.readouterr().out
+        assert "\n1000,12,5,-15/4," in text
+        path.write_text(text.replace("\n1000,12,5,-15/4,", "\n1000,12,5,999/1,"))
+        assert main(["verify-report", str(path), "--fraction", "1"]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "MISMATCH x=1000 q=12 a=5: report 999/1 recomputed -15/4",
+            "verify: 4/4 rows recomputed, MISMATCHES FOUND",
+        ]
 
     def test_recomputes_a_modulus_above_ten_million(self, tmp_path):
         # q = 10000019 is prime and above the unit mask's cap, so no sweep

@@ -1,4 +1,5 @@
-"""The five lemma suites at size full print exactly the recorded report.
+"""The five lemma suites at size full, and scripts/pin_constants.py, print
+exactly the recorded reports.
 
 tests/data/lemma_full.txt is the stdout of
 
@@ -9,9 +10,11 @@ maximum over a grid, so a change to any cell that moves a maximum shows
 here.  The runs use one BLAS thread because the completion line depends
 on it: its matrix product rounds differently when BLAS splits it, and
 the same code prints max deviation = 5.46e-14 at one thread and 5.42e-14
-at two.
+at two.  The stdout of scripts/pin_constants.py is pinned by its sha256.
 """
 
+import hashlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -37,3 +40,15 @@ def _suite_stdout(suite: str) -> str:
 def test_full_suites_match_the_recorded_report():
     got = "".join(_suite_stdout(suite) for suite in SUITE_ORDER)
     assert got.splitlines() == GOLDEN.read_text().splitlines()
+
+
+def test_pin_constants_prints_the_recorded_report(capsys):
+    # scripts/pin_constants.py prints the pinned checks' maxima at full
+    # precision; neither check uses BLAS, so its stdout is pinned bytewise
+    spec = importlib.util.spec_from_file_location(
+        "pin_constants", ROOT / "scripts" / "pin_constants.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    assert script.main() == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == "ab02719ed12ba02e6dd87a82af15a54d28aba576eb80b4f443b1dc635751ab3b"
