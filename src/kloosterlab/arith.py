@@ -225,7 +225,8 @@ def smooth_squarefree_moduli(lo: int, hi: int, bound: int) -> list[FactoredInteg
     if not (1 <= lo <= hi):
         raise DomainError(f"bad range [{lo}, {hi}]")
     if hi > 1 << SMOOTH_MODULI_LOG2_CAP or hi - lo > 10**8:
-        raise DomainError("range too large for eager enumeration")
+        raise DomainError(f"range [{lo}, {hi}] spans {hi - lo}: the sieve takes spans up to "
+                          f"10^8 and hi up to 2^{SMOOTH_MODULI_LOG2_CAP}")
     rem = np.arange(lo, hi + 1, dtype=np.int64)
     primes = primes_up_to(min(bound, math.isqrt(hi)))
     for p in primes:

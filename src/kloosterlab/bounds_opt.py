@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .arith import FactoredInteger, ModulusSplit
@@ -62,19 +63,33 @@ def _report(terms_at: Callable[[float], list[tuple[str, float]]], eps: float) ->
         if not math.isfinite(eps):
             raise DomainError(f"eps must be finite, got {eps!r}")
         terms = terms_at(eps)
-        total_eps0 = math.fsum(v for _, v in terms_at(0.0))
+        total, total_eps0 = (math.fsum(v for _, v in t) for t in (terms, terms_at(0.0)))
     except OverflowError:
         raise DomainError(f"the bound terms at eps = {eps!r} pass the float range") from None
-    return BoundReport(tuple(terms), math.fsum(v for _, v in terms), total_eps0)
+    return BoundReport(tuple(terms), total, total_eps0)
+
+
+def _step_terms(mult: float, n_pow: Callable[[float], float],
+                split: ModulusSplit) -> list[tuple[str, float]]:
+    """The l-step terms of split = (q0, ..., ql), each times mult, with
+    n_pow(t) standing for N^t: the differencing terms
+    n_pow(2^-j) q^{1/2 - 2^-j} q_{l-j+1}^{2^-j}, j = 1..l, the balance term
+    n_pow(2^-l) q^{1/2 - 2^-l} q0^{2^-(l+1)} and the completion term
+    q^{1/2} q0^{-2^-(l+1)}."""
+    q, parts, l = split.modulus, split.parts, split.l
+    out = []
+    for j in range(1, l + 1):
+        tw = 2.0**-j
+        out.append((f"diff_j{j}", mult * n_pow(tw) * q ** (0.5 - tw) * parts[l - j + 1] ** tw))
+    tl = 2.0**-l
+    out.append(("balance", mult * n_pow(tl) * q ** (0.5 - tl) * parts[0] ** (tl / 2)))
+    out.append(("completion", mult * q**0.5 * parts[0] ** (-tl / 2)))
+    return out
 
 
 def shortkloost_rhs(N: int, split: ModulusSplit, eps: float = 0.0) -> BoundReport:
-    """Bound terms for the incomplete-sum estimate with an l-step split.
-
-    Terms: the l differencing terms N^{2^-j} q^{1/2 - 2^-j} q_{l-j+1}^{2^-j},
-    the balance term N^{2^-l} q^{1/2 - 2^-l} q0^{2^-(l+1)}, and the
-    completion term q^{1/2} q0^{-2^-(l+1)}; everything times q^eps.
-    """
+    """Bound terms for the incomplete-sum estimate with an l-step split:
+    the _step_terms of the split at length N, each times q^eps."""
     if split.l < 1:
         raise DomainError("split must have l >= 1 (at least two parts)")
     q = split.modulus
@@ -82,37 +97,13 @@ def shortkloost_rhs(N: int, split: ModulusSplit, eps: float = 0.0) -> BoundRepor
         raise DomainError(f"N = {N} exceeds q = {q}")
     if N < 0:
         raise DomainError("N must be >= 0")
-    parts = split.parts
-    l = split.l
-
-    def terms_at(e: float) -> list[tuple[str, float]]:
-        qe = q**e
-        out = []
-        for j in range(1, l + 1):
-            tw = 2.0**-j
-            out.append(
-                (f"diff_j{j}", qe * N**tw * q ** (0.5 - tw) * parts[l - j + 1] ** tw)
-            )
-        tl = 2.0**-l
-        out.append(("balance", qe * N**tl * q ** (0.5 - tl) * parts[0] ** (tl / 2)))
-        out.append(("completion", qe * q**0.5 * parts[0] ** (-tl / 2)))
-        return out
-
-    return _report(terms_at, eps)
+    return _report(lambda e: _step_terms(q**e, lambda t: N**t, split), eps)
 
 
-def divisorthm_rhs(
-    x: int,
-    split: ModulusSplit,
-    delta: float,
-    eps: float = 0.0,
-) -> BoundReport:
-    """Bound terms for the divisor error estimate with a four-part split.
-
-    The leading term q^-1 x^{1-delta+eps} plus x^{2 delta + eps} times
-    the three differencing terms, the balance term x^{1/16} q^{3/8}
-    q0^{1/16}, and the completion term q^{1/2} q0^{-1/16}.
-    """
+def divisorthm_rhs(x: int, split: ModulusSplit, delta: float, eps: float = 0.0) -> BoundReport:
+    """Bound terms for the divisor error estimate with a four-part split:
+    the leading term q^-1 x^{1-delta+eps}, then x^{2 delta + eps} q^-eps
+    times each term of shortkloost_rhs(x^{1/2}, split, eps)."""
     if len(split.parts) != 4:
         raise DomainError("split must have exactly four parts")
     if not 0 < delta < 1 / 12:
@@ -120,38 +111,35 @@ def divisorthm_rhs(
     q = split.modulus
     if x < q:
         raise DomainError(f"x = {x} smaller than q = {q}")
-    q0, q1, q2, q3 = split.parts
-    part_for_j = {1: q3, 2: q2, 3: q1}
+    return _report(
+        lambda e: [("leading", q**-1.0 * x ** (1 - delta + e))]
+        + _step_terms(x ** (2 * delta + e), lambda t: x ** (t / 2), split),
+        eps,
+    )
 
-    def terms_at(e: float) -> list[tuple[str, float]]:
-        out = [("leading", q**-1.0 * x ** (1 - delta + e))]
-        mult = x ** (2 * delta + e)
-        for j in range(1, 4):
-            tw = 2.0**-j
-            out.append(
-                (f"diff_j{j}", mult * x ** (tw / 2) * q ** (0.5 - tw) * part_for_j[j] ** tw)
-            )
-        out.append(("balance", mult * x ** (1 / 16) * q ** (3 / 8) * q0 ** (1 / 16)))
-        out.append(("completion", mult * q**0.5 * q0 ** (-1 / 16)))
-        return out
 
-    return _report(terms_at, eps)
+# Part j's target size is q^a x^b, for the exact exponents ((a, b), _) of
+# row j, and its window is [x^{lo eta/5}, x^{hi eta/5}] times that size,
+# for (_, (lo, hi)) in fifths of eta.  The windows' top corners, and part
+# 0's bottom one, are where the bound's terms are largest.
+PART_TARGETS = (
+    ((Fraction(-2, 15), Fraction(1, 3)), (-7, 8)),
+    ((Fraction(-1, 15), Fraction(1, 6)), (-1, 4)),
+    ((Fraction(7, 15), Fraction(-1, 6)), (-3, 2)),
+    ((Fraction(11, 15), Fraction(-1, 3)), (-4, 1)),
+)
+_SIZE_EXPONENTS = tuple((float(a), float(b)) for (a, b), _ in PART_TARGETS)
 
 
 def target_sizes(x: int, q: int) -> tuple[float, float, float, float]:
-    """The four target part sizes; their product is q."""
+    """The four target part sizes q^a x^b of PART_TARGETS; their product is q."""
     if x < 1 or q < 1:
         raise DomainError("x and q must be >= 1")
     try:
         x, q = float(x), float(q)
     except OverflowError:
         raise DomainError("x and q must be below 2^1024 to take float powers") from None
-    return (
-        q ** (-2 / 15) * x ** (1 / 3),
-        q ** (-1 / 15) * x ** (1 / 6),
-        q ** (7 / 15) * x ** (-1 / 6),
-        q ** (11 / 15) * x ** (-1 / 3),
-    )
+    return tuple(q**a * x**b for a, b in _SIZE_EXPONENTS)
 
 
 def admissible(varpi: float, eta: float) -> bool:
@@ -165,23 +153,21 @@ def admissible(varpi: float, eta: float) -> bool:
 def target_windows(x: int, q: int, eta: float) -> WindowSpec:
     """Per-part windows around the target sizes for an x^eta-smooth modulus.
 
-    Window widths are x^eta for parts 1..3 and x^{3 eta} for part 0, so
-    any x^eta-smooth squarefree q admits a greedy factorization into them.
+    Part j's window is [x^{lo eta/5}, x^{hi eta/5}] times its target
+    size, for (lo, hi) from PART_TARGETS: widths x^{3 eta} for part 0 and
+    x^eta for parts 1..3, so any x^eta-smooth squarefree q admits a
+    greedy factorization into them.
     """
     if not math.isfinite(eta):
         raise DomainError(f"eta must be finite, got {eta!r}")
     if eta <= 0:
         raise DomainError(f"eta = {eta} must be > 0")
-    q0, q1, q2, q3 = target_sizes(x, q)
+    sizes = target_sizes(x, q)
     try:
-        return WindowSpec(
-            (
-                (q0 * x ** (-7 * eta / 5), q0 * x ** (8 * eta / 5)),
-                (q1 * x ** (-eta / 5), q1 * x ** (4 * eta / 5)),
-                (q2 * x ** (-3 * eta / 5), q2 * x ** (2 * eta / 5)),
-                (q3 * x ** (-4 * eta / 5), q3 * x ** (eta / 5)),
-            )
-        )
+        return WindowSpec(tuple(
+            (size * x ** (lo * eta / 5), size * x ** (hi * eta / 5))
+            for size, (_, (lo, hi)) in zip(sizes, PART_TARGETS)
+        ))
     except OverflowError:
         raise DomainError(f"eta = {eta} puts a window past the float range") from None
 

@@ -242,8 +242,12 @@ def _cell_moduli(config: SweepConfig, x: int) -> list[int]:
     hi = math.floor(x**config.q_hi_exp)
     if lo > hi:
         return []
-    bound = max(2, math.floor(x**config.eta))
-    return [f.value for f in smooth_squarefree_moduli(lo, hi, bound)]
+    try:
+        moduli = smooth_squarefree_moduli(lo, hi, max(2, math.floor(x**config.eta)))
+    except DomainError as exc:
+        raise DomainError(f"x = {x}, window [x^{config.q_lo_exp}, x^{config.q_hi_exp}]: {exc}; "
+                          "narrow it with --q-lo-exp/--q-hi-exp") from None
+    return [f.value for f in moduli]
 
 
 def _cell_residues(idx: int, q: int, config: SweepConfig) -> list[int]:

@@ -1,5 +1,7 @@
+import itertools
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 from kloosterlab.arith import ModulusSplit, factorize
 from kloosterlab.bounds_opt import (
+    PART_TARGETS,
     WindowSpec,
     admissible,
     divisorthm_rhs,
@@ -90,6 +93,19 @@ class TestDivisorThmRhs:
             sum(v for _, v in r.bound_terms), rel=1e-15
         )
 
+    @pytest.mark.parametrize("eps", [0.0, 0.01])
+    def test_built_from_the_short_sum_bound(self, eps):
+        # each term but the leading one is x^{2 delta + eps} q^-eps times the
+        # same-named three-step term of the short-sum bound at N = x^{1/2}
+        x, delta, q = 10**6, 0.05, self.SPLIT.modulus
+        short = dict(shortkloost_rhs(1000, self.SPLIT, eps).bound_terms)
+        terms = dict(divisorthm_rhs(x, self.SPLIT, delta, eps).bound_terms)
+        assert set(terms) - set(short) == {"leading"} and set(short) < set(terms)
+        for name, value in short.items():
+            assert terms[name] == pytest.approx(
+                x ** (2 * delta + eps) / q**eps * value, rel=1e-12
+            )
+
     def test_delta_domain(self):
         for bad in (0.0, 1 / 12, 0.5, -0.01):
             with pytest.raises(DomainError):
@@ -107,6 +123,72 @@ class TestDivisorThmRhs:
         base = divisorthm_rhs(10**6, ModulusSplit((29, 5, 7, 2)), 0.05).bound_total
         grown = divisorthm_rhs(10**6, ModulusSplit((31, 5, 7, 2)), 0.05).bound_total
         assert grown > base
+
+
+def stated_exponents(kappa, e, delta, eps):
+    """log_x of each divisorthm_rhs term for q = x^kappa and parts x^e[j]."""
+    out = {"leading": 1 - kappa - delta + eps}
+    for j in (1, 2, 3):
+        t = Fraction(1, 2**j)
+        out[f"diff_j{j}"] = 2 * delta + eps + t / 2 + kappa * (Fraction(1, 2) - t) + t * e[4 - j]
+    out["balance"] = 2 * delta + eps + Fraction(1, 16) + kappa * Fraction(3, 8) + e[0] / 16
+    out["completion"] = 2 * delta + eps + kappa / 2 - e[0] / 16
+    return out
+
+
+def worst_excess(name, varpi, eta, delta):
+    """The largest exponent of term name over the corners of the target
+    windows, minus the leading term's 1 - kappa - delta, at q = x^kappa,
+    kappa = 2/3 + varpi: exact, from PART_TARGETS alone."""
+    varpi, eta, delta = map(Fraction, (varpi, eta, delta))
+    kappa = Fraction(2, 3) + varpi
+
+    def at(corner):
+        e = [a * kappa + b + w * eta / 5 for ((a, b), _), w in zip(PART_TARGETS, corner)]
+        terms = stated_exponents(kappa, e, delta, 0)
+        return terms[name] - terms["leading"]
+
+    return max(at(c) for c in itertools.product(*(window for _, window in PART_TARGETS)))
+
+
+class TestExponents:
+    NAMES = ("diff_j1", "diff_j2", "diff_j3", "balance", "completion")
+
+    @pytest.mark.parametrize("x, parts", [
+        (10**4, (13, 11, 7, 1)), (10**6, (29, 5, 7, 2)), (10**8, (143, 14, 5, 3)),
+        (10**12, (1309, 95, 39, 23)),
+    ])
+    @pytest.mark.parametrize("eps", [0.0, 0.01])
+    def test_stated_exponents_match_the_terms(self, x, parts, eps):
+        split, lx = ModulusSplit(parts), math.log(x)
+        stated = stated_exponents(
+            math.log(split.modulus) / lx, [math.log(p) / lx for p in parts], 0.05, eps
+        )
+        for name, value in divisorthm_rhs(x, split, 0.05, eps).bound_terms:
+            assert math.log(value) / lx == pytest.approx(float(stated[name]), abs=1e-12)
+
+    def test_worst_corners_give_the_admissibility_condition(self):
+        # every term is affine in (varpi, eta, delta) for eta >= 0
+        forms = {}
+        for name in self.NAMES:
+            c0 = worst_excess(name, 0, 0, 0)
+            coeffs = tuple(worst_excess(name, *unit) - c0 for unit in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+            point = (Fraction(1, 7), Fraction(2, 9), Fraction(1, 11))
+            assert worst_excess(name, *point) == c0 + sum(c * v for c, v in zip(coeffs, point))
+            forms[name] = c0, coeffs
+        # diff_j1..3 and balance are below the leading term iff
+        # 246 varpi + 18 eta + 540 delta < 1
+        for name in self.NAMES[:4]:
+            c0, coeffs = forms[name]
+            assert c0 < 0 and tuple(c / -c0 for c in coeffs) == (246, 18, 540)
+        # completion keeps slack everywhere on that boundary: 3/328 at its
+        # varpi corner, so it never binds
+        assert worst_excess("completion", Fraction(1, 246), 0, 0) == Fraction(-3, 328)
+        for corner in ((Fraction(1, 246), 0, 0), (0, Fraction(1, 18), 0), (0, 0, Fraction(1, 540))):
+            assert worst_excess("completion", *corner) < 0
+        # admissible's float literals are these coefficients at delta = 0
+        for varpi, eta in ((1 / 246, 0.0), (0.0, 1 / 18)):
+            assert not admissible(varpi, eta) and admissible(0.999 * varpi, 0.999 * eta)
 
 
 class TestTargetSizes:

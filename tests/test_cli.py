@@ -255,6 +255,8 @@ class TestSingleQueries:
          "eps must be finite"),
         (None, ["bound", "divisor", "--x", "100", "--q", "30", "--split", "2,3,5,1",
                 "--eps", "1e300"], "float range"),
+        (None, ["bound", "short-kloosterman", "--N", "304372674", "--split", "1807,11461,101",
+                "--eps", "32.472664162129036"], "float range"),
         ('{"x_values": [2000], "q_list": [15], "residues": {"sample": 2, "bogus": 1}}',
          ["sweep", "--config", "{cfg}"], "unknown residues key(s): bogus"),
         (None, ["sweep", "--x", "1000", "--q", "15", "--residues", "2",
@@ -288,7 +290,7 @@ class TestSingleQueries:
             "empty-report", "report-without-header", "x-above-hyperbola-cap",
             "all-residues-past-cap", "sample-of-every-unit-past-cap",
             "sample-past-oracle-cap", "nan-eps-divisor-bound", "inf-eps-divisor-bound",
-            "nan-eps-short-kloosterman-bound", "huge-eps-divisor-bound", "unknown-residues-key", "out-in-missing-dir",
+            "nan-eps-short-kloosterman-bound", "huge-eps-divisor-bound", "finite-terms-past-float-range-total", "unknown-residues-key", "out-in-missing-dir",
             "out-is-a-dir", "nan-varpi", "inf-varpi", "targets-x-past-floats",
             "factorize-x-past-floats", "divisor-bound-x-past-floats", "targets-nan-eta",
             "factorize-nan-eta", "targets-huge-eta", "divisor-q-past-int64",
@@ -330,6 +332,75 @@ class TestSingleQueries:
         assert main(argv) == 2
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and "cannot write" in lines[0]
+
+    def test_sieve_window_past_its_cap_names_x_window_and_flags(self, capsys):
+        argv = ["sweep", "--x", "1000000000000", "--q-lo-exp", "0.99", "--q-hi-exp", "1.0",
+                "--residues", "1"]
+        assert main(argv) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        for needle in ("x = 1000000000000", "[x^0.99, x^1.0]", "[758577575030, 1000000000000]",
+                       "spans 241422424970", "10^8", "--q-lo-exp", "--q-hi-exp"):
+            assert needle in lines[0]
+
+
+# the README's examples of targets, factorize and bound, with their full stdout
+README_EXAMPLES = {
+    "targets --x 1000000 --q 10000 --eta 0.01 --varpi 0.003": """\
+Q0 = 29.2864456463
+Q1 = 5.41169526546
+Q2 = 7.3564225446
+Q3 = 8.57695898591
+product = 10000 (q = 10000)
+window0 = [24.1360761103, 36.5314294899]
+window1 = [5.26421154541, 6.04412355019]
+window2 = [6.77121598081, 7.7743961503]
+window3 = [7.67950687155, 8.81725362588]
+admissible(varpi=0.003, eta=0.01) = True
+""",
+    "factorize --q 30030 --x 100000000 --eta 0.06": """\
+30030 = 2 * 3 * 5 * 7 * 11 * 13 (squarefree = True)
+window factorization: q0..q3 = (143, 14, 5, 3)
+  part0 = 143 in [24.9838, 688.112]
+  part1 = 14 in [8.6862, 26.2319]
+  part2 = 5 in [2.93895, 8.87549]
+  part3 = 3 in [1.70952, 5.16266]
+""",
+    "bound divisor --x 10000 --q 1001 --a 2 --split 13,11,7,1 --delta 0.05": """\
+leading      = 6.30327017463
+diff_j1      = 25.1188643151
+diff_j2      = 72.6746634677
+diff_j3      = 80.4149626747
+balance      = 69.9494394523
+completion   = 67.7010772574
+total        = 322.162277342 (eps = 0.0)
+total@eps=0  = 322.162277342
+computed     = 10.4527777778  ratio = 0.0324457
+""",
+    "bound short-kloosterman --N 100 --split 15,7": """\
+diff_j1      = 26.4575131106
+balance      = 19.6798967127
+completion   = 5.20681125291
+total        = 51.3442210762 (eps = 0.0)
+total@eps=0  = 51.3442210762
+""",
+    "bound divisor --x 10000 --q 1001 --split 13,11,7,1 --delta 0.05 --eps 0.01": """\
+leading      = 6.91139831088
+diff_j1      = 27.5422870334
+diff_j2      = 79.6861839044
+diff_j3      = 88.1732532165
+balance      = 76.6980351919
+completion   = 74.2327550682
+total        = 353.243912725 (eps = 0.01)
+total@eps=0  = 322.162277342
+""",
+}
+
+
+@pytest.mark.parametrize("command", sorted(README_EXAMPLES))
+def test_readme_example_output(command, capsys):
+    assert main(command.split()) == 0
+    assert capsys.readouterr().out == README_EXAMPLES[command]
 
 
 @pytest.fixture
