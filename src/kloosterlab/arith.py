@@ -31,8 +31,6 @@ _NEXT_PRIME = 10007
 
 # inverse_table holds q int64 entries: at most 80 MB.
 INVERSE_TABLE_CAP = 10**7
-# smooth_squarefree_moduli enumerates moduli up to 2^SMOOTH_MODULI_LOG2_CAP
-SMOOTH_MODULI_LOG2_CAP = 40
 
 
 def is_prime(n: int) -> bool:
@@ -209,40 +207,27 @@ def totient(n: FactoredInteger) -> int:
     return math.prod((p - 1) * p ** (e - 1) for p, e in n.factors)
 
 
-def smooth_squarefree_moduli(lo: int, hi: int, bound: int) -> list[FactoredInteger]:
-    """All squarefree integers in [lo, hi] whose prime factors are <= bound.
+def smooth_squarefree_moduli(lo: int, hi: int, bound: int) -> list[int]:
+    """All squarefree integers in [lo, hi] whose prime factors are <= bound, ascending.
 
     An array sieve over rem = lo..hi: for each prime p <= min(bound,
     sqrt(hi)) the multiples of p^2 are zeroed and the multiples of p
     divided by p, one slice each.  What is left of n is 1, a prime above
     sqrt(hi) (n <= hi has at most one), or a product of primes above the
-    bound, so n is admitted iff 0 < rem <= bound.  Factor tuples are built
-    for the survivors only.  bound must be >= 1, the span hi - lo is
-    capped at 10^8 and hi at 2^40; anything else raises DomainError.
+    bound, so n is admitted iff 0 < rem <= bound.  bound must be >= 1 and
+    the span hi - lo at most 10^8; anything else raises DomainError.
     """
     if bound < 1:
         raise DomainError("smoothness bound must be >= 1")
     if not (1 <= lo <= hi):
         raise DomainError(f"bad range [{lo}, {hi}]")
-    if hi > 1 << SMOOTH_MODULI_LOG2_CAP or hi - lo > 10**8:
-        raise DomainError(f"range [{lo}, {hi}] spans {hi - lo}: the sieve takes spans up to "
-                          f"10^8 and hi up to 2^{SMOOTH_MODULI_LOG2_CAP}")
+    if hi - lo > 10**8:
+        raise DomainError(f"range [{lo}, {hi}] spans {hi - lo}: the sieve takes spans up to 10^8")
     rem = np.arange(lo, hi + 1, dtype=np.int64)
-    primes = primes_up_to(min(bound, math.isqrt(hi)))
-    for p in primes:
+    for p in primes_up_to(min(bound, math.isqrt(hi))):
         rem[(-lo) % (p * p) :: p * p] = 0
         rem[(-lo) % p :: p] //= p
-    keep = np.flatnonzero((rem > 0) & (rem <= bound))
-    values, tails = keep + lo, rem[keep]
-    factor_lists: list[list[tuple[int, int]]] = [[] for _ in keep]
-    for p in primes:
-        pair = (p, 1)
-        for i in np.flatnonzero(values % p == 0).tolist():
-            factor_lists[i].append(pair)
-    return [
-        FactoredInteger(n, tuple(fl + [(m, 1)] if m > 1 else fl))
-        for n, m, fl in zip(values.tolist(), tails.tolist(), factor_lists)
-    ]
+    return (np.flatnonzero((rem > 0) & (rem <= bound)) + lo).tolist()
 
 
 def inverse_mod(u, m) -> np.ndarray:

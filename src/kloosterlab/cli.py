@@ -171,6 +171,8 @@ class SweepConfig:
                 raise DomainError(f"{name} must be an int, got {v!r}")
         if self.q_list is None and (self.q_lo_exp is None or self.q_hi_exp is None):
             raise DomainError("config needs q_list or q_lo_exp/q_hi_exp")
+        if self.q_list is not None and (self.q_lo_exp, self.q_hi_exp) != (None, None):
+            raise DomainError("both q_list and q_lo_exp/q_hi_exp are set: give one source of q")
         if None not in (self.q_lo_exp, self.q_hi_exp) and self.q_lo_exp > self.q_hi_exp:
             raise DomainError(
                 f"q_lo_exp = {self.q_lo_exp} above q_hi_exp = {self.q_hi_exp}"
@@ -243,25 +245,24 @@ def _cell_moduli(config: SweepConfig, x: int) -> list[int]:
     if lo > hi:
         return []
     try:
-        moduli = smooth_squarefree_moduli(lo, hi, max(2, math.floor(x**config.eta)))
+        return smooth_squarefree_moduli(lo, hi, max(2, math.floor(x**config.eta)))
     except DomainError as exc:
         raise DomainError(f"x = {x}, window [x^{config.q_lo_exp}, x^{config.q_hi_exp}]: {exc}; "
                           "narrow it with --q-lo-exp/--q-hi-exp") from None
-    return [f.value for f in moduli]
 
 
 def _cell_residues(idx: int, q: int, config: SweepConfig) -> list[int]:
     """The residues of cell idx, ascending: every unit mod q, or a sample
     of m of them drawn with the cell's seed.  Up to the unit mask's cap
-    the sample is taken from the listed units; above it, by rejection on
-    gcd(a, q) = 1, which costs q/phi(q) draws a unit on average (q <= Q_CAP,
-    and run_sweep has checked that m < phi(q) there)."""
+    the sample picks m positions in the array of units; above it, by
+    rejection on gcd(a, q) = 1, which costs q/phi(q) draws a unit on
+    average (q <= Q_CAP, and run_sweep has checked that m < phi(q) there)."""
     m = config.sample_size
     if q <= INVERSE_TABLE_CAP:
-        units = np.flatnonzero(unit_mask(q)).tolist()
+        units = np.flatnonzero(unit_mask(q))
         if m is not None and m < len(units):
-            units = sorted(random.Random(config.seed ^ idx).sample(units, m))
-        return units
+            units = units[sorted(random.Random(config.seed ^ idx).sample(range(len(units)), m))]
+        return units.tolist()
     rng = random.Random(config.seed ^ idx)
     picked: set[int] = set()
     while len(picked) < m:
@@ -411,9 +412,10 @@ def load_report(path: str) -> list[dict]:
 
     Columns are read by name, so schema 1 reports (which also carry
     runtime_ms) load as well.  A report that does not parse, or a row
-    that lacks a field or has a non-integer x, q or a, raises DomainError
-    naming the file and the row; so does a CSV whose header does not name
-    them all.  A header without rows, or JSON "rows": [], is an empty report.
+    that lacks a field, has a non-integer x, q or a, or has an E_exact
+    that is neither a string nor null, raises DomainError naming the
+    file and the row; so does a CSV whose header does not name them
+    all.  A header without rows, or JSON "rows": [], is an empty report.
     """
     text = _read_text(path)
     if text.lstrip().startswith("{"):
@@ -447,7 +449,10 @@ def _report_row(path: str, n: int, rec: object) -> dict:
             row[name] = None
         if type(row[name]) is not int:  # JSON rows hold ints, CSV rows strings
             raise DomainError(f"{path}: row {n}: {name} = {v!r} is not an integer")
-    row["E_exact"] = rec["E_exact"] or None
+    e = rec["E_exact"]
+    if e is not None and not isinstance(e, str):  # old reports write null or "" for no E
+        raise DomainError(f"{path}: row {n}: E_exact = {e!r} is not a fraction string")
+    row["E_exact"] = e or None
     return row
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import random
@@ -138,20 +139,17 @@ class TestSmoothSquarefree:
             smooth_squarefree_moduli(2, 100, 0)
 
     def test_window(self):
-        vals = [f.value for f in smooth_squarefree_moduli(10, 40, 7)]
-        assert vals == [10, 14, 15, 21, 30, 35]
+        assert smooth_squarefree_moduli(10, 40, 7) == [10, 14, 15, 21, 30, 35]
 
     def test_point(self):
-        got = smooth_squarefree_moduli(105, 105, 7)
-        assert [f.value for f in got] == [105]
-        assert got[0].factors == ((3, 1), (5, 1), (7, 1))
+        assert smooth_squarefree_moduli(105, 105, 7) == [105]
 
     def test_inverted_range(self):
         with pytest.raises(DomainError):
             smooth_squarefree_moduli(10, 5, 7)
 
     def test_matches_factorize(self):
-        got = {f.value for f in smooth_squarefree_moduli(1, 3000, 13)}
+        got = set(smooth_squarefree_moduli(1, 3000, 13))
         want = {
             n
             for n in range(1, 3001)
@@ -162,8 +160,7 @@ class TestSmoothSquarefree:
     def test_large_prime_tail(self):
         # a single prime above sqrt(hi) must still be admitted when the
         # bound allows it
-        got = [f.value for f in smooth_squarefree_moduli(9973, 9973, 9973)]
-        assert got == [9973]
+        assert smooth_squarefree_moduli(9973, 9973, 9973) == [9973]
 
     @pytest.mark.parametrize("lo, hi, bound", [
         # windows starting at p^2 - 1, p^2, p^2 + 1: p = 7 with the bound
@@ -180,9 +177,21 @@ class TestSmoothSquarefree:
         for n in range(lo, hi + 1):
             f = factorize(n)
             if f.squarefree and all(p <= bound for p in f.primes):
-                want.append((f.value, f.factors))
-        got = smooth_squarefree_moduli(lo, hi, bound)
-        assert [(f.value, f.factors) for f in got] == want
+                want.append(n)
+        assert smooth_squarefree_moduli(lo, hi, bound) == want
+
+    @pytest.mark.parametrize("x, a, b, count, digest", [
+        (10**11, 0.60, 0.64, 277331,
+         "ae69ebb25badae190f69f4ed987b73261425354cce3a0afd4e45e9d42110d05c"),
+        (10**12, 0.665, 0.670, 418806,
+         "4af02269312a76b492d03a0be79b44b49534a020db40eb64792b9defa624e0a3"),
+    ])
+    def test_large_windows_pinned(self, x, a, b, count, digest):
+        # the windows a sieved sweep lists at eta = 0.25
+        got = smooth_squarefree_moduli(math.ceil(x**a), math.floor(x**b), math.floor(x**0.25))
+        assert len(got) == count
+        assert all(type(n) is int for n in got)  # no numpy integer reaches CSV or Fraction
+        assert hashlib.sha256(",".join(map(str, got)).encode()).hexdigest() == digest
 
 
 class TestModulusSplit:

@@ -278,6 +278,10 @@ class TestSingleQueries:
         (None, ["targets", "--x", "1000000", "--q", "10000", "--eta", "100"], "float range"),
         (None, ["divisor", "--x", "100", "--q", str(2**70), "--a", "1"], "q < 2^63"),
         (None, ["error-term", "--x", "100", "--q", str(2**70), "--a", "1"], "q < 2^63"),
+        ('{"rows":[{"x":10,"q":3,"a":1,"E_exact":0}]}',
+         ["verify-report", "{cfg}", "--fraction", "1"], "config.json: row 1: E_exact = 0"),
+        ('{"x_values": [1000], "q_list": [15], "q_lo_exp": 0.5, "q_hi_exp": 0.6}',
+         ["sweep", "--config", "{cfg}"], "both q_list and q_lo_exp/q_hi_exp"),
     ], ids=["unknown-key", "invalid-json", "bad-x-flag", "negative-x", "zero-q",
             "missing-report", "string-eta", "bool-delta", "null-eps", "string-q-exp",
             "string-jobs", "float-seed", "interval-sum-too-long", "interval-sum-q-past-cap",
@@ -294,7 +298,7 @@ class TestSingleQueries:
             "out-is-a-dir", "nan-varpi", "inf-varpi", "targets-x-past-floats",
             "factorize-x-past-floats", "divisor-bound-x-past-floats", "targets-nan-eta",
             "factorize-nan-eta", "targets-huge-eta", "divisor-q-past-int64",
-            "error-term-q-past-int64"])
+            "error-term-q-past-int64", "report-falsy-non-string-e", "q-list-and-q-exps"])
     def test_malformed_input_exits_2(self, tmp_path, capsys, config, argv, needle):
         cfg = tmp_path / "config.json"
         if config is not None:
@@ -551,6 +555,23 @@ class TestSweep:
         a, b = ([line for line in (tmp_path / f).read_text().splitlines()
                  if not line.startswith("#")] for f in ("a.csv", "b.csv"))
         assert len(a) == 227 and a == b
+
+    def test_q_flags_replace_the_other_q_source_of_a_config(self, tmp_path):
+        # --q clears a config's window, and --q-lo-exp/--q-hi-exp its q_list
+        window = tmp_path / "window.json"
+        window.write_text('{"x_values": [1000000], "q_lo_exp": 0.6, "q_hi_exp": 0.61}')
+        listed = tmp_path / "listed.json"
+        listed.write_text('{"x_values": [1000000], "q_list": [15]}')
+        for cfg, flags, want in (
+            (window, ["--q", "15"], [15]),
+            (listed, ["--q-lo-exp", "0.6", "--q-hi-exp", "0.61", "--eta", "0.5"],
+             cli._cell_moduli(SweepConfig(x_values=[10**6], q_lo_exp=0.6, q_hi_exp=0.61,
+                                          eta=0.5), 10**6)),
+        ):
+            out = tmp_path / "report.csv"
+            assert main(["sweep", "--config", str(cfg), *flags, "--residues", "1",
+                         "--out", str(out)]) == 0
+            assert sorted({r["q"] for r in load_report(str(out))}) == want
 
     def test_x_flag_in_float_notation(self, tmp_path, capsys):
         # --x entries are parsed exactly: 1e6 is 10**6, the same report
