@@ -75,6 +75,7 @@ from .vdc_lab import (
     completion_deviations,
     onediff_grid_cells,
     onediff_ratios,
+    orthogonality_sums,
     product_sums,
     product_sums_crt,
     product_sums_squarefree,
@@ -498,6 +499,10 @@ def verify_report(path: str, seed: int = 0, fraction: float = 0.01) -> tuple[boo
 # --------------------------------------------------------------------------
 
 
+def _within(observed: dict[str, float], allowed: dict[str, float]) -> bool:
+    return all(observed[k] <= allowed[k] for k in allowed)
+
+
 @dataclass(frozen=True)
 class CheckResult:
     """One lemma check over its whole grid.
@@ -512,12 +517,11 @@ class CheckResult:
     cells: int
     observed: dict[str, float]
     allowed: dict[str, float]
-    ok: bool
     line: str
 
-
-def _within(observed: dict[str, float], allowed: dict[str, float]) -> bool:
-    return all(observed[k] <= allowed[k] for k in allowed)
+    @property
+    def ok(self) -> bool:
+        return _within(self.observed, self.allowed)
 
 
 def check_weil(size: str = "small") -> CheckResult:
@@ -552,8 +556,7 @@ def check_weil(size: str = "small") -> CheckResult:
         max_ratio = max(max_ratio, top / weil)
         cells += (p - 1) * p
     allowed = dict.fromkeys(observed, 0.0)
-    ok = _within(observed, allowed)
-    return CheckResult("weil", cells, observed, allowed, ok, (
+    return CheckResult("weil", cells, observed, allowed, (
         f"weil: p <= {p_max} exhaustive over (a,b), p not dividing ab: "
         f"max |S|/(2*sqrt p) = {max_ratio:.12f}, max |Im S| = {max_im:.3g}, "
         f"violations = {violations}"
@@ -582,8 +585,7 @@ def check_completion(size: str = "small") -> CheckResult:
         checks += deviations.size
     observed = {"max deviation": worst}
     allowed = {"max deviation": 1e-8}
-    ok = _within(observed, allowed)
-    return CheckResult("completion", checks, observed, allowed, ok, (
+    return CheckResult("completion", checks, observed, allowed, (
         f"completion: q <= {q_max}, all coprime a, 20 seeded intervals each "
         f"({checks} checks): max deviation = {worst:.3g} (tolerance 1e-08)"
     ))
@@ -600,8 +602,7 @@ def check_vanishing(size: str = "small") -> CheckResult:
     observed = {"counterexamples": total}
     allowed = {"counterexamples": 0}
     cells = sum((p - 1) ** l for p in primes for l in ls)
-    ok = _within(observed, allowed)
-    return CheckResult("vanishing", cells, observed, allowed, ok, (
+    return CheckResult("vanishing", cells, observed, allowed, (
         f"vanishing: {total} counterexamples, p in {{3,5,7,11,13}}, "
         f"l <= {max(ls)} (exhaustive)"
     ))
@@ -615,8 +616,7 @@ def check_orthogonality(size: str = "small") -> CheckResult:
     cells = 0
     for p in primes_up_to(p_max):
         scale = p * p - p
-        s1 = product_sums(range(1, p), (0,), (0,), p)[:, 0]
-        s2 = product_sums(range(1, p), (0, 0), (0,), p)[:, 0]
+        s1, s2 = orthogonality_sums(p)
         # np.hypot rounds as abs(complex) does; np.abs does not
         worst_first = max(worst_first, float((np.hypot(s1.real, s1.imag) / p).max()))
         dev = np.hypot(s2.real - scale, s2.imag) / scale
@@ -625,8 +625,7 @@ def check_orthogonality(size: str = "small") -> CheckResult:
     observed = {"max |sum S|/p": worst_first,
                 "max rel.dev of sum S^2 from p^2-p": worst_second}
     allowed = dict.fromkeys(observed, 1e-6)
-    ok = _within(observed, allowed)
-    return CheckResult("product-sums orthogonality", cells, observed, allowed, ok, (
+    return CheckResult("product-sums orthogonality", cells, observed, allowed, (
         f"product-sums orthogonality: p <= {p_max}, all a: "
         f"max |sum S|/p = {worst_first:.3g}, "
         f"max rel.dev of sum S^2 from p^2-p = {worst_second:.3g}"
@@ -661,8 +660,7 @@ def check_multiplicativity(size: str = "small") -> CheckResult:
     pairs = dev.size
     observed = {"max deviation/err": worst_crt}
     allowed = {"max deviation/err": 1.0}
-    ok = _within(observed, allowed)
-    return CheckResult("product-sums multiplicativity", pairs, observed, allowed, ok, (
+    return CheckResult("product-sums multiplicativity", pairs, observed, allowed, (
         f"product-sums multiplicativity: squarefree q <= {q_max}, j <= 2 "
         f"({pairs} comparisons): max deviation/err = {worst_crt:.3g}"
     ))
@@ -700,14 +698,13 @@ def check_magnitudes(size: str = "small") -> CheckResult:
     for j, r in max_even_b0.items():
         observed[f"even b=0 j={j}"] = r
         allowed[f"even b=0 j={j}"] = min(PINNED_COMPLETEEXP_EVEN_B0.get(j, 2.0**j), 2.0**j)
-    ok = _within(observed, allowed)
-    return CheckResult("product-sums magnitudes", cells, observed, allowed, ok, (
+    return CheckResult("product-sums magnitudes", cells, observed, allowed, (
         f"product-sums magnitudes ({cells} cells): generic ratios "
         f"{ {j: round(v, 6) for j, v in max_generic.items()} } vs pinned "
         f"{PINNED_COMPLETEEXP_GENERIC}; even b=0 "
         f"{ {j: round(v, 6) for j, v in max_even_b0.items()} } vs pinned "
         f"{PINNED_COMPLETEEXP_EVEN_B0} (hard caps 2^j): "
-        f"{'ok' if ok else 'EXCEEDED'}"
+        f"{'ok' if _within(observed, allowed) else 'EXCEEDED'}"
     ))
 
 
@@ -723,10 +720,9 @@ def check_onediff(size: str = "small") -> CheckResult:
     cells = len(reports)
     observed = {"max |T|^2/rhs_core": worst}
     allowed = {"max |T|^2/rhs_core": PINNED_ONEDIFF_RATIO}
-    ok = _within(observed, allowed)
-    return CheckResult("onediff", cells, observed, allowed, ok, (
+    return CheckResult("onediff", cells, observed, allowed, (
         f"onediff: {cells} grid cells: max |T|^2/rhs_core = {worst:.9f} "
-        f"vs pinned {PINNED_ONEDIFF_RATIO} ({'ok' if ok else 'EXCEEDED'})"
+        f"vs pinned {PINNED_ONEDIFF_RATIO} ({'ok' if _within(observed, allowed) else 'EXCEEDED'})"
     ))
 
 
@@ -762,15 +758,6 @@ def run_product_sums_suite(size: str = "small") -> tuple[bool, list[str]]:
 
 def run_onediff_suite(size: str = "small") -> tuple[bool, list[str]]:
     return _run_checks("onediff", size)
-
-
-SUITES = {
-    "weil": run_weil_suite,
-    "completion": run_completion_suite,
-    "vanishing": run_vanishing_suite,
-    "product-sums": run_product_sums_suite,
-    "onediff": run_onediff_suite,
-}
 
 
 # --------------------------------------------------------------------------
@@ -816,9 +803,10 @@ def cmd_error_term(args: argparse.Namespace) -> int:
 
 
 def cmd_targets(args: argparse.Namespace) -> int:
-    both = args.varpi is not None and args.eta is not None
+    if args.varpi is not None and args.eta is None:
+        raise DomainError("targets --varpi needs --eta")
     # everything that can raise runs before any output
-    ok = admissible(args.varpi, args.eta) if both else None
+    ok = None if args.varpi is None else admissible(args.varpi, args.eta)
     qs = target_sizes(args.x, args.q)
     w = None if args.eta is None else target_windows(args.x, args.q, args.eta)
     for j, v in enumerate(qs):
@@ -827,15 +815,16 @@ def cmd_targets(args: argparse.Namespace) -> int:
     if w is not None:
         for j, (lo, hi) in enumerate(w.intervals):
             print(f"window{j} = [{lo:.12g}, {hi:.12g}]")
-    if both:
+    if ok is not None:
         print(f"admissible(varpi={args.varpi}, eta={args.eta}) = {ok}")
     return EXIT_OK
 
 
 def cmd_factorize(args: argparse.Namespace) -> int:
+    if (args.x is None) != (args.eta is None):
+        raise DomainError("factorize needs both --x and --eta for a window split, or neither")
     fq = factorize(args.q)
-    both = args.x is not None and args.eta is not None
-    windows = target_windows(args.x, args.q, args.eta) if both else None
+    windows = None if args.x is None else target_windows(args.x, args.q, args.eta)
     pretty = " * ".join(
         f"{p}^{e}" if e > 1 else str(p) for p, e in fq.factors
     ) or "1"
@@ -861,7 +850,11 @@ def _parse_split(text: str) -> ModulusSplit:
 
 
 def cmd_bound(args: argparse.Namespace) -> int:
-    computed = 0.0
+    unused = ("x", "q", "a", "eta") if args.which == "short-kloosterman" else ("N",)
+    given = [f"--{name}" for name in unused if getattr(args, name) is not None]
+    if given:
+        raise DomainError(f"bound {args.which} takes no {', '.join(given)}")
+    computed = None
     if args.which == "short-kloosterman":
         if args.split is None or args.N is None:
             raise DomainError("short-kloosterman bound needs --split and --N")
@@ -891,7 +884,7 @@ def cmd_bound(args: argparse.Namespace) -> int:
         print(f"{name:12s} = {value:.12g}")
     print(f"{'total':12s} = {report.bound_total:.12g} (eps = {args.eps})")
     print(f"{'total@eps=0':12s} = {report.bound_total_eps0:.12g}")
-    if computed:
+    if computed is not None:
         ratio = computed / report.bound_total if report.bound_total > 0 else 0.0
         print(f"{'computed':12s} = {computed:.12g}  ratio = {ratio:.6g}")
     return EXIT_OK
@@ -954,10 +947,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_lemma_suite(args: argparse.Namespace) -> int:
-    suite = SUITES.get(args.suite)
-    if suite is None:
-        raise DomainError(f"unknown suite {args.suite!r}")
-    ok, lines = suite(args.size)
+    ok, lines = _run_checks(args.suite, args.size)
     for line in lines:
         print(line)
     print(f"{'PASS' if ok else 'FAIL'} {args.suite} ({args.size})")
@@ -1049,7 +1039,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("lemma-suite", help="run an exhaustive identity/bound grid")
-    p.add_argument("suite", choices=sorted(SUITES))
+    p.add_argument("suite", choices=sorted(SUITE_CHECKS))
     p.add_argument("--size", choices=("small", "full"), default="small")
     p.set_defaults(func=cmd_lemma_suite)
 

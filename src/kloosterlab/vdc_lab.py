@@ -223,6 +223,14 @@ def product_sums(residues: Sequence[int], shifts, bs: Sequence[int], q: int) -> 
     return out
 
 
+def orthogonality_sums(p: int) -> tuple[np.ndarray, np.ndarray]:
+    """sum_k S(a, k, p) and sum_k S(a, k, p)^2 for a = 1..p-1 from one gather of the tables:
+    bitwise product_sums(range(1, p), s, (0,), p)[:, 0] at s = (0,) and (0, 0)."""
+    tables = (kloosterman_tables(range(1, p)[block], p) for block in table_row_blocks(p - 1, p))
+    sums = [(tab.sum(axis=1), (tab * tab).sum(axis=1)) for tab in tables]  # one block at a time
+    return np.concatenate([s1 for s1, _ in sums]), np.concatenate([s2 for _, s2 in sums])
+
+
 def _prime_product_sums(
     residues: Sequence[int], shifts, bs: Sequence[int], p: int
 ) -> tuple[np.ndarray, float]:

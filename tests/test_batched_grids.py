@@ -31,6 +31,7 @@ from kloosterlab.vdc_lab import (
     onediff_grid_cells,
     onediff_ratio,
     onediff_ratios,
+    orthogonality_sums,
     product_sums,
     product_sums_crt,
     product_sums_squarefree,
@@ -155,6 +156,13 @@ class TestRowsAreTheOneRowValues:
                 assert (got[i, c], errs[i, c]) == (one.as_complex, one.err)
                 one, one_err = product_sums_squarefree([a], [shifts[i]], [b], fq)
                 assert (direct[i, c], direct_errs[i, c]) == (one[0, 0], one_err[0, 0])
+
+    @pytest.mark.parametrize("p", [2, 3, 131, 199])
+    def test_orthogonality_sums(self, p):
+        # one table block up to p = 127, two at p = 131 and three at p = 199
+        s1, s2 = orthogonality_sums(p)
+        for got, shifts in ((s1, (0,)), (s2, (0, 0))):
+            assert got.tobytes() == product_sums(range(1, p), shifts, (0,), p)[:, 0].tobytes()
 
     def test_crt_batches_are_each_batch_alone(self):
         # the prime parts of all batches that share (p, j) are one batch

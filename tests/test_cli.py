@@ -14,7 +14,6 @@ from kloosterlab.arith import ModulusSplit
 from kloosterlab.bounds_opt import divisorthm_rhs
 from kloosterlab.cli import (
     SUITE_CHECKS,
-    SUITES,
     SweepConfig,
     load_report,
     main,
@@ -138,6 +137,14 @@ class TestSingleQueries:
         assert last == f"computed     = {computed:.12g}  ratio = {computed / total:.6g}"
         assert last == "computed     = 10.4527777778  ratio = 0.0324457"
 
+    @pytest.mark.parametrize("x, q, a", [(5000, 29, 3), (1000, 2, 1)])
+    def test_computed_zero_is_printed(self, capsys, x, q, a):
+        # an exact E(x, q, a) = 0 still gets its computed line
+        assert error_term(ApQuery(x, q, a)).rational == 0
+        assert main(["bound", "divisor", "--x", str(x), "--q", str(q), "--a", str(a),
+                     "--split", f"{q},1,1,1"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "computed     = 0  ratio = 0"
+
     def test_usage_error_exit_code(self, capsys):
         assert main(["divisor", "--x", "0", "--q", "3", "--a", "1"]) == 2
 
@@ -167,7 +174,7 @@ class TestSingleQueries:
         out = capsys.readouterr().out
         assert "0 counterexamples" in out and "PASS" in out
 
-    @pytest.mark.parametrize("suite", sorted(SUITES))
+    @pytest.mark.parametrize("suite", sorted(SUITE_CHECKS))
     def test_lemma_suite(self, suite, capsys, monkeypatch):
         results = []
 
@@ -282,6 +289,16 @@ class TestSingleQueries:
          ["verify-report", "{cfg}", "--fraction", "1"], "config.json: row 1: E_exact = 0"),
         ('{"x_values": [1000], "q_list": [15], "q_lo_exp": 0.5, "q_hi_exp": 0.6}',
          ["sweep", "--config", "{cfg}"], "both q_list and q_lo_exp/q_hi_exp"),
+        (None, ["targets", "--x", "1000000", "--q", "4199", "--varpi", "0.001"],
+         "--varpi needs --eta"),
+        (None, ["factorize", "--q", "4199", "--x", "1000000"], "both --x and --eta"),
+        (None, ["factorize", "--q", "4199", "--eta", "0.25"], "both --x and --eta"),
+        (None, ["bound", "short-kloosterman", "--N", "30", "--split", "13,17,19",
+                "--x", "1000000", "--a", "5"], "takes no --x, --a"),
+        (None, ["bound", "short-kloosterman", "--N", "30", "--split", "13,17,19",
+                "--q", "4199", "--eta", "0.25"], "takes no --q, --eta"),
+        (None, ["bound", "divisor", "--x", "10000", "--q", "1001", "--split", "13,11,7,1",
+                "--N", "30"], "takes no --N"),
     ], ids=["unknown-key", "invalid-json", "bad-x-flag", "negative-x", "zero-q",
             "missing-report", "string-eta", "bool-delta", "null-eps", "string-q-exp",
             "string-jobs", "float-seed", "interval-sum-too-long", "interval-sum-q-past-cap",
@@ -298,7 +315,10 @@ class TestSingleQueries:
             "out-is-a-dir", "nan-varpi", "inf-varpi", "targets-x-past-floats",
             "factorize-x-past-floats", "divisor-bound-x-past-floats", "targets-nan-eta",
             "factorize-nan-eta", "targets-huge-eta", "divisor-q-past-int64",
-            "error-term-q-past-int64", "report-falsy-non-string-e", "q-list-and-q-exps"])
+            "error-term-q-past-int64", "report-falsy-non-string-e", "q-list-and-q-exps",
+            "targets-varpi-without-eta", "factorize-x-without-eta", "factorize-eta-without-x",
+            "short-kloosterman-bound-x-and-a", "short-kloosterman-bound-q-and-eta",
+            "divisor-bound-n"])
     def test_malformed_input_exits_2(self, tmp_path, capsys, config, argv, needle):
         cfg = tmp_path / "config.json"
         if config is not None:
