@@ -2,7 +2,7 @@
 """Re-measure the pinned regression constants on their full grids.
 
 Prints each pinned check's observed maxima at full precision next to the
-value it is allowed to reach (the pins in kloosterlab.vdc_lab, capped by
+value it is allowed to reach (the pins in kloosterlab.checks, capped by
 any analytic bound).  Run after any change to the sum evaluators; if a
 measured maximum moves above its pin, either the change broke something
 or the pin needs a deliberate, reviewed update.
@@ -10,7 +10,7 @@ or the pin needs a deliberate, reviewed update.
 Usage: python scripts/pin_constants.py
 """
 
-from kloosterlab.cli import check_magnitudes, check_onediff
+from kloosterlab.checks import check_magnitudes, check_onediff
 
 
 def main() -> int:

@@ -8,9 +8,8 @@ seed produces a byte-identical report (per-cell RNG streams are derived
 as seed XOR cell-index, so the worker count cannot change the output).
 Schema 1 reports also carried a ``runtime_ms`` column; they still load.
 
-Each lemma check is declared once here, as a ``check_*`` function that
-runs its whole grid and returns a ``CheckResult``; the lemma suites, the
-acceptance tests and ``scripts/pin_constants.py`` all call these.
+The lemma checks live in ``checks``; ``SUITE_CHECKS`` names the checks
+each lemma suite runs.
 """
 
 from __future__ import annotations
@@ -35,7 +34,6 @@ from .arith import (
     ModulusSplit,
     factorize,
     is_prime,
-    primes_up_to,
     smooth_squarefree_moduli,
     totient,
     unit_mask,
@@ -49,6 +47,15 @@ from .bounds_opt import (
     target_sizes,
     target_windows,
 )
+from .checks import (
+    check_completion,
+    check_magnitudes,
+    check_multiplicativity,
+    check_onediff,
+    check_orthogonality,
+    check_vanishing,
+    check_weil,
+)
 from .divisor_ap import (
     HYPERBOLA_X_CAP,
     ApQuery,
@@ -57,30 +64,8 @@ from .divisor_ap import (
     error_term,
 )
 from .errors import DomainError, KloosterlabError
-from .kloosterman import (
-    IntegerInterval,
-    complete_kloosterman,
-    incomplete_kloosterman,
-    kloosterman_tables,
-    table_err,
-)
+from .kloosterman import IntegerInterval, complete_kloosterman, incomplete_kloosterman
 from .oracle import Q_CAP, split_divisor_sum_ap, split_main_term
-from .vdc_lab import (
-    GRID_SEED,
-    PINNED_COMPLETEEXP_EVEN_B0,
-    PINNED_COMPLETEEXP_GENERIC,
-    PINNED_ONEDIFF_RATIO,
-    all_even_multiplicities,
-    completeexp_shift_grid,
-    completion_deviations,
-    onediff_grid_cells,
-    onediff_ratios,
-    orthogonality_sums,
-    product_sums,
-    product_sums_crt,
-    product_sums_squarefree,
-    vanishing_lemma_check,
-)
 
 if TYPE_CHECKING:  # argparse is imported where the parser is built
     import argparse
@@ -499,233 +484,6 @@ def verify_report(path: str, seed: int = 0, fraction: float = 0.01) -> tuple[boo
 # --------------------------------------------------------------------------
 
 
-def _within(observed: dict[str, float], allowed: dict[str, float]) -> bool:
-    return all(observed[k] <= allowed[k] for k in allowed)
-
-
-@dataclass(frozen=True)
-class CheckResult:
-    """One lemma check over its whole grid.
-
-    observed and allowed share their keys: each bounded quantity (a pin,
-    tolerance or cap) maps to its observed value and to the largest value
-    the check accepts; ok says every observed value is within its allowed
-    one.  line is the check's one-line report.
-    """
-
-    name: str
-    cells: int
-    observed: dict[str, float]
-    allowed: dict[str, float]
-    line: str
-
-    @property
-    def ok(self) -> bool:
-        return _within(self.observed, self.allowed)
-
-
-def check_weil(size: str = "small") -> CheckResult:
-    """|S(a,b;p)| <= 2 sqrt(p) and Im S within err, exhaustive over (a, b).
-
-    One row per prime covers every (a, b): S(a, b; p) = S(1, ab; p), and
-    k -> a*k permutes the nonzero residues mod p, so each row a of
-    kloosterman_tables(range(1, p), p) holds the entries of the base row
-    S(1, k; p), k = 0..p-1, permuted (bitwise: the rows are gathers from
-    one base table).  Every row therefore has the base row's maxima, and
-    each cap the base row exceeds is exceeded once in each of the p - 1
-    rows.  cells still counts the (p - 1) * p pairs covered.
-    """
-    p_max = 199 if size == "small" else 499
-    max_ratio = 0.0
-    max_im = 0.0
-    # largest signed excess over each cap: <= 0 exactly when no cell exceeds it
-    observed = {"max |S| - (2 sqrt p + err)": -math.inf, "max |Im S| - err": -math.inf}
-    violations = 0
-    cells = 0
-    for p in primes_up_to(p_max):
-        err = table_err(p)
-        weil = 2 * math.sqrt(p)
-        base = kloosterman_tables([1], p)[0]
-        im = float(np.abs(base.imag).max())
-        top = float(np.abs(base[1:]).max())
-        excess = (top - (weil + err), im - err)
-        violations += (p - 1) * sum(e > 0 for e in excess)
-        for key, e in zip(observed, excess):
-            observed[key] = max(observed[key], e)
-        max_im = max(max_im, im)
-        max_ratio = max(max_ratio, top / weil)
-        cells += (p - 1) * p
-    allowed = dict.fromkeys(observed, 0.0)
-    return CheckResult("weil", cells, observed, allowed, (
-        f"weil: p <= {p_max} exhaustive over (a,b), p not dividing ab: "
-        f"max |S|/(2*sqrt p) = {max_ratio:.12f}, max |Im S| = {max_im:.3g}, "
-        f"violations = {violations}"
-    ))
-
-
-def completion_grid_intervals(q: int) -> list[IntegerInterval]:
-    """20 seeded random intervals of length <= q for the completion grid."""
-    rng = random.Random(GRID_SEED ^ (q * 0x9E3779B1))
-    return [
-        IntegerInterval(rng.randrange(-2 * q, 2 * q + 1), rng.randint(0, q))
-        for _ in range(20)
-    ]
-
-
-def check_completion(size: str = "small") -> CheckResult:
-    """Completion identity deviation over a full (q, a, interval) grid."""
-    q_max = 100 if size == "small" else 300
-    worst = 0.0
-    checks = 0
-    for q in range(1, q_max + 1):
-        intervals = completion_grid_intervals(q)
-        residues = np.flatnonzero(unit_mask(q)).tolist()  # [0] at q = 1
-        deviations = completion_deviations(q, intervals, residues)
-        worst = max(worst, float(deviations.max()))
-        checks += deviations.size
-    observed = {"max deviation": worst}
-    allowed = {"max deviation": 1e-8}
-    return CheckResult("completion", checks, observed, allowed, (
-        f"completion: q <= {q_max}, all coprime a, 20 seeded intervals each "
-        f"({checks} checks): max deviation = {worst:.3g} (tolerance 1e-08)"
-    ))
-
-
-def check_vanishing(size: str = "small") -> CheckResult:
-    """Exhaustive search for all-even subset-sum multiplicities over F_p^*."""
-    ls = (1, 2) if size == "small" else (1, 2, 3)
-    primes = (3, 5, 7, 11, 13)
-    total = 0
-    for p in primes:
-        for l in ls:
-            total += len(vanishing_lemma_check(p, l))
-    observed = {"counterexamples": total}
-    allowed = {"counterexamples": 0}
-    cells = sum((p - 1) ** l for p in primes for l in ls)
-    return CheckResult("vanishing", cells, observed, allowed, (
-        f"vanishing: {total} counterexamples, p in {{3,5,7,11,13}}, "
-        f"l <= {max(ls)} (exhaustive)"
-    ))
-
-
-def check_orthogonality(size: str = "small") -> CheckResult:
-    """sum_k S(a,k;p) = 0 and sum_k S(a,k;p)^2 = p^2 - p, for every prime p and a."""
-    p_max = 101 if size == "small" else 199
-    worst_first = 0.0
-    worst_second = 0.0
-    cells = 0
-    for p in primes_up_to(p_max):
-        scale = p * p - p
-        s1, s2 = orthogonality_sums(p)
-        # np.hypot rounds as abs(complex) does; np.abs does not
-        worst_first = max(worst_first, float((np.hypot(s1.real, s1.imag) / p).max()))
-        dev = np.hypot(s2.real - scale, s2.imag) / scale
-        worst_second = max(worst_second, float(dev.max()))
-        cells += p - 1
-    observed = {"max |sum S|/p": worst_first,
-                "max rel.dev of sum S^2 from p^2-p": worst_second}
-    allowed = dict.fromkeys(observed, 1e-6)
-    return CheckResult("product-sums orthogonality", cells, observed, allowed, (
-        f"product-sums orthogonality: p <= {p_max}, all a: "
-        f"max |sum S|/p = {worst_first:.3g}, "
-        f"max rel.dev of sum S^2 from p^2-p = {worst_second:.3g}"
-    ))
-
-
-def check_multiplicativity(size: str = "small") -> CheckResult:
-    """CRT evaluation of squarefree product sums against direct summation."""
-    q_max = 105 if size == "small" else 210
-    batches = []
-    for q in range(2, q_max + 1):
-        fq = factorize(q)
-        if not fq.squarefree:
-            continue
-        sample = sorted({0, 1, 2, q // 2, q - 1})
-        shift_sets: list[tuple[int, ...]] = [()]
-        shift_sets += [(s,) for s in sample]
-        shift_sets += [(s1, s2) for s1 in sample[:3] for s2 in sample]
-        units = [a for a in (1, q - 1) if math.gcd(a, q) == 1]
-        for j in (0, 1, 2):
-            rows = [(a, shifts) for a in units for shifts in shift_sets if len(shifts) == j]
-            residues = [a for a, _ in rows]
-            shifts = np.array([s for _, s in rows], dtype=np.int64).reshape(len(rows), j)
-            batches.append((residues, shifts, fq))
-    # the prime parts of every q are evaluated in one batch per (p, j)
-    crt = product_sums_crt(batches, (0, 1))
-    direct = [product_sums_squarefree(r, s, (0, 1), fq) for r, s, fq in batches]
-    (c, c_err), (d, d_err) = ([np.concatenate(x) for x in zip(*sums)] for sums in (crt, direct))
-    dev = np.hypot(c.real - d.real, c.imag - d.imag)
-    budget = np.maximum(c_err + d_err, 1e-12)
-    worst_crt = float((dev / budget).max(initial=0.0))
-    pairs = dev.size
-    observed = {"max deviation/err": worst_crt}
-    allowed = {"max deviation/err": 1.0}
-    return CheckResult("product-sums multiplicativity", pairs, observed, allowed, (
-        f"product-sums multiplicativity: squarefree q <= {q_max}, j <= 2 "
-        f"({pairs} comparisons): max deviation/err = {worst_crt:.3g}"
-    ))
-
-
-def check_magnitudes(size: str = "small") -> CheckResult:
-    """Product-sum magnitude ratios against their pins and the 2^j caps.
-
-    Over completeexp_shift_grid(p, j) and a in {1, 2}: generic cells are scaled by
-    p^{(j+1)/2}; b = 0 cells with all-even shift multiplicities by p^{(j+2)/2}
-    (these also obey the hard cap 2^j from the per-factor Weil bound).
-    """
-    p_max = 101 if size == "small" else 199
-    max_generic = {1: 0.0, 2: 0.0, 3: 0.0}
-    max_even_b0 = {2: 0.0}
-    cells = 0
-    for p in primes_up_to(p_max):
-        residues = [a for a in (1, 2 % p) if a % p]
-        for j in max_generic:
-            tuples, bs = completeexp_shift_grid(p, j)
-            rows = [(a, shifts) for shifts in tuples for a in residues]
-            values = product_sums([a for a, _ in rows], [shifts for _, shifts in rows], bs, p)
-            mags = np.hypot(values.real, values.imag)  # rounds as abs(complex) does
-            cells += mags.size
-            even = np.array([all_even_multiplicities(p, shifts) for _, shifts in rows])
-            even_b0 = even[:, None] & (np.array(bs) == 0)
-            if even_b0.any() and j in max_even_b0:
-                top = float((mags[even_b0] / p ** ((j + 2) / 2)).max())
-                max_even_b0[j] = max(max_even_b0[j], top)
-            if not even_b0.all():
-                top = float((mags[~even_b0] / p ** ((j + 1) / 2)).max())
-                max_generic[j] = max(max_generic[j], top)
-    observed = {f"generic j={j}": r for j, r in max_generic.items()}
-    allowed = {f"generic j={j}": PINNED_COMPLETEEXP_GENERIC[j] for j in max_generic}
-    for j, r in max_even_b0.items():
-        observed[f"even b=0 j={j}"] = r
-        allowed[f"even b=0 j={j}"] = min(PINNED_COMPLETEEXP_EVEN_B0.get(j, 2.0**j), 2.0**j)
-    return CheckResult("product-sums magnitudes", cells, observed, allowed, (
-        f"product-sums magnitudes ({cells} cells): generic ratios "
-        f"{ {j: round(v, 6) for j, v in max_generic.items()} } vs pinned "
-        f"{PINNED_COMPLETEEXP_GENERIC}; even b=0 "
-        f"{ {j: round(v, 6) for j, v in max_even_b0.items()} } vs pinned "
-        f"{PINNED_COMPLETEEXP_EVEN_B0} (hard caps 2^j): "
-        f"{'ok' if _within(observed, allowed) else 'EXCEEDED'}"
-    ))
-
-
-def check_onediff(size: str = "small") -> CheckResult:
-    """One-step differencing ratio |T|^2 / rhs_core against its pin."""
-    intervals = {K: IntegerInterval(0, K) for K in (10, 20, 30)}
-    reports = onediff_ratios([
-        (a, q0, q1, M, intervals[K], shifts)
-        for q0, q1, K, M, a, shifts in onediff_grid_cells()
-        if size != "small" or q0 * q1 <= 105
-    ])
-    worst = max((rep.ratio for rep in reports), default=0.0)
-    cells = len(reports)
-    observed = {"max |T|^2/rhs_core": worst}
-    allowed = {"max |T|^2/rhs_core": PINNED_ONEDIFF_RATIO}
-    return CheckResult("onediff", cells, observed, allowed, (
-        f"onediff: {cells} grid cells: max |T|^2/rhs_core = {worst:.9f} "
-        f"vs pinned {PINNED_ONEDIFF_RATIO} ({'ok' if _within(observed, allowed) else 'EXCEEDED'})"
-    ))
-
-
 SUITE_CHECKS = {
     "weil": (check_weil,),
     "completion": (check_completion,),
@@ -863,6 +621,8 @@ def cmd_bound(args: argparse.Namespace) -> int:
         if args.x is None or args.q is None:
             raise DomainError("divisor bound needs --x and --q")
         if args.split is not None:
+            if args.eta is not None:
+                raise DomainError("bound divisor takes --split or --eta, not both")
             split = _parse_split(args.split)
             if split.modulus != args.q:
                 raise DomainError(

@@ -27,24 +27,21 @@ mod q and is the oracle for the CRT route of product_sums_crt.
 
 The differencing and product-sum inequalities carry unspecified
 constants, so the checkers report ratios against the bound with epsilon
-= 0 and constant 1; observed maxima over fixed deterministic grids are
-pinned below as regression constants.
+= 0 and constant 1; the checks module pins their observed maxima over
+fixed deterministic grids as regression constants.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import random
-from collections import Counter
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .arith import (
     INVERSE_TABLE_CAP,
     FactoredInteger,
-    factorize,
     inverse_table,
     is_prime,
     mulmod,
@@ -61,32 +58,6 @@ from .kloosterman import (
     table_err,
     table_row_blocks,
 )
-
-# --------------------------------------------------------------------------
-# Pinned regression constants.
-#
-# Measured on the full deterministic grids (2026-08-09); re-measure with
-# scripts/pin_constants.py, which prints each pinned check's observed
-# maxima (cli.check_magnitudes, cli.check_onediff at size "full") beside
-# these pins.  The checks assert the grids never exceed these maxima;
-# they are observations, not analytic bounds, except where noted.
-# --------------------------------------------------------------------------
-
-# max |sum| / p^{(j+1)/2} over the generic cells (b != 0 or shift
-# multiplicities not all even) of the complete product-sum grid,
-# p <= 199, a in {1, 2}, deterministic shift/b sample.  Measured
-# {1: 1.0, 2: 2.972242313, 3: 3.587692063}; pinned with one part in
-# 10^7 of headroom for float jitter across BLAS builds.
-PINNED_COMPLETEEXP_GENERIC = {1: 1.0000001, 2: 2.9722424, 3: 3.5876921}
-
-# max |sum| / p^{(j+2)/2} over the b = 0, all-even-multiplicity cells.
-# The analytic cap from the per-factor Weil bound is 2^j; the measured
-# maximum is 0.994974874 (= 1 - 1/199, the exact orthogonality value).
-PINNED_COMPLETEEXP_EVEN_B0 = {2: 0.9949749}
-
-# max |T|^2 / rhs_core over the one-step differencing grid
-# (squarefree q0*q1 <= 210, K in {10, 20, 30}).  Measured 0.697633485.
-PINNED_ONEDIFF_RATIO = 0.6976335
 
 
 class OnediffReport(NamedTuple):
@@ -525,65 +496,3 @@ def onediff_ratio(
     mod q0.  The returned ratio is diagnostic, not an asserted bound.
     """
     return onediff_ratios([(a, q0, q1, M, J, shifts)])[0]
-
-
-# --------------------------------------------------------------------------
-# Deterministic grids for the pinned-regression checks, scanned by cli's checks.
-# --------------------------------------------------------------------------
-
-GRID_SEED = 0xC0FFEE
-
-
-def completeexp_shift_grid(p: int, j: int) -> tuple[list[tuple[int, ...]], list[int]]:
-    """Deterministic (shift tuples, bs) sample for the product-sum magnitude
-    grid, which pairs every tuple with every b; each is listed once, b mod p.
-
-    Mixes structured tuples (constant, pairwise-repeated, staggered) with
-    a few pseudorandom ones drawn from a seed fixed by (p, j), so reruns
-    see the identical grid.
-    """
-    base = []
-    for v in (0, 1, 2, 3, p // 2, p - 1):
-        if v % p not in base:
-            base.append(v % p)
-    tuples: list[tuple[int, ...]] = []
-    for v in base[:3]:
-        tuples.append((v,) * j)
-    for t in range(len(base)):
-        tuples.append(tuple(base[(t + i) % len(base)] for i in range(j)))
-    if j % 2 == 0:
-        for v, w in itertools.combinations(base[:4], 2):
-            tuples.append((v,) * (j // 2) + (w,) * (j // 2))
-    rng = random.Random(GRID_SEED + 1000003 * p + 101 * j)
-    for _ in range(4):
-        tuples.append(tuple(rng.randrange(p) for _ in range(j)))
-    return list(dict.fromkeys(tuples)), list(dict.fromkeys(b % p for b in (0, 1, p - 1)))
-
-
-def all_even_multiplicities(p: int, shifts: tuple[int, ...]) -> bool:
-    counts = Counter(s % p for s in shifts)
-    return all(c % 2 == 0 for c in counts.values())
-
-
-def onediff_grid_cells() -> Iterator[tuple[int, int, int, int, int, tuple[int, ...]]]:
-    """Deterministic (q0, q1, K, M, a, shifts) cells for the differencing grid."""
-    for q in range(6, 211):
-        fq = factorize(q)
-        if not fq.squarefree or len(fq.factors) < 2:
-            continue
-        primes = fq.primes
-        for r in range(1, len(primes)):
-            for combo in itertools.combinations(primes, r):
-                q1 = math.prod(combo)
-                q0 = q // q1
-                if q0 < 2:
-                    continue
-                for K in (10, 20, 30):
-                    if q1 > K:
-                        continue
-                    for M in (0, 1):
-                        for a in (1, 2):
-                            if math.gcd(a, q) != 1:
-                                continue
-                            for shifts in ((0,), (1,)):
-                                yield q0, q1, K, M, a, shifts

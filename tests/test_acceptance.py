@@ -20,17 +20,14 @@ from kloosterlab.bounds_opt import (
     target_windows,
     WindowSpec,
 )
-from kloosterlab.cli import (
-    SweepConfig,
+from kloosterlab.checks import (
     check_completion,
     check_magnitudes,
     check_orthogonality,
     check_vanishing,
     check_weil,
-    render_report,
-    run_sweep,
-    verify_report,
 )
+from kloosterlab.cli import SweepConfig, render_report, run_sweep, verify_report
 from kloosterlab.divisor_ap import (
     ApQuery,
     divisor_main_term,

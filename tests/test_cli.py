@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kloosterlab import cli, divisor_ap
+from kloosterlab import checks, cli, divisor_ap
 from kloosterlab.arith import ModulusSplit
 from kloosterlab.bounds_opt import divisorthm_rhs
 from kloosterlab.cli import (
@@ -192,6 +192,14 @@ class TestSingleQueries:
             assert r.ok and r.cells > 0 and r.observed.keys() == r.allowed.keys()
             assert all(r.observed[k] <= r.allowed[k] for k in r.allowed), r
 
+    def test_every_check_is_run_by_exactly_one_suite(self):
+        names = [name for name in vars(checks) if name.startswith("check_")]
+        assert names
+        for name in names:
+            runs = [suite for suite, fns in SUITE_CHECKS.items()
+                    for fn in fns if fn is getattr(checks, name)]
+            assert len(runs) == 1, (name, runs)
+
     @pytest.mark.parametrize("config, argv, needle", [
         ('{"x_values": [2000], "q_list": [15], "bogus": 1}',
          ["sweep", "--config", "{cfg}"], "bogus"),
@@ -299,6 +307,8 @@ class TestSingleQueries:
                 "--q", "4199", "--eta", "0.25"], "takes no --q, --eta"),
         (None, ["bound", "divisor", "--x", "10000", "--q", "1001", "--split", "13,11,7,1",
                 "--N", "30"], "takes no --N"),
+        (None, ["bound", "divisor", "--x", "1000", "--q", "30", "--split", "2,3,5,1",
+                "--eta", "0.2"], "bound divisor takes --split or --eta, not both"),
     ], ids=["unknown-key", "invalid-json", "bad-x-flag", "negative-x", "zero-q",
             "missing-report", "string-eta", "bool-delta", "null-eps", "string-q-exp",
             "string-jobs", "float-seed", "interval-sum-too-long", "interval-sum-q-past-cap",
@@ -318,7 +328,7 @@ class TestSingleQueries:
             "error-term-q-past-int64", "report-falsy-non-string-e", "q-list-and-q-exps",
             "targets-varpi-without-eta", "factorize-x-without-eta", "factorize-eta-without-x",
             "short-kloosterman-bound-x-and-a", "short-kloosterman-bound-q-and-eta",
-            "divisor-bound-n"])
+            "divisor-bound-n", "divisor-bound-split-and-eta"])
     def test_malformed_input_exits_2(self, tmp_path, capsys, config, argv, needle):
         cfg = tmp_path / "config.json"
         if config is not None:
@@ -865,6 +875,12 @@ class TestImportFootprint:
         loaded = self._fresh_modules("import kloosterlab.cli")
         assert "kloosterlab.cli" in loaded
         assert not loaded & {"concurrent.futures", "multiprocessing", "argparse"}
+
+    def test_checks_load_no_cli_or_parser(self):
+        # scripts/pin_constants.py runs the checks without the command-line front end
+        loaded = self._fresh_modules("import kloosterlab.checks")
+        assert "kloosterlab.checks" in loaded
+        assert not loaded & {"kloosterlab.cli", "argparse"}
 
     def test_package_root_loads_no_submodule(self):
         loaded = self._fresh_modules("import kloosterlab")

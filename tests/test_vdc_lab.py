@@ -10,17 +10,21 @@ from hypothesis import strategies as st
 
 from kloosterlab import vdc_lab
 from kloosterlab.arith import factorize, primes_up_to
-from kloosterlab.cli import check_completion, check_magnitudes, completion_grid_intervals
-from kloosterlab.errors import DomainError, NotCoprime, NotSquarefree
-from kloosterlab.kloosterman import IntegerInterval, incomplete_kloosterman, kloosterman_table
-from kloosterlab.vdc_lab import (
+from kloosterlab.checks import (
     PINNED_COMPLETEEXP_EVEN_B0,
     PINNED_COMPLETEEXP_GENERIC,
     PINNED_ONEDIFF_RATIO,
+    all_even_multiplicities,
+    check_completion,
+    check_magnitudes,
+    completeexp_shift_grid,
+    completion_grid_intervals,
+)
+from kloosterlab.errors import DomainError, NotCoprime, NotSquarefree
+from kloosterlab.kloosterman import IntegerInterval, incomplete_kloosterman, kloosterman_table
+from kloosterlab.vdc_lab import (
     _completion_sides,
     _interval_indicator,
-    all_even_multiplicities,
-    completeexp_shift_grid,
     completion_check,
     completion_deviations,
     onediff_ratio,
