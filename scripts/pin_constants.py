@@ -16,7 +16,7 @@ from kloosterlab.checks import check_magnitudes, check_onediff
 def main() -> int:
     ok = True
     for check in (check_magnitudes, check_onediff):
-        r = check("full")
+        r = check()
         ok &= r.ok
         print(f"{r.name}: {r.cells} cells")
         for key, value in r.observed.items():

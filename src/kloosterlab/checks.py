@@ -1,7 +1,7 @@
 """The lemma checks, each declared once with its grid and its pin.
 
-Each check_* function runs its whole deterministic grid for a size and
-returns a CheckResult; cli.SUITE_CHECKS, the acceptance tests and
+Each check_* function runs its one deterministic grid and returns a
+CheckResult; cli.SUITE_CHECKS, the acceptance tests and
 scripts/pin_constants.py call them.  vdc_lab evaluates the sums.
 """
 
@@ -32,11 +32,11 @@ from .vdc_lab import (
 # --------------------------------------------------------------------------
 # Pinned regression constants.
 #
-# Measured on the full deterministic grids (2026-08-09); re-measure with
+# Measured on the deterministic grids (2026-08-09); re-measure with
 # scripts/pin_constants.py, which prints each pinned check's observed
-# maxima (check_magnitudes, check_onediff at size "full") beside
-# these pins.  The checks assert the grids never exceed these maxima;
-# they are observations, not analytic bounds, except where noted.
+# maxima (check_magnitudes, check_onediff) beside these pins.  The
+# checks assert the grids never exceed these maxima; they are
+# observations, not analytic bounds, except where noted.
 # --------------------------------------------------------------------------
 
 # max |sum| / p^{(j+1)/2} over the generic cells (b != 0 or shift
@@ -152,7 +152,7 @@ class CheckResult:
         return _within(self.observed, self.allowed)
 
 
-def check_weil(size: str = "small") -> CheckResult:
+def check_weil() -> CheckResult:
     """|S(a,b;p)| <= 2 sqrt(p) and Im S within err, exhaustive over (a, b).
 
     One row per prime covers every (a, b): S(a, b; p) = S(1, ab; p), and
@@ -163,7 +163,7 @@ def check_weil(size: str = "small") -> CheckResult:
     each cap the base row exceeds is exceeded once in each of the p - 1
     rows.  cells still counts the (p - 1) * p pairs covered.
     """
-    p_max = 199 if size == "small" else 499
+    p_max = 499
     max_ratio = 0.0
     max_im = 0.0
     # largest signed excess over each cap: <= 0 exactly when no cell exceeds it
@@ -191,9 +191,9 @@ def check_weil(size: str = "small") -> CheckResult:
     ))
 
 
-def check_completion(size: str = "small") -> CheckResult:
+def check_completion() -> CheckResult:
     """Completion identity deviation over a full (q, a, interval) grid."""
-    q_max = 100 if size == "small" else 300
+    q_max = 300
     worst = 0.0
     checks = 0
     for q in range(1, q_max + 1):
@@ -210,9 +210,9 @@ def check_completion(size: str = "small") -> CheckResult:
     ))
 
 
-def check_vanishing(size: str = "small") -> CheckResult:
+def check_vanishing() -> CheckResult:
     """Exhaustive search for all-even subset-sum multiplicities over F_p^*."""
-    ls = (1, 2) if size == "small" else (1, 2, 3)
+    ls = (1, 2, 3)
     primes = (3, 5, 7, 11, 13)
     total = 0
     for p in primes:
@@ -227,9 +227,9 @@ def check_vanishing(size: str = "small") -> CheckResult:
     ))
 
 
-def check_orthogonality(size: str = "small") -> CheckResult:
+def check_orthogonality() -> CheckResult:
     """sum_k S(a,k;p) = 0 and sum_k S(a,k;p)^2 = p^2 - p, for every prime p and a."""
-    p_max = 101 if size == "small" else 199
+    p_max = 199
     worst_first = 0.0
     worst_second = 0.0
     cells = 0
@@ -251,9 +251,9 @@ def check_orthogonality(size: str = "small") -> CheckResult:
     ))
 
 
-def check_multiplicativity(size: str = "small") -> CheckResult:
+def check_multiplicativity() -> CheckResult:
     """CRT evaluation of squarefree product sums against direct summation."""
-    q_max = 105 if size == "small" else 210
+    q_max = 210
     batches = []
     for q in range(2, q_max + 1):
         fq = arith.factorize(q)
@@ -285,14 +285,14 @@ def check_multiplicativity(size: str = "small") -> CheckResult:
     ))
 
 
-def check_magnitudes(size: str = "small") -> CheckResult:
+def check_magnitudes() -> CheckResult:
     """Product-sum magnitude ratios against their pins and the 2^j caps.
 
     Over completeexp_shift_grid(p, j) and a in {1, 2}: generic cells are scaled by
     p^{(j+1)/2}; b = 0 cells with all-even shift multiplicities by p^{(j+2)/2}
     (these also obey the hard cap 2^j from the per-factor Weil bound).
     """
-    p_max = 101 if size == "small" else 199
+    p_max = 199
     max_generic = {1: 0.0, 2: 0.0, 3: 0.0}
     max_even_b0 = {2: 0.0}
     cells = 0
@@ -327,13 +327,12 @@ def check_magnitudes(size: str = "small") -> CheckResult:
     ))
 
 
-def check_onediff(size: str = "small") -> CheckResult:
+def check_onediff() -> CheckResult:
     """One-step differencing ratio |T|^2 / rhs_core against its pin."""
     intervals = {K: IntegerInterval(0, K) for K in (10, 20, 30)}
     reports = onediff_ratios([
         (a, q0, q1, M, intervals[K], shifts)
         for q0, q1, K, M, a, shifts in onediff_grid_cells()
-        if size != "small" or q0 * q1 <= 105
     ])
     worst = max((rep.ratio for rep in reports), default=0.0)
     cells = len(reports)

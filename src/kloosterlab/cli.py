@@ -493,28 +493,31 @@ SUITE_CHECKS = {
 }
 
 
-def _run_checks(suite: str, size: str) -> tuple[bool, list[str]]:
-    results = [check(size) for check in SUITE_CHECKS[suite]]
+def _run_checks(suite: str, size: str = "full") -> tuple[bool, list[str]]:
+    # each check has one grid; size stays only because perfbench calls suite("full")
+    if size != "full":
+        raise DomainError(f"lemma suites run one grid, 'full'; got size {size!r}")
+    results = [check() for check in SUITE_CHECKS[suite]]
     return all(r.ok for r in results), [r.line for r in results]
 
 
-def run_weil_suite(size: str = "small") -> tuple[bool, list[str]]:
+def run_weil_suite(size: str = "full") -> tuple[bool, list[str]]:
     return _run_checks("weil", size)
 
 
-def run_completion_suite(size: str = "small") -> tuple[bool, list[str]]:
+def run_completion_suite(size: str = "full") -> tuple[bool, list[str]]:
     return _run_checks("completion", size)
 
 
-def run_vanishing_suite(size: str = "small") -> tuple[bool, list[str]]:
+def run_vanishing_suite(size: str = "full") -> tuple[bool, list[str]]:
     return _run_checks("vanishing", size)
 
 
-def run_product_sums_suite(size: str = "small") -> tuple[bool, list[str]]:
+def run_product_sums_suite(size: str = "full") -> tuple[bool, list[str]]:
     return _run_checks("product-sums", size)
 
 
-def run_onediff_suite(size: str = "small") -> tuple[bool, list[str]]:
+def run_onediff_suite(size: str = "full") -> tuple[bool, list[str]]:
     return _run_checks("onediff", size)
 
 
@@ -707,10 +710,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_lemma_suite(args: argparse.Namespace) -> int:
-    ok, lines = _run_checks(args.suite, args.size)
+    ok, lines = _run_checks(args.suite)
     for line in lines:
         print(line)
-    print(f"{'PASS' if ok else 'FAIL'} {args.suite} ({args.size})")
+    print(f"{'PASS' if ok else 'FAIL'} {args.suite} (full)")
     return EXIT_OK if ok else EXIT_FAIL
 
 
@@ -800,7 +803,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lemma-suite", help="run an exhaustive identity/bound grid")
     p.add_argument("suite", choices=sorted(SUITE_CHECKS))
-    p.add_argument("--size", choices=("small", "full"), default="small")
     p.set_defaults(func=cmd_lemma_suite)
 
     p = sub.add_parser("verify-report", help="recompute a sample of report rows")

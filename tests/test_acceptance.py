@@ -46,7 +46,7 @@ def _report(criterion: int, ok: bool, detail: str) -> None:
 
 
 def test_c01_weil_suite():
-    r = check_weil("full")
+    r = check_weil()
     _report(1, r.ok, r.line)
 
 
@@ -96,7 +96,7 @@ def test_c02_twisted_multiplicativity():
 
 
 def test_c03_completion_identity():
-    r = check_completion("full")
+    r = check_completion()
     _report(3, r.ok, r.line)
 
 
@@ -158,17 +158,17 @@ def test_c05_hand_values():
 
 
 def test_c06_vanishing_lemma():
-    r = check_vanishing("full")
+    r = check_vanishing()
     _report(6, r.ok, r.line)
 
 
 def test_c07_product_sum_orthogonality():
-    r = check_orthogonality("full")
+    r = check_orthogonality()
     _report(7, r.ok, r.line)
 
 
 def test_c08_completeexp_regression():
-    r = check_magnitudes("full")
+    r = check_magnitudes()
     _report(8, r.ok, r.line)
 
 

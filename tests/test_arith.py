@@ -18,6 +18,7 @@ from kloosterlab.arith import (
     factorize,
     inverse_mod,
     inverse_table,
+    is_prime,
     mulmod,
     smooth_squarefree_moduli,
     totient,
@@ -251,6 +252,16 @@ class TestResidueTables:
             assert np.all(n[units] * block[units] % q == 1)
             assert np.all(block[~units] == -1)
         assert int((inv < 0).sum()) == q - totient(factorize(q))
+
+    def test_prime_inverse_table_past_one_block(self):
+        # the least prime above 2^20: inverse_mod builds it in two blocks
+        q = 1048583
+        assert is_prime(q) and not any(is_prime(n) for n in range(2**20, q))
+        inv = inverse_table.__wrapped__(q)
+        assert inv.shape == (q,) and inv[0] == -1
+        rng = random.Random(q)
+        ns = [1, 2, *range(2**20 - 2, 2**20 + 2), q - 1] + rng.sample(range(1, q), 1000)
+        assert [int(inv[n]) for n in ns] == [pow(n, -1, q) for n in ns]
 
     @pytest.mark.parametrize("m", [1, 2, 10007, 360360, 2**61 - 1, 2**62 - 1])
     def test_inverse_mod_matches_pow(self, m):

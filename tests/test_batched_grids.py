@@ -257,7 +257,7 @@ class TestWeilScansOneRowPerPrime:
         if push:
             monkeypatch.setattr(kloosterman, "_base_table", _pushed_base(p))
         monkeypatch.setattr(checks, "primes_up_to", lambda n: [p])
-        got = checks.check_weil("small")
+        got = checks.check_weil()
         tables = kloosterman_tables(range(1, p), p)
         top = np.abs(tables[:, 1:]).max(axis=1)
         im = np.abs(tables.imag).max(axis=1)
@@ -269,9 +269,9 @@ class TestWeilScansOneRowPerPrime:
         assert got.ok is not push
 
     def test_a_pushed_base_entry_is_a_violation_in_every_row(self, monkeypatch):
-        assert _violations(checks.check_weil("small")) == 0
+        assert _violations(checks.check_weil()) == 0
         monkeypatch.setattr(kloosterman, "_base_table", _pushed_base(53))
-        got = checks.check_weil("small")
+        got = checks.check_weil()
         assert _violations(got) == (53 - 1) * 1
         assert not got.ok
 
@@ -286,27 +286,27 @@ def _scaled(builder, factor):
 
 class TestEachGridDetectsAMutation:
     def test_weil_sees_a_rotated_table(self, monkeypatch):
-        assert checks.check_weil("small").ok
+        assert checks.check_weil().ok
         monkeypatch.setattr(checks, "kloosterman_tables",
                             _scaled(kloosterman_tables, np.exp(1e-9j)))
-        assert not checks.check_weil("small").ok
+        assert not checks.check_weil().ok
 
     def test_orthogonality_sees_a_scaled_table(self, monkeypatch):
         # both sums are invariant under permuting k, so no reindexing
         # mutation (such as a rolled table) can be seen by this check
-        assert checks.check_orthogonality("small").ok
+        assert checks.check_orthogonality().ok
         monkeypatch.setattr(vdc_lab, "kloosterman_tables", _scaled(kloosterman_tables, 1 + 1e-5))
-        assert not checks.check_orthogonality("small").ok
+        assert not checks.check_orthogonality().ok
 
     def test_magnitudes_see_a_table_scaled_by_one_part_in_a_million(self, monkeypatch):
-        assert checks.check_magnitudes("small").ok
+        assert checks.check_magnitudes().ok
         monkeypatch.setattr(vdc_lab, "kloosterman_tables", _scaled(kloosterman_tables, 1 + 1e-6))
-        assert not checks.check_magnitudes("small").ok
+        assert not checks.check_magnitudes().ok
 
     def test_multiplicativity_sees_an_off_by_one_crt_twist(self, monkeypatch):
-        assert checks.check_multiplicativity("small").ok
+        assert checks.check_multiplicativity().ok
         monkeypatch.setattr(vdc_lab, "crt_twists", _off_by_one_twists)
-        assert not checks.check_multiplicativity("small").ok
+        assert not checks.check_multiplicativity().ok
 
     def test_complete_kloosterman_sees_an_off_by_one_crt_twist(self, monkeypatch):
         def deviates():
@@ -323,7 +323,7 @@ class TestEachGridDetectsAMutation:
         assert deviates()
 
     def test_onediff_sees_a_scaled_table(self, monkeypatch):
-        assert checks.check_onediff("full").ok
+        assert checks.check_onediff().ok
         monkeypatch.setattr(vdc_lab, "kloosterman_table",
                             lambda a, q: kloosterman_table(a, q) * (1 + 1e-6))
-        assert not checks.check_onediff("full").ok
+        assert not checks.check_onediff().ok

@@ -16,9 +16,12 @@ import importlib.util
 import pkgutil
 from pathlib import Path
 
+import pytest
+
 import kloosterlab
 from kloosterlab import cli, divisor_ap
 from kloosterlab.divisor_ap import ApQuery, divisor_main_term, divisor_sum_ap
+from kloosterlab.errors import DomainError
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -72,7 +75,15 @@ def test_suite_functions_run_the_cli_suites(monkeypatch):
     calls = []
     monkeypatch.setattr(cli, "_run_checks", lambda *args: calls.append(args) or (True, []))
     for name in names:
-        for size in ("small", "full"):
-            calls.clear()
-            getattr(cli, f"run_{name.replace('-', '_')}_suite")(size)
-            assert calls == [(name, size)]
+        calls.clear()
+        getattr(cli, f"run_{name.replace('-', '_')}_suite")("full")
+        assert calls == [(name, "full")]
+
+
+def test_a_suite_rejects_any_size_but_full_before_any_check(monkeypatch):
+    # each check runs its one grid; "full" names it for the benchmark's calls
+    ran = []
+    monkeypatch.setitem(cli.SUITE_CHECKS, "weil", (lambda: ran.append(1),))
+    with pytest.raises(DomainError, match="'small'"):
+        cli.run_weil_suite("small")
+    assert ran == []

@@ -170,23 +170,34 @@ class TestSingleQueries:
         assert "Traceback" not in err and "BrokenPipeError" not in err
 
     def test_lemma_suite_vanishing(self, capsys):
-        assert main(["lemma-suite", "vanishing", "--size", "small"]) == 0
+        assert main(["lemma-suite", "vanishing"]) == 0
         out = capsys.readouterr().out
         assert "0 counterexamples" in out and "PASS" in out
+
+    @pytest.mark.parametrize("size", ["small", "full"])
+    def test_lemma_suite_takes_no_size(self, capsys, size):
+        # each check runs its one grid, so the retired --size flag is a usage error
+        with pytest.raises(SystemExit) as exc:
+            main(["lemma-suite", "weil", "--size", size])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        errors = [line for line in captured.err.splitlines() if "error:" in line]
+        assert errors == [f"kloosterlab: error: unrecognized arguments: --size {size}"]
+        assert captured.out == ""
 
     @pytest.mark.parametrize("suite", sorted(SUITE_CHECKS))
     def test_lemma_suite(self, suite, capsys, monkeypatch):
         results = []
 
         def recorded(check):
-            def run(size):
-                results.append(check(size))
+            def run():
+                results.append(check())
                 return results[-1]
             return run
 
         monkeypatch.setitem(SUITE_CHECKS, suite, tuple(map(recorded, SUITE_CHECKS[suite])))
-        assert main(["lemma-suite", suite, "--size", "small"]) == 0
-        assert f"PASS {suite} (small)" in capsys.readouterr().out
+        assert main(["lemma-suite", suite]) == 0
+        assert f"PASS {suite} (full)" in capsys.readouterr().out
         assert len(results) == len(SUITE_CHECKS[suite])
         for r in results:
             assert r.ok and r.cells > 0 and r.observed.keys() == r.allowed.keys()

@@ -1,9 +1,9 @@
-"""The five lemma suites at size full, and scripts/pin_constants.py, print
+"""The five lemma suites, and scripts/pin_constants.py, print
 exactly the recorded reports.
 
 tests/data/lemma_full.txt is the stdout of
 
-    OPENBLAS_NUM_THREADS=1 python -m kloosterlab lemma-suite <suite> --size full
+    OPENBLAS_NUM_THREADS=1 python -m kloosterlab lemma-suite <suite>
 
 for the suites in SUITE_ORDER, concatenated.  Every figure in it is a
 maximum over a grid, so a change to any cell that moves a maximum shows
@@ -30,7 +30,7 @@ def _suite_stdout(suite: str) -> str:
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path, **ONE_THREAD)
     proc = subprocess.run(
-        [sys.executable, "-m", "kloosterlab", "lemma-suite", suite, "--size", "full"],
+        [sys.executable, "-m", "kloosterlab", "lemma-suite", suite],
         env=env, capture_output=True, text=True, timeout=600, check=False,
     )
     assert proc.returncode == 0, proc.stderr

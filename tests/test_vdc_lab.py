@@ -223,9 +223,9 @@ class TestCompletionDeviations:
                 return np.roll(tables(residues, q), 1, axis=1)
             return tables([a + 1 if math.gcd(a + 1, q) == 1 else a for a in residues], q)
 
-        assert check_completion("small").ok
+        assert check_completion().ok
         monkeypatch.setattr(vdc_lab, "kloosterman_tables", wrong)
-        assert not check_completion("small").ok
+        assert not check_completion().ok
 
 
 class TestPartialSumMax:
@@ -421,7 +421,7 @@ class TestPinnedGrids:
         assert not all_even_multiplicities(7, (1, 1, 2))
 
     def test_scan_small_within_pins(self):
-        result = check_magnitudes("small")
+        result = check_magnitudes()
         assert result.ok
         for j in (1, 2, 3):
             assert result.observed[f"generic j={j}"] <= PINNED_COMPLETEEXP_GENERIC[j]
