@@ -2,8 +2,8 @@
 
 Everything here is pure integer arithmetic: factorization (trial
 division by the primes up to 10^4, then Pollard rho), vectorized
-modular inverses and inverse tables, overflow-safe modular products of
-int64 arrays, Euler's phi, and sieves for smooth squarefree moduli.
+modular inverses and inverse tables, Euler's phi, and sieves for smooth
+squarefree moduli.
 All heavier modules build on these.
 """
 
@@ -302,14 +302,3 @@ def unit_mask(q: int) -> np.ndarray:
         raise DomainError(f"unit mask limited to q <= {INVERSE_TABLE_CAP}")
     return np.gcd(np.arange(q, dtype=np.int64), q) == 1
 
-
-def mulmod(x: np.ndarray, y, q: int) -> np.ndarray:
-    """x * y % q for an int64 array x and an int or int64 array y, both in [0, q).
-
-    While q*q < 2^63 the int64 product cannot overflow; above that the
-    products are formed exactly in Python ints (an object array).
-    """
-    if q * q < 1 << 63:
-        return x * y % q
-    y = np.asarray(y, dtype=object) if np.ndim(y) else int(y)
-    return (np.asarray(x, dtype=object) * y % q).astype(np.int64)

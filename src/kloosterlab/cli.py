@@ -63,7 +63,7 @@ from .divisor_ap import (
     divisor_sum_ap,
     error_term,
 )
-from .errors import DomainError, KloosterlabError
+from .errors import DomainError, KloosterlabError, UsageError
 from .kloosterman import IntegerInterval, complete_kloosterman, incomplete_kloosterman
 from .oracle import Q_CAP, split_divisor_sum_ap, split_main_term
 
@@ -533,6 +533,8 @@ def _print_sum_value(label: str, value) -> None:
 
 
 def cmd_kloosterman(args: argparse.Namespace) -> int:
+    if len(args.interval) not in (0, 2):
+        raise UsageError("interval takes exactly two integers: M N")
     if args.interval:
         if args.b != 0:
             raise DomainError("interval sums take no linear twist; pass b = 0")
@@ -733,7 +735,12 @@ def cmd_verify_report(args: argparse.Namespace) -> int:
 def build_parser() -> argparse.ArgumentParser:
     import argparse
 
-    parser = argparse.ArgumentParser(
+    class Parser(argparse.ArgumentParser):
+        # a usage error raises, so main reports it on one line like any other
+        def error(self, message: str):
+            raise UsageError(f"{message} (see {self.prog} --help)")
+
+    parser = Parser(
         prog="kloosterlab",
         description="Numeric laboratory for divisor sums in progressions "
                     "and short Kloosterman sums.",
@@ -815,11 +822,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "kloosterman" and len(args.interval) not in (0, 2):
-        parser.error("interval takes exactly two integers: M N")
     try:
+        args = build_parser().parse_args(argv)
         code = args.func(args)
         sys.stdout.flush()
         return code

@@ -22,13 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .arith import (
-    factorize,
-    inverse_mod,
-    mulmod,
-    totient,
-    unit_mask,
-)
+from .arith import factorize, inverse_mod, totient, unit_mask
 from .errors import DomainError, NotCoprime
 
 HYPERBOLA_X_CAP = 10**12
@@ -90,8 +84,12 @@ def _hyperbola_count(x: int, q: int, a: int) -> int:
     Pairs have u <= y or v <= y (y = isqrt(x)), so the count is
     2 * sum_{u<=y} #{v <= x/u} - sum_{u<=y} #{v <= y}.  For g = gcd(u, q)
     the congruence is solvable iff g | a, and then v runs over the class
-    v0 = (a * inv(u/g mod q/g) mod q) / g modulo q/g.  The u and the
-    classes are int64 arrays, so q must be below 2^63.
+    v0 in [0, q') of u'v = a' (mod q'), where u' = u/g, a' = a/g and
+    q' = q/g.  v0 = (a' + k q') / u' for the one k in [0, u') that makes
+    the division exact: with a' = A u' + B and q' = Q u' + R, k = -B/R
+    (mod u') and v0 = A + k Q + (B + k R) / u'.  Only residues mod u' are
+    inverted and every product stays below u'^2 <= x, so the int64
+    arrays serve every q below 2^63.
     """
     if q >= 1 << 63:
         raise DomainError(f"hyperbola limited to q < 2^63 (int64), got q = {q}")
@@ -100,8 +98,11 @@ def _hyperbola_count(x: int, q: int, a: int) -> int:
     g = np.gcd(u, q)
     solvable = a % g == 0
     u, big_x, g = u[solvable], big_x[solvable], g[solvable]
-    qp = q // g
-    v0 = mulmod(inverse_mod(u // g, qp), a, q) // g
+    up, qp = u // g, q // g
+    big_a, b = np.divmod(a // g, up)
+    big_q, r = np.divmod(qp, up)
+    k = -b * inverse_mod(r, up) % up
+    v0 = big_a + k * big_q + (b + k * r) // up
 
     def count(limit):
         # v in [1, limit] with v = v0 (mod qp)

@@ -15,3 +15,7 @@ class NotCoprime(KloosterlabError):
 
 class NotSquarefree(KloosterlabError):
     """A modulus required to be squarefree has a repeated prime factor."""
+
+
+class UsageError(KloosterlabError):
+    """A command line that does not parse: an unknown flag, a missing or malformed argument."""

@@ -29,19 +29,14 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .arith import (
-    FactoredInteger,
-    factorize,
-    inverse_mod,
-    inverse_table,
-    mulmod,
-)
+from .arith import FactoredInteger, factorize, inverse_mod, inverse_table
 from .errors import DomainError, NotCoprime
 
 _TERM_EPS = 4 * float(np.finfo(np.float64).eps)
 
 # Short sums hold O(N) arrays, about 110 bytes a term once q^2 >= 2^63
-# (mulmod then multiplies in Python ints): about 1.1 GB at the cap.
+# (incomplete_kloosterman then forms its phases in Python ints): about
+# 1.1 GB at the cap.
 SHORT_SUM_LENGTH_CAP = 10**7
 
 
@@ -237,6 +232,9 @@ def incomplete_kloosterman(a: int, q: int, interval: IntegerInterval) -> SumValu
     invs = invs[invs >= 0]
     if len(invs) == 0:
         return SumValue(0.0, 0.0, 0.0)
-    phases = mulmod(invs, a, q)
+    if q * q < 1 << 63:  # a * nbar < q^2 fits int64
+        phases = invs * a % q
+    else:  # exact products in Python ints
+        phases = (invs.astype(object) * a % q).astype(np.int64)
     z = complex(np.exp(2j * np.pi * phases / q).sum())
     return SumValue(z.real, z.imag, _TERM_EPS * len(invs))

@@ -39,13 +39,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .arith import (
-    INVERSE_TABLE_CAP,
-    FactoredInteger,
-    inverse_table,
-    is_prime,
-    mulmod,
-)
+from .arith import INVERSE_TABLE_CAP, FactoredInteger, inverse_table, is_prime
 from .errors import DomainError, NotCoprime, NotSquarefree
 from .kloosterman import (
     SHORT_SUM_LENGTH_CAP,
@@ -143,10 +137,11 @@ def partial_sum_max(a: int, q: int, M: int, K: int, r: int) -> float:
         raise DomainError(f"modulus {q} must be >= 1")
     if math.gcd(a, q) != 1:
         raise NotCoprime(f"gcd({a}, {q}) > 1")
+    table = kloosterman_table(a, q)  # raises DomainError above INVERSE_TABLE_CAP
     # only k mod q matters: the start mod q keeps int64 k exact for any r
     ks = (r - 1) * K % q + 1 + np.arange(K, dtype=np.int64)
-    table = kloosterman_table(a, q)
-    weights = np.exp(-2j * np.pi * mulmod(ks % q, M % q, q) / q)
+    # q <= INVERSE_TABLE_CAP, so k * M mod q fits int64
+    weights = np.exp(-2j * np.pi * (ks % q * (M % q) % q) / q)
     running = np.cumsum(weights * table[ks % q])
     return float(np.abs(running).max(initial=0.0))
 
@@ -167,12 +162,16 @@ def product_sums(residues: Sequence[int], shifts, bs: Sequence[int], q: int) -> 
     e_q(-kb) alone and gathers no table.  The tables are gathered a block
     of rows at a time (table_row_blocks); the products are formed in
     shift order and each sum runs along one contiguous row, so an entry
-    is bitwise the same whichever rows share the call.
+    is bitwise the same whichever rows share the call.  q is capped at
+    INVERSE_TABLE_CAP, as the tables are, before anything of size q is
+    built, so k * b mod q fits int64.
     """
+    if q > INVERSE_TABLE_CAP:
+        raise DomainError(f"product sums limited to q <= {INVERSE_TABLE_CAP}")
     shifts = np.asarray(shifts, dtype=np.int64) % q
     ks = np.arange(q, dtype=np.int64)
     # at b = 0 every phase is 1: the products are summed alone
-    phases = [np.exp(-2j * np.pi * mulmod(ks, b, q) / q) if b else None
+    phases = [np.exp(-2j * np.pi * (ks * b % q) / q) if b else None
               for b in (int(b) % q for b in bs)]
     out = np.empty((len(residues), len(bs)), dtype=np.complex128)
 
@@ -290,8 +289,6 @@ def product_sums_squarefree(
     """
     _check_squarefree_units(residues, q)
     qv = q.value
-    if qv > INVERSE_TABLE_CAP:  # O(q) a row, capped as the tables are
-        raise DomainError(f"direct product sums limited to q <= {INVERSE_TABLE_CAP}")
     err = _product_sum_err(qv, qv, max(np.shape(shifts)[-1], 1))
     return product_sums(residues, shifts, bs, qv), np.full((len(residues), len(bs)), err)
 

@@ -19,7 +19,6 @@ from kloosterlab.arith import (
     inverse_mod,
     inverse_table,
     is_prime,
-    mulmod,
     smooth_squarefree_moduli,
     totient,
     unit_mask,
@@ -284,16 +283,3 @@ class TestResidueTables:
         with pytest.raises(DomainError):
             inverse_mod(3, 0)
 
-
-class TestMulmod:
-    @pytest.mark.parametrize("q", [97, 3037000499, 10**10 + 19, 10**12 + 39])
-    def test_matches_python_ints(self, q):
-        rng = random.Random(q)
-        xs = [0, 1, q - 1, q - 2] + [rng.randrange(q) for _ in range(200)]
-        ys = [q - 1, 1, q - 3, 0] + [rng.randrange(q) for _ in range(200)]
-        x = np.array(xs, dtype=np.int64)
-        got = mulmod(x, np.array(ys, dtype=np.int64), q)
-        assert got.dtype == np.int64
-        assert got.tolist() == [a * b % q for a, b in zip(xs, ys)]
-        for y in (q - 1, ys[-1]):
-            assert mulmod(x, y, q).tolist() == [a * y % q for a in xs]

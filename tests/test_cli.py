@@ -149,10 +149,19 @@ class TestSingleQueries:
         assert main(["divisor", "--x", "0", "--q", "3", "--a", "1"]) == 2
 
     def test_divisor_takes_no_method(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["divisor", "--x", "10", "--q", "3", "--a", "1", "--method", "sieve"])
-        assert exc.value.code == 2
-        assert "--method" in capsys.readouterr().err
+        assert main(["divisor", "--x", "10", "--q", "3", "--a", "1", "--method", "sieve"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            "error: UsageError: unrecognized arguments: --method sieve (see kloosterlab --help)"]
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("interval", [["4"], ["4", "4", "4"]])
+    def test_kloosterman_interval_takes_two_integers(self, capsys, interval):
+        assert main(["kloosterman", "1", "0", "7", *interval]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            "error: UsageError: interval takes exactly two integers: M N"]
+        assert captured.out == ""
 
     def test_closed_stdout_exits_without_traceback(self):
         src = str(Path(__file__).resolve().parent.parent / "src")
@@ -177,12 +186,10 @@ class TestSingleQueries:
     @pytest.mark.parametrize("size", ["small", "full"])
     def test_lemma_suite_takes_no_size(self, capsys, size):
         # each check runs its one grid, so the retired --size flag is a usage error
-        with pytest.raises(SystemExit) as exc:
-            main(["lemma-suite", "weil", "--size", size])
-        assert exc.value.code == 2
+        assert main(["lemma-suite", "weil", "--size", size]) == 2
         captured = capsys.readouterr()
-        errors = [line for line in captured.err.splitlines() if "error:" in line]
-        assert errors == [f"kloosterlab: error: unrecognized arguments: --size {size}"]
+        assert captured.err.splitlines() == [
+            f"error: UsageError: unrecognized arguments: --size {size} (see kloosterlab --help)"]
         assert captured.out == ""
 
     @pytest.mark.parametrize("suite", sorted(SUITE_CHECKS))

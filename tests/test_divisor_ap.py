@@ -1,10 +1,12 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kloosterlab.arith import factorize
 from kloosterlab.divisor_ap import (
     HYPERBOLA_X_CAP,
     ApQuery,
@@ -16,7 +18,7 @@ from kloosterlab.divisor_ap import (
     tau_table,
 )
 from kloosterlab.errors import DomainError, NotCoprime
-from kloosterlab.oracle import split_divisor_sum_ap, split_main_term
+from kloosterlab.oracle import Q_CAP, split_divisor_sum_ap, split_main_term
 
 from brute import coprime_tau_sum_split, divisor_sum_brute, divisor_sum_split, tau_brute
 
@@ -60,7 +62,8 @@ class TestDivisorSum:
         assert divisor_sum_ap(query, "hyperbola") == divisor_sum_ap(query, "sieve")
 
     def test_modulus_beyond_int64_products(self):
-        # q^2 >= 2^63, so a * inv(u) mod q takes mulmod's exact path
+        # q^2 >= 2^63, so a * inv(u) mod q would overflow int64; the hyperbola
+        # inverts only residues mod u/g and never forms it
         q = 10**10 + 19
         x = 10**6
         for a in (1, 720720, 997920, 10**6 + 1, -5, q - 1):
@@ -68,6 +71,29 @@ class TestDivisorSum:
             assert divisor_sum_ap(query, "hyperbola") == divisor_sum_ap(query, "sieve")
         # q is a prime above x, so every n <= x is coprime to q
         assert coprime_tau_sum(x, q) == int(tau_table(x).sum())
+
+    @pytest.mark.parametrize("q", [210, 30030, 3037000493, 3037000499, 10**10 + 19, 10**12 + 39])
+    def test_hyperbola_against_the_split_counts(self, q):
+        # q^2 below and above 2^63; 3037000499 = 13 * 233615423 and 720720 = 13 * 55440,
+        # so u = 13k divides the residue by g = 13.  Past the oracle's Q_CAP the
+        # test-side split count stands in.
+        for x in (1, 2, 10**6):
+            for a in (0, 1, -5, q - 1, 720720):
+                if q <= Q_CAP:
+                    want = split_divisor_sum_ap(x, q, a)
+                else:
+                    want = divisor_sum_split(x, q, a, math.isqrt(x) + 1)
+                assert divisor_sum_ap(ApQuery(x, q, a)) == want, (x, a)
+
+    @pytest.mark.parametrize("q", [3037000493, 3037000499, 10**10 + 19])
+    def test_hyperbola_past_int64_products_term_by_term(self, q):
+        # x > q, so every class of v counts: D(x, q, a) adds tau over the
+        # x/q or so terms a + jq <= x, each factorized
+        x = 4 * 10**10
+        for a in (1, q - 1, 720720, random.Random(q).randrange(q)):
+            terms = range(a % q or q, x + 1, q)
+            want = sum(math.prod(e + 1 for _, e in factorize(n).factors) for n in terms)
+            assert divisor_sum_ap(ApQuery(x, q, a)) == want, a
 
     def test_second_split_point(self):
         x, y = 10**10, 70000  # isqrt(x) = 100000

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import random
 
 import numpy as np
 import pytest
@@ -203,6 +204,17 @@ class TestIncomplete:
         for q, m, n in ((999999999989, 4, 4), (10**12 + 39, -300, 500), (2**61 - 1, 10**15, 64)):
             v = incomplete_kloosterman(5, q, IntegerInterval(m, n))
             assert abs(v.as_complex - incomplete_brute(5, q, m, n)) <= v.err + 1e-10
+
+    @pytest.mark.parametrize("q", [97, 3037000499, 10**10 + 19, 10**12 + 39])
+    def test_phases_at_any_product_size_against_brute(self, q):
+        # a * nbar reaches q^2: below 2^63 up to q = 3037000499, in Python ints above
+        rng = random.Random(q)
+        m, n = rng.randrange(-q, q), min(q, 200)
+        for a in (1, q - 1, q - 2, rng.randrange(q)):
+            if math.gcd(a, q) != 1:
+                continue
+            v = incomplete_kloosterman(a, q, IntegerInterval(m, n))
+            assert abs(v.as_complex - incomplete_brute(a, q, m, n)) <= v.err + 1e-10, a
 
     def test_too_long(self):
         with pytest.raises(DomainError):

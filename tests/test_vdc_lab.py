@@ -2,6 +2,7 @@ import cmath
 import hashlib
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kloosterlab import vdc_lab
-from kloosterlab.arith import factorize, primes_up_to
+from kloosterlab.arith import INVERSE_TABLE_CAP, factorize, primes_up_to
 from kloosterlab.checks import (
     PINNED_COMPLETEEXP_EVEN_B0,
     PINNED_COMPLETEEXP_GENERIC,
@@ -336,6 +337,18 @@ class TestShiftedProductSquarefree:
             with pytest.raises(DomainError):
                 product_sums_squarefree([1], [shifts], [0], factorize(10**7 + 1))
 
+    @pytest.mark.parametrize("shifts", [(), (0,)])
+    def test_product_sums_past_the_cap_fail_before_any_row(self, shifts):
+        # a row of q entries would take 80 MB; the cap is checked first
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError):
+                product_sums([1], [shifts], [0, 1], INVERSE_TABLE_CAP + 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
     def test_grid_crt_vs_direct(self):
         for q in (6, 10, 21, 30, 66, 105):
             fq = factorize(q)
@@ -420,7 +433,7 @@ class TestPinnedGrids:
         assert not all_even_multiplicities(7, (1, 2))
         assert not all_even_multiplicities(7, (1, 1, 2))
 
-    def test_scan_small_within_pins(self):
+    def test_scan_within_pins(self):
         result = check_magnitudes()
         assert result.ok
         for j in (1, 2, 3):
