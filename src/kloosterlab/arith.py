@@ -10,8 +10,9 @@ All heavier modules build on these.
 from __future__ import annotations
 
 import math
+from collections import OrderedDict, namedtuple
 from dataclasses import dataclass, field
-from functools import lru_cache, reduce
+from functools import lru_cache, reduce, wraps
 from itertools import compress
 
 import numpy as np
@@ -31,6 +32,13 @@ _NEXT_PRIME = 10007
 
 # inverse_table holds q int64 entries: at most 80 MB.
 INVERSE_TABLE_CAP = 10**7
+
+# Each table_cache keeps its most recently used tables up to this many
+# bytes, which holds the largest table (kloosterman's complex128 one at
+# the cap, 160 MB) and every table of the lemma grids (q <= 499) many times.
+TABLE_CACHE_BYTES = 1 << 28
+
+CacheInfo = namedtuple("CacheInfo", "hits misses currsize nbytes")
 
 
 def is_prime(n: int) -> bool:
@@ -254,7 +262,42 @@ def inverse_mod(u, m) -> np.ndarray:
     return np.where(old_r.reshape(u.shape) == 1, old_s.reshape(u.shape) % m, -1)
 
 
-@lru_cache(maxsize=512)
+def table_cache(build):
+    """Memoize a read-only table build(q), bounded by TABLE_CACHE_BYTES.
+
+    Past the budget the least recently used tables are dropped first; the
+    newest table stays even when it alone is larger.  cache_info() counts
+    hits and misses as functools.lru_cache does.
+    """
+    tables: OrderedDict[int, np.ndarray] = OrderedDict()
+    counts = {"hits": 0, "misses": 0, "nbytes": 0}
+
+    @wraps(build)
+    def cached(q: int) -> np.ndarray:
+        table = tables.get(q)
+        if table is not None:
+            tables.move_to_end(q)
+            counts["hits"] += 1
+            return table
+        table = build(q)
+        counts["misses"] += 1
+        tables[q] = table
+        counts["nbytes"] += table.nbytes
+        while counts["nbytes"] > TABLE_CACHE_BYTES and len(tables) > 1:
+            counts["nbytes"] -= tables.popitem(last=False)[1].nbytes
+        return table
+
+    def cache_clear() -> None:
+        tables.clear()
+        counts.update(hits=0, misses=0, nbytes=0)
+
+    cached.cache_info = lambda: CacheInfo(
+        counts["hits"], counts["misses"], len(tables), counts["nbytes"])
+    cached.cache_clear = cache_clear
+    return cached
+
+
+@table_cache
 def inverse_table(q: int) -> np.ndarray:
     """inv[n] for n in [0, q) with n invertible mod q, and -1 elsewhere.
 

@@ -24,19 +24,25 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from .arith import FactoredInteger, factorize, inverse_mod, inverse_table
+from .arith import (
+    INVERSE_TABLE_CAP,
+    FactoredInteger,
+    factorize,
+    inverse_mod,
+    inverse_table,
+    table_cache,
+)
 from .errors import DomainError, NotCoprime
 
 _TERM_EPS = 4 * float(np.finfo(np.float64).eps)
 
-# Short sums hold O(N) arrays, about 110 bytes a term once q^2 >= 2^63
-# (incomplete_kloosterman then forms its phases in Python ints): about
-# 1.1 GB at the cap.
+# Short sums hold O(N) int64 arrays, about 104 bytes a term at their peak
+# (inverse_mod's Euclid temporaries), whatever q <= 2^41 is: about 1.04 GB
+# at the cap.
 SHORT_SUM_LENGTH_CAP = 10**7
 
 
@@ -88,7 +94,7 @@ class SumValue:
         return SumValue(z.real, z.imag, err)
 
 
-@lru_cache(maxsize=1024)
+@table_cache
 def _base_table(q: int) -> np.ndarray:
     """S(1, k, q) for all k mod q, as one FFT of the inverse-phase vector.
 
@@ -126,23 +132,22 @@ def table_row_blocks(rows: int, q: int) -> Iterator[slice]:
 def kloosterman_tables(residues: Sequence[int], q: int) -> np.ndarray:
     """(len(residues), q) array: row i holds S(residues[i], k, q) for k = 0..q-1.
 
-    Every residue must be coprime to q.  The rows are one gather from the
-    base table, via S(a, k, q) = S(1, a*k, q); callers bound the number of
-    rows (see table_row_blocks).
+    Every residue must be an int64 coprime to q <= INVERSE_TABLE_CAP.  The
+    rows are one gather from the base table, via S(a, k, q) = S(1, a*k, q);
+    callers bound the number of rows (see table_row_blocks).
     """
-    if q < 1:
-        raise DomainError("modulus must be positive")
+    if not 1 <= q <= INVERSE_TABLE_CAP:
+        raise DomainError(f"Kloosterman tables limited to 1 <= q <= {INVERSE_TABLE_CAP}")
     try:
         a = np.asarray(residues, dtype=np.int64) % q
-    except OverflowError:  # a residue or q beyond int64: reduce exactly in Python
-        a = np.array([int(r) % q for r in residues], dtype=object)
+    except OverflowError:
+        raise DomainError("residues limited to int64") from None
     gcds = np.gcd(a, q)
     if gcds.max(initial=1) > 1:
         raise NotCoprime(f"gcd({a[np.flatnonzero(gcds > 1)[0]]}, {q}) > 1")
-    base = _base_table(q)  # raises DomainError above the inverse-table cap
-    index = np.multiply.outer(a.astype(np.int64, copy=False), np.arange(q, dtype=np.int64))
+    index = np.multiply.outer(a, np.arange(q, dtype=np.int64))
     index %= q
-    return base[index]
+    return _base_table(q)[index]
 
 
 def kloosterman_table(a: int, q: int) -> np.ndarray:
@@ -209,32 +214,24 @@ def incomplete_kloosterman(a: int, q: int, interval: IntegerInterval) -> SumValu
     """Sum of e_q(a * nbar) over n in the interval with gcd(n, q) = 1.
 
     Requires gcd(a, q) = 1, interval length N at most q and at most
-    SHORT_SUM_LENGTH_CAP, and q <= 2^62 (the residues offset % q + n < 2q
-    are int64).  Only the N residues of the interval are inverted, so the
-    cost is O(N) whatever q is.
+    SHORT_SUM_LENGTH_CAP, and q <= 2^41.  Only the N residues of the
+    interval are inverted, so the cost is O(N) whatever q is.  The phases
+    a * nbar mod q are exact int64 products by the two 20-bit limbs of a:
+    with a = hi * 2^20 + lo and nbar < q <= 2^41, nbar * hi, nbar * lo
+    and ((nbar * hi mod q) << 20) + nbar * lo all stay below 2^62.
     """
-    if q < 1:
-        raise DomainError(f"modulus {q} must be >= 1")
+    if not 1 <= q <= 1 << 41:
+        raise DomainError(f"modulus limited to 1 <= q <= 2^41 (int64 phases), got q = {q}")
     if interval.length > q:
         raise DomainError("interval longer than the period q")
     if math.gcd(a, q) != 1:
         raise NotCoprime(f"gcd({a}, {q}) > 1")
-    if interval.length == 0:
-        return SumValue(0.0, 0.0, 0.0)
     if interval.length > SHORT_SUM_LENGTH_CAP:
         raise DomainError(f"interval length limited to {SHORT_SUM_LENGTH_CAP}")
-    if q > 1 << 62:
-        raise DomainError(f"modulus limited to q <= 2^62 (int64 residues), got q = {q}")
-    a %= q
-    # offset % q + n < 2q <= 2^63: the residues fit int64
     residues = (interval.offset % q + np.arange(interval.length, dtype=np.int64)) % q
     invs = inverse_mod(residues, q)
     invs = invs[invs >= 0]
-    if len(invs) == 0:
-        return SumValue(0.0, 0.0, 0.0)
-    if q * q < 1 << 63:  # a * nbar < q^2 fits int64
-        phases = invs * a % q
-    else:  # exact products in Python ints
-        phases = (invs.astype(object) * a % q).astype(np.int64)
+    hi, lo = divmod(a % q, 1 << 20)
+    phases = ((invs * hi % q << 20) + invs * lo) % q
     z = complex(np.exp(2j * np.pi * phases / q).sum())
     return SumValue(z.real, z.imag, _TERM_EPS * len(invs))

@@ -89,8 +89,8 @@ def _completion_sides(
     sum_m g_i[m] e_q(a_j m), the conjugate of the DFT of the real g_i at
     a_j: O(q log q) per interval, whatever the number of residues.
     """
-    if q < 1:
-        raise DomainError(f"modulus {q} must be >= 1")
+    if not 1 <= q <= INVERSE_TABLE_CAP:
+        raise DomainError(f"completion limited to 1 <= q <= {INVERSE_TABLE_CAP}, got q = {q}")
     if any(len(interval) > q for interval in intervals):
         raise DomainError("interval longer than the period q")
     indicator = _interval_indicator(q, intervals)

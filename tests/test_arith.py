@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kloosterlab import arith, cli, kloosterman
 from kloosterlab.arith import (
     INVERSE_TABLE_CAP,
     FactoredInteger,
@@ -20,6 +21,7 @@ from kloosterlab.arith import (
     inverse_table,
     is_prime,
     smooth_squarefree_moduli,
+    table_cache,
     totient,
     unit_mask,
 )
@@ -227,7 +229,7 @@ class TestResidueTables:
 
     def test_inverse_table_is_euclid_below_5000(self):
         # q with two or more prime parts take the CRT route (the others are
-        # inverse_mod itself); __wrapped__ bypasses the lru_cache
+        # inverse_mod itself); __wrapped__ bypasses the table cache
         for q in range(1, 5000):
             if len(factorize(q).factors) < 2:
                 continue
@@ -283,3 +285,55 @@ class TestResidueTables:
         with pytest.raises(DomainError):
             inverse_mod(3, 0)
 
+
+
+class TestTableCache:
+    def test_evicts_least_recently_used_past_the_budget(self, monkeypatch):
+        built = []
+        table = table_cache(lambda q: built.append(q) or np.zeros(4, dtype=np.int8))
+        monkeypatch.setattr(arith, "TABLE_CACHE_BYTES", 12)  # three tables
+        for q in (1, 2, 3, 1, 4):  # 1 is used again, so 2 is the least recent
+            table(q)
+        assert built == [1, 2, 3, 4]
+        assert table.cache_info() == arith.CacheInfo(hits=1, misses=4, currsize=3, nbytes=12)
+        table(1), table(3), table(4)
+        table(2)  # rebuilt, and 1 is now the least recent
+        assert built == [1, 2, 3, 4, 2]
+        table(1)
+        assert built == [1, 2, 3, 4, 2, 1]
+
+    def test_keeps_the_newest_table_past_the_budget(self, monkeypatch):
+        table = table_cache(lambda q: np.zeros(q, dtype=np.int8))
+        monkeypatch.setattr(arith, "TABLE_CACHE_BYTES", 12)
+        table(4), table(20)
+        assert table.cache_info() == arith.CacheInfo(hits=0, misses=2, currsize=1, nbytes=20)
+        assert table(20) is table(20)
+        table.cache_clear()
+        assert table.cache_info() == arith.CacheInfo(0, 0, 0, 0)
+
+    @pytest.mark.parametrize("cached", [inverse_table, kloosterman._base_table])
+    def test_tables_past_the_budget_are_rebuilt(self, monkeypatch, cached):
+        cached.cache_clear()
+        itemsize = cached(101).itemsize
+        monkeypatch.setattr(arith, "TABLE_CACHE_BYTES", itemsize * (103 + 107))
+        cached(103), cached(101)
+        cached(107)  # past the budget: 103, the least recent, goes
+        assert cached.cache_info()[:3] == (1, 3, 2)
+        cached(101)
+        cached(103)  # rebuilt, and 107 goes
+        assert cached.cache_info()[:3] == (2, 4, 2)
+        cached(101)
+        assert cached.cache_info()[:3] == (3, 4, 2)
+        assert not cached(103).flags.writeable
+
+    def test_lemma_grids_still_hit(self):
+        # every table of the five suites fits the budget: nothing is evicted
+        caches = (inverse_table, kloosterman._base_table)
+        for cached in caches:
+            cached.cache_clear()
+        for suite in cli.SUITE_CHECKS:
+            cli._run_checks(suite)
+        for cached in caches:
+            info = cached.cache_info()
+            assert info.hits > 0 and info.currsize == info.misses, info
+            assert info.nbytes <= arith.TABLE_CACHE_BYTES

@@ -229,6 +229,21 @@ class TestAdmissible:
     def test_outside(self):
         assert not admissible(0.005, 0.01)
 
+    def test_answers_on_and_beside_the_boundary_are_pinned(self):
+        # points on 246 varpi + 18 eta = 1 and one float step either side,
+        # along eta = j/180 and along varpi = i/2460: float rounding decides
+        # these, so a rewrite of admissible (say from PART_TARGETS) must keep them
+        def beside(v):
+            return (math.nextafter(v, -1), v, math.nextafter(v, 1))
+
+        rows = [[(varpi, j / 180) for varpi in beside((1 - 18 * (j / 180)) / 246)]
+                for j in range(11)]
+        rows += [[(i / 2460, eta) for eta in beside((1 - 246 * (i / 2460)) / 18)]
+                 for i in range(11)]
+        got = " ".join("".join("1" if admissible(*p) else "0" for p in row) for row in rows)
+        assert got == ("100 100 000 100 100 000 000 000 000 000 000 "
+                       "100 100 000 100 100 100 000 000 000 000 000")
+
 
 class TestTargetWindows:
     def test_endpoint_values(self):

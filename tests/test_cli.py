@@ -240,6 +240,9 @@ class TestSingleQueries:
          ["sweep", "--config", "{cfg}"], "seed"),
         (None, ["kloosterman", "1", "0", "999999999989", "0", "20000000"], "interval length"),
         (None, ["kloosterman", "1", "0", "9223372036854775837", "0", "4"], "modulus"),
+        (None, ["kloosterman", "1", "0", str(2**41 + 1), "4", "4"], "q <= 2^41"),
+        (None, ["kloosterman", "1", "0", "4611686018427387905", "0", "0"], "q <= 2^41"),
+        (None, ["kloosterman", "1", "0", "4611686018427387905", "0", "1"], "q <= 2^41"),
         (None, ["kloosterman", "1", "1", "2147483659"], "inverse table"),
         (None, ["sweep", "--x", "1000", "--q", "1000000000000"], "unit mask"),
         (TWO_ROW_REPORT, ["verify-report", "{cfg}", "--fraction", "2"], "fraction"),
@@ -330,6 +333,7 @@ class TestSingleQueries:
     ], ids=["unknown-key", "invalid-json", "bad-x-flag", "negative-x", "zero-q",
             "missing-report", "string-eta", "bool-delta", "null-eps", "string-q-exp",
             "string-jobs", "float-seed", "interval-sum-too-long", "interval-sum-q-past-cap",
+            "interval-sum-q-past-2^41", "empty-interval-sum-past-cap", "one-term-sum-past-cap",
             "complete-sum-huge-q",
             "sweep-huge-q", "fraction-above-1", "fraction-nan", "fraction-negative",
             "non-numeric-split", "q-hi-exp-past-cap", "nan-q-lo-exp", "nan-eta", "inf-eta",

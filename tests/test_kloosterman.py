@@ -23,6 +23,14 @@ from kloosterlab.kloosterman import (
 from brute import incomplete_brute, kloosterman_brute, kloosterman_brute_grid, mobius_brute
 
 
+def _python_int_sum(a: int, q: int, m: int, n: int) -> SumValue:
+    """The incomplete sum to q with its phases a * nbar mod q formed in Python ints."""
+    units = [v % q for v in range(m, m + n) if math.gcd(v, q) == 1]
+    phases = np.array([a * pow(v, -1, q) % q for v in units], dtype=np.int64)
+    z = complex(np.exp(2j * np.pi * phases / q).sum())
+    return SumValue(z.real, z.imag, 4 * float(np.finfo(np.float64).eps) * len(units))
+
+
 def close(value: SumValue, target: complex, slack: float = 1e-9) -> bool:
     return abs(value.as_complex - target) <= value.err + slack
 
@@ -100,6 +108,12 @@ class TestKloostermanTable:
         # above the inverse-table cap: DomainError before any O(q) array
         with pytest.raises(DomainError):
             kloosterman_table(1, 999999999989)
+        # residues are reduced in int64 only: one past it fails, not wraps
+        for residues in ([1, 2**63], [-(2**63) - 1], [2**70 + 1]):
+            with pytest.raises(DomainError, match="int64"):
+                kloosterman.kloosterman_tables(residues, 11)
+        assert np.array_equal(kloosterman.kloosterman_tables([2**63 - 1, -(2**63)], 11),
+                              kloosterman.kloosterman_tables([7, 3], 11))
 
     def test_read_only(self):
         tab = kloosterman_table(1, 13)
@@ -201,13 +215,22 @@ class TestIncomplete:
             assert incomplete_kloosterman(a, q, IntegerInterval(m, n)) == want
 
     def test_huge_modulus_against_brute(self):
-        for q, m, n in ((999999999989, 4, 4), (10**12 + 39, -300, 500), (2**61 - 1, 10**15, 64)):
+        for q, m, n in ((999999999989, 4, 4), (10**12 + 39, -300, 500), (2**41 - 21, 10**15, 64)):
             v = incomplete_kloosterman(5, q, IntegerInterval(m, n))
             assert abs(v.as_complex - incomplete_brute(5, q, m, n)) <= v.err + 1e-10
+        # above 2^41 the limb products would leave int64
+        with pytest.raises(DomainError, match=r"q <= 2\^41"):
+            incomplete_kloosterman(5, 2**61 - 1, IntegerInterval(10**15, 64))
+
+    @pytest.mark.parametrize("q", [2**41 + 1, 2**62 + 1])
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_modulus_past_the_cap_fails_at_any_length(self, q, n):
+        with pytest.raises(DomainError, match=r"q <= 2\^41"):
+            incomplete_kloosterman(1, q, IntegerInterval(0, n))
 
     @pytest.mark.parametrize("q", [97, 3037000499, 10**10 + 19, 10**12 + 39])
     def test_phases_at_any_product_size_against_brute(self, q):
-        # a * nbar reaches q^2: below 2^63 up to q = 3037000499, in Python ints above
+        # a * nbar reaches q^2, below 2^63 up to q = 3037000499 and above it past
         rng = random.Random(q)
         m, n = rng.randrange(-q, q), min(q, 200)
         for a in (1, q - 1, q - 2, rng.randrange(q)):
@@ -215,6 +238,30 @@ class TestIncomplete:
                 continue
             v = incomplete_kloosterman(a, q, IntegerInterval(m, n))
             assert abs(v.as_complex - incomplete_brute(a, q, m, n)) <= v.err + 1e-10, a
+
+    @pytest.mark.parametrize("q", [2**31 - 1, 2**31 + 11, 3037000499, 3037000507,
+                                   2**40 + 15, 2**41 - 21, 2**41])
+    def test_limb_phases_are_the_python_int_phases(self, q):
+        # a one-term sum is e_q(phase) for one phase < q <= 2^41; phases a
+        # step 1/q apart give different float sums, so equality pins the phase
+        rng = random.Random(q)
+        ns = [1, 2, q - 1, q - 2] + [rng.randrange(q) for _ in range(4)]
+        for a in (1, 2**20 - 1, 2**20, 2**20 + 1, q - 1, rng.randrange(q)):
+            for n in ns:
+                if math.gcd(a, q) == 1 and math.gcd(n, q) == 1:
+                    got = incomplete_kloosterman(a, q, IntegerInterval(n, 1))
+                    assert got == _python_int_sum(a, q, n, 1), (a, n)
+
+    def test_sums_equal_the_python_int_sums(self):
+        # log-uniform q up to 2^41, a seeded unit a and offset: SumValue for SumValue
+        rng = random.Random(41)
+        for k in range(1, 42):
+            q = rng.randrange(2**(k - 1), 2**k) + 1
+            a = rng.randrange(q)
+            if math.gcd(a, q) != 1:
+                continue
+            m, n = rng.randrange(-10**15, 10**15), min(q, 300)
+            assert incomplete_kloosterman(a, q, IntegerInterval(m, n)) == _python_int_sum(a, q, m, n)
 
     def test_too_long(self):
         with pytest.raises(DomainError):

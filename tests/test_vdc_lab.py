@@ -111,6 +111,16 @@ class TestCompletion:
         with pytest.raises(NotCoprime):
             completion_deviations(10, [IntegerInterval(0, 4)], [1, 5])
 
+    @pytest.mark.parametrize("q", [INVERSE_TABLE_CAP + 19, 10**12 + 39])
+    def test_rejects_modulus_past_cap_before_allocating(self, monkeypatch, q):
+        # the interval indicator is a (intervals x q) array built from np.arange(q)
+        def arange(*args, **kwargs):
+            raise AssertionError("allocated the indicator")
+
+        monkeypatch.setattr(vdc_lab.np, "arange", arange)
+        with pytest.raises(DomainError, match=f"q <= {INVERSE_TABLE_CAP}"):
+            completion_check(1, q, IntegerInterval(0, 5))
+
 
 def _units(q):
     return [0] if q == 1 else [a for a in range(1, q) if math.gcd(a, q) == 1]
