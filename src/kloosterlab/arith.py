@@ -33,6 +33,9 @@ _NEXT_PRIME = 10007
 # inverse_table holds q int64 entries: at most 80 MB.
 INVERSE_TABLE_CAP = 10**7
 
+# inverse_mod runs Euclid on this many entries at a time.
+INVERSE_BLOCK = 1 << 20
+
 # Each table_cache keeps its most recently used tables up to this many
 # bytes, which holds the largest table (kloosterman's complex128 one at
 # the cap, 160 MB) and every table of the lemma grids (q <= 499) many times.
@@ -244,22 +247,30 @@ def inverse_mod(u, m) -> np.ndarray:
     u and m are ints or int64 arrays (broadcast together), m >= 1.  A
     vectorized extended Euclid: each step updates only the entries whose
     remainder is still nonzero.  The Bezout coefficients stay below m in
-    absolute value, so nothing overflows for m < 2^63.
+    absolute value, so nothing overflows for m < 2^63.  It runs on
+    INVERSE_BLOCK entries at a time, so its Euclid temporaries (about
+    100 bytes an entry) stay near 100 MB however many entries there are.
     """
     u, m = np.broadcast_arrays(np.asarray(u, dtype=np.int64), np.asarray(m, dtype=np.int64))
     if np.any(m < 1):
         raise DomainError("modulus must be positive")
-    old_r, r = m.flatten(), (u % m).ravel()
-    old_s, s = np.zeros_like(old_r), np.ones_like(old_r)
-    idx = np.flatnonzero(r)
-    while idx.size:
-        rq, ra = old_r[idx], r[idx]
-        quot = rq // ra
-        old_r[idx], r[idx] = ra, rq - quot * ra
-        sq, sa = old_s[idx], s[idx]
-        old_s[idx], s[idx] = sa, sq - quot * sa
-        idx = idx[r[idx] != 0]
-    return np.where(old_r.reshape(u.shape) == 1, old_s.reshape(u.shape) % m, -1)
+    out = np.empty(u.shape, dtype=np.int64)
+    flat_u, flat_m, flat_out = u.reshape(-1), m.reshape(-1), out.reshape(-1)
+    for lo in range(0, u.size, INVERSE_BLOCK):
+        block = slice(lo, lo + INVERSE_BLOCK)
+        mb = flat_m[block]
+        old_r, r = mb.copy(), flat_u[block] % mb
+        old_s, s = np.zeros_like(old_r), np.ones_like(old_r)
+        idx = np.flatnonzero(r)
+        while idx.size:
+            rq, ra = old_r[idx], r[idx]
+            quot = rq // ra
+            old_r[idx], r[idx] = ra, rq - quot * ra
+            sq, sa = old_s[idx], s[idx]
+            old_s[idx], s[idx] = sa, sq - quot * sa
+            idx = idx[r[idx] != 0]
+        flat_out[block] = np.where(old_r == 1, old_s % mb, -1)
+    return out
 
 
 def table_cache(build):
@@ -302,9 +313,9 @@ def inverse_table(q: int) -> np.ndarray:
     """inv[n] for n in [0, q) with n invertible mod q, and -1 elsewhere.
 
     O(q) memory, so q is capped at INVERSE_TABLE_CAP.  A prime power is
-    built by inverse_mod (Euclid) in blocks of 2^20 residues, to bound its
-    temporaries.  Any other q adds its prime-power parts' (cached) tables
-    by CRT: with m_i the parts and c_i = (q/m_i)^-1 mod m_i, inv(n) =
+    built by inverse_mod (Euclid, blocked).  Any other q adds its
+    prime-power parts' (cached) tables by CRT: with m_i the parts and
+    c_i = (q/m_i)^-1 mod m_i, inv(n) =
     sum_i (q/m_i) (inv_i(n mod m_i) c_i mod m_i) mod q, each part's table
     added to every row of [0, q) viewed as q/m_i rows of m_i: one vector
     add per part.
@@ -328,11 +339,7 @@ def inverse_table(q: int) -> np.ndarray:
         inv %= q
         inv[~units] = -1
     else:
-        step = 1 << 20
-        inv = np.concatenate([
-            inverse_mod(np.arange(lo, min(lo + step, q), dtype=np.int64), q)
-            for lo in range(0, q, step)
-        ])
+        inv = inverse_mod(np.arange(q, dtype=np.int64), q)
     inv.flags.writeable = False
     return inv
 

@@ -61,6 +61,7 @@ from .divisor_ap import (
     ApQuery,
     divisor_main_term,
     divisor_sum_ap,
+    divisor_sums_ap,
     error_term,
 )
 from .errors import DomainError, KloosterlabError, UsageError
@@ -266,9 +267,8 @@ def _usable_cpus() -> int:
 
 
 def _compute_cell(payload: tuple) -> list[dict]:
-    """All rows of one (x, q) cell.  Must stay a top-level function so
-    process pools can pickle it; determinism does not depend on which
-    worker runs it."""
+    """All rows of one (x, q) cell.  It shares no state with other cells,
+    so pool threads may run cells in any order without changing a row."""
     idx, x, q, config = payload
     units = _cell_residues(idx, q, config)
     qs = target_sizes(x, q)
@@ -291,8 +291,8 @@ def _compute_cell(payload: tuple) -> list[dict]:
     main = divisor_main_term(x, q).rational
     parts = (None,) * 4 if split is None else split.parts
     rows = []
-    for a in units:
-        e = Fraction(divisor_sum_ap(ApQuery(x, q, a))) - main
+    for a, d in zip(units, divisor_sums_ap(x, q, units)):
+        e = Fraction(d) - main
         abs_e = abs(float(e))
         rows.append({
             "x": x, "q": q, "a": a,
@@ -331,15 +331,16 @@ def run_sweep(config: SweepConfig) -> tuple[list[dict], dict]:
                     f"needs the unit mask, limited to q <= {INVERSE_TABLE_CAP}"
                 )
     payloads = [(idx, x, q, config) for idx, (x, q) in enumerate(cells)]
-    # a fork-started pool starts all its workers at the first submit
+    # cells run on threads: their numpy passes release the GIL, and threads
+    # need no fork, no pickling and no second copy of the interpreter
     workers = min(config.jobs, len(payloads), _usable_cpus())
     if workers <= 1:
         results = [_compute_cell(p) for p in payloads]
     else:
-        from concurrent.futures import ProcessPoolExecutor  # only a pool needs it
+        from concurrent.futures import ThreadPoolExecutor  # only a pool needs it
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_compute_cell, payloads, chunksize=1))
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(_compute_cell, payloads))
     rows = [row for cell_rows in results for row in cell_rows]
     rows.sort(key=lambda r: (r["x"], r["q"], r["a"]))
     return rows, _summarize(rows)

@@ -4,9 +4,10 @@ D(x, q, a) sums tau(n) over n <= x with n = a (mod q).  The production
 algorithm, `hyperbola`, counts lattice points (u, v) with u*v <= x and
 u*v = a (mod q) by Dirichlet's hyperbola method, in O(sqrt x) time and
 memory for x up to 10^12; sweeps and single queries use it at every x,
-and `verify-report` checks it by the split count in `oracle`.  The `sieve`
-algorithm (tau tabulated up to x <= 10^8) serves no pipeline; the
-benchmark and the acceptance tests still call it.  The main term D(x, q)
+and `verify-report` checks it by the split count in `oracle`.  A sweep
+cell counts all its residues from one shared pass (`divisor_sums_ap`).
+The `sieve` algorithm (tau tabulated up to x <= 10^8) serves no
+pipeline; the benchmark and the acceptance tests still call it.  The main term D(x, q)
 and the error E(x, q, a) = D(x, q, a) - D(x, q) are exact rationals with
 denominator dividing phi(q), so zero-sum identities over residue classes
 can be asserted exactly.
@@ -18,7 +19,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -78,44 +79,66 @@ def _hyperbola_split(x: int) -> tuple[int, np.ndarray, np.ndarray]:
     return y, u, x // u
 
 
-def _hyperbola_count(x: int, q: int, a: int) -> int:
-    """Number of pairs u*v <= x with u*v = a (mod q), by Dirichlet's hyperbola.
+# Each (residues x u) int64 temporary of divisor_sums_ap holds at most this
+# many entries (8 MB), so a cell's peak memory does not grow with its rows.
+RESIDUE_BLOCK_ENTRIES = 1 << 20
 
-    Pairs have u <= y or v <= y (y = isqrt(x)), so the count is
-    2 * sum_{u<=y} #{v <= x/u} - sum_{u<=y} #{v <= y}.  For g = gcd(u, q)
-    the congruence is solvable iff g | a, and then v runs over the class
-    v0 in [0, q') of u'v = a' (mod q'), where u' = u/g, a' = a/g and
-    q' = q/g.  v0 = (a' + k q') / u' for the one k in [0, u') that makes
-    the division exact: with a' = A u' + B and q' = Q u' + R, k = -B/R
-    (mod u') and v0 = A + k Q + (B + k R) / u'.  Only residues mod u' are
-    inverted and every product stays below u'^2 <= x, so the int64
-    arrays serve every q below 2^63.
+
+def divisor_sums_ap(x: int, q: int, residues: Sequence[int]) -> list[int]:
+    """D(x, q, a) for each a in residues, by Dirichlet's hyperbola.
+
+    The count runs over pairs u*v <= x with u*v = a (mod q).  Pairs have
+    u <= y or v <= y (y = isqrt(x)), so it is 2 * sum_{u<=y} #{v <= x/u}
+    - sum_{u<=y} #{v <= y}.  For g = gcd(u, q) the congruence is
+    solvable iff g | a, and then v runs over the class v0 in [0, q') of
+    u'v = a' (mod q'), where u' = u/g, a' = a/g and q' = q/g.
+    v0 = (a' + k q') / u' for the one k in [0, u') that makes the
+    division exact: with a' = A u' + B and q' = Q u' + R, k = -B/R
+    (mod u') and v0 = A + k Q + (B + k R) / u'.
+
+    u, x // u and g do not depend on a, and since g | q, g divides a iff
+    it divides d = gcd(a, q).  So the solvable u, u', q', Q, R and the
+    inverse of R mod u' are computed once for all residues sharing d
+    (once a cell when every residue is a unit).  Each block of those
+    residues then forms A, B, k, v0 and the two counts as (rows x u)
+    arrays of at most RESIDUE_BLOCK_ENTRIES entries.  Only residues mod
+    u' are inverted and every product stays below max(q', u'^2), so the
+    int64 arrays serve every q below 2^63.
     """
+    if x < 1 or q < 1:
+        raise DomainError(f"x = {x} and q = {q} must be >= 1")
     if q >= 1 << 63:
         raise DomainError(f"hyperbola limited to q < 2^63 (int64), got q = {q}")
     y, u, big_x = _hyperbola_split(x)
-    a %= q
     g = np.gcd(u, q)
-    solvable = a % g == 0
-    u, big_x, g = u[solvable], big_x[solvable], g[solvable]
-    up, qp = u // g, q // g
-    big_a, b = np.divmod(a // g, up)
-    big_q, r = np.divmod(qp, up)
-    k = -b * inverse_mod(r, up) % up
-    v0 = big_a + k * big_q + (b + k * r) // up
-
-    def count(limit):
-        # v in [1, limit] with v = v0 (mod qp)
-        return (limit - v0) // qp - (-v0) // qp
-
-    return int(2 * count(big_x).sum() - count(y).sum())
+    a_all = np.array([a % q for a in residues], dtype=np.int64)
+    d_all = np.gcd(a_all, q)
+    sums = np.zeros(len(a_all), dtype=np.int64)
+    for d in np.unique(d_all).tolist():
+        solvable = d % g == 0
+        gs, xs = g[solvable], big_x[solvable]
+        up, qp = u[solvable] // gs, q // gs
+        big_q, r = np.divmod(qp, up)
+        r_inv = inverse_mod(r, up)
+        which = np.flatnonzero(d_all == d)
+        rows = max(1, RESIDUE_BLOCK_ENTRIES // len(up))
+        for lo in range(0, len(which), rows):
+            block = which[lo : lo + rows]
+            big_a, b = np.divmod(a_all[block, None] // gs, up)
+            k = -b * r_inv % up
+            v0 = big_a + k * big_q + (b + k * r) // up
+            # with v1 in [1, qp] the least v = v0 (mod qp), (limit - v1) // qp + 1
+            # such v lie in [1, limit]; limit x // u counts twice, y once
+            v1 = np.where(v0 == 0, qp, v0)
+            sums[block] = (2 * ((xs - v1) // qp) - (y - v1) // qp + 1).sum(axis=1)
+    return sums.tolist()
 
 
 def divisor_sum_ap(query: ApQuery, method: str = "hyperbola") -> int:
     """Exact D(x, q, a) by the requested algorithm."""
     x, q, a = query.x, query.q, query.a
     if method == "hyperbola":
-        return _hyperbola_count(x, q, a)
+        return divisor_sums_ap(x, q, [a])[0]
     if method == "sieve":
         tau = tau_table(x)
         return int(tau[a % q :: q].sum())

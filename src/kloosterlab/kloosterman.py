@@ -40,9 +40,10 @@ from .errors import DomainError, NotCoprime
 
 _TERM_EPS = 4 * float(np.finfo(np.float64).eps)
 
-# Short sums hold O(N) int64 arrays, about 104 bytes a term at their peak
-# (inverse_mod's Euclid temporaries), whatever q <= 2^41 is: about 1.04 GB
-# at the cap.
+# Short sums hold O(N) arrays, about 48 bytes a term at their peak (the
+# int64 inverses and phases, then two complex128 temporaries of the
+# exponentials; inverse_mod's Euclid runs in blocks of fixed size),
+# whatever q <= 2^41 is: about 480 MB at the cap.
 SHORT_SUM_LENGTH_CAP = 10**7
 
 
@@ -138,6 +139,10 @@ def kloosterman_tables(residues: Sequence[int], q: int) -> np.ndarray:
     """
     if not 1 <= q <= INVERSE_TABLE_CAP:
         raise DomainError(f"Kloosterman tables limited to 1 <= q <= {INVERSE_TABLE_CAP}")
+    # the int64 cast raises for ints past int64 but wraps an unsigned array's
+    unsigned = isinstance(residues, np.ndarray) and residues.dtype.kind == "u"
+    if unsigned and residues.max(initial=0) > np.iinfo(np.int64).max:
+        raise DomainError("residues limited to int64")
     try:
         a = np.asarray(residues, dtype=np.int64) % q
     except OverflowError:
@@ -228,8 +233,7 @@ def incomplete_kloosterman(a: int, q: int, interval: IntegerInterval) -> SumValu
         raise NotCoprime(f"gcd({a}, {q}) > 1")
     if interval.length > SHORT_SUM_LENGTH_CAP:
         raise DomainError(f"interval length limited to {SHORT_SUM_LENGTH_CAP}")
-    residues = (interval.offset % q + np.arange(interval.length, dtype=np.int64)) % q
-    invs = inverse_mod(residues, q)
+    invs = inverse_mod((interval.offset % q + np.arange(interval.length, dtype=np.int64)) % q, q)
     invs = invs[invs >= 0]
     hi, lo = divmod(a % q, 1 << 20)
     phases = ((invs * hi % q << 20) + invs * lo) % q

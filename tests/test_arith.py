@@ -273,6 +273,18 @@ class TestResidueTables:
             pow(u, -1, m) if math.gcd(u, m) == 1 else -1 for u in us
         ]
 
+    def test_inverse_mod_in_blocks(self, monkeypatch):
+        # blocks of 7 entries, splitting rows of a broadcast (3 x 12) array
+        monkeypatch.setattr(arith, "INVERSE_BLOCK", 7)
+        u = np.arange(-3, 9)
+        m = np.array([[1], [8], [9]])
+        got = inverse_mod(u, m)
+        assert got.shape == (3, 12)
+        assert got.tolist() == [[pow(int(uj), -1, mi) if math.gcd(int(uj), mi) == 1 else -1
+                                 for uj in u] for mi in (1, 8, 9)]
+        assert inverse_mod(5, 12).shape == () and inverse_mod(5, 12) == 5
+        assert inverse_mod(np.array([], dtype=np.int64), 12).shape == (0,)
+
     def test_inverse_mod_broadcasts_moduli(self):
         u = np.arange(-3, 9)
         m = np.array([[1], [8], [9]])

@@ -461,8 +461,8 @@ def test_readme_example_output(command, capsys):
 
 @pytest.fixture
 def pool_sizes(monkeypatch):
-    """Each sweep pool's max_workers.  The pool is replaced by one that
-    maps in this process, so no process starts."""
+    """Each sweep pool's max_workers.  The thread pool is replaced by one
+    that maps in the calling thread."""
     import concurrent.futures
 
     sizes = []
@@ -477,10 +477,10 @@ def pool_sizes(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, iterable, chunksize=1):
+        def map(self, fn, iterable):
             return map(fn, iterable)
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", InProcessPool)
     return sizes
 
 
@@ -550,6 +550,29 @@ class TestSweep:
         report = render_report(config, *run_sweep(config))
         assert pool_sizes == ([] if workers is None else [workers])
         serial = _config(tmp_path, q_list=q_list, residues={"sample": 2}, jobs=1)
+        assert report == render_report(serial, *run_sweep(serial))
+
+    def test_pool_starts_no_process(self, tmp_path, monkeypatch):
+        # the cells of a jobs=2 sweep run on pool threads of this process
+        import multiprocessing
+        import threading
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        seen = []
+        compute = cli._compute_cell
+
+        def recording(payload):
+            seen.append((os.getpid(), threading.current_thread() is threading.main_thread(),
+                         multiprocessing.active_children()))
+            return compute(payload)
+
+        monkeypatch.setattr(cli, "_compute_cell", recording)
+        config = _config(tmp_path, q_list=[15, 21, 33, 35], residues={"sample": 2}, jobs=2)
+        report = render_report(config, *run_sweep(config))
+        assert seen == [(os.getpid(), False, [])] * 4
+        assert multiprocessing.active_children() == []
+        monkeypatch.setattr(cli, "_compute_cell", compute)
+        serial = _config(tmp_path, q_list=[15, 21, 33, 35], residues={"sample": 2}, jobs=1)
         assert report == render_report(serial, *run_sweep(serial))
 
     def test_pool_falls_back_to_cpu_count(self, tmp_path, monkeypatch, pool_sizes):
@@ -742,9 +765,9 @@ class TestVerifyReport:
     def test_flags_a_wrong_hyperbola(self, tmp_path, monkeypatch):
         # the rows are recomputed by the split count of kloosterlab.oracle, so
         # an error in the hyperbola that wrote them cannot hide from the check
-        count = divisor_ap._hyperbola_count
-        monkeypatch.setattr(divisor_ap, "_hyperbola_count",
-                            lambda x, q, a: count(x, q, a) + 1)
+        sums = cli.divisor_sums_ap
+        monkeypatch.setattr(cli, "divisor_sums_ap",
+                            lambda x, q, residues: [d + 1 for d in sums(x, q, residues)])
         config = _config(tmp_path, q_list=[15], x_values=[500])
         rows, summary = run_sweep(config)
         path = tmp_path / "report.csv"
@@ -761,9 +784,9 @@ class TestVerifyReport:
         path.write_text(render_report(config, *run_sweep(config)))
         assert verify_report(str(path), seed=0, fraction=1.0) == (
             True, ["verify: 8/8 rows recomputed, all exact"])
-        count = divisor_ap._hyperbola_count
-        monkeypatch.setattr(divisor_ap, "_hyperbola_count",
-                            lambda x, q, a: count(x, q, a) + 1)
+        sums = cli.divisor_sums_ap
+        monkeypatch.setattr(cli, "divisor_sums_ap",
+                            lambda x, q, residues: [d + 1 for d in sums(x, q, residues)])
         rows, summary = run_sweep(config)
         path.write_text(render_report(config, rows, summary))
         ok, lines = verify_report(str(path), seed=0, fraction=1.0)
@@ -893,7 +916,7 @@ class TestImportFootprint:
         return set(out.split())
 
     def test_cli_loads_no_pool_or_parser(self):
-        # only a jobs > 1 sweep forks, and only main() parses arguments
+        # only a jobs > 1 sweep starts a thread pool, and only main() parses arguments
         loaded = self._fresh_modules("import kloosterlab.cli")
         assert "kloosterlab.cli" in loaded
         assert not loaded & {"concurrent.futures", "multiprocessing", "argparse"}

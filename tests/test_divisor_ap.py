@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kloosterlab import divisor_ap
 from kloosterlab.arith import factorize
 from kloosterlab.divisor_ap import (
     HYPERBOLA_X_CAP,
@@ -14,6 +15,7 @@ from kloosterlab.divisor_ap import (
     divisor_main_term,
     divisor_sum_ap,
     divisor_sum_ap_all,
+    divisor_sums_ap,
     error_term,
     tau_table,
 )
@@ -161,6 +163,59 @@ class TestDivisorSum:
             assert len(tau) == x + 1 and tau[0] == 0
             for n in range(1, x + 1):
                 assert tau[n] == tau_brute(n)
+
+
+@pytest.fixture(scope="module")
+def taus():
+    """tau(n) by trial division for n = 0..2000 (tau(0) = 0)."""
+    return [0] + [tau_brute(n) for n in range(1, 2001)]
+
+
+def _brute_sums(taus, x, q, residues):
+    return [sum(taus[a % q or q : x + 1 : q]) for a in residues]
+
+
+class TestDivisorSums:
+    def test_every_residue_against_brute(self, taus):
+        # every a mod q, so units, non-units and a = 0, for q = 1 and for q
+        # above x; the split point y = isqrt(x) around squares; residues
+        # given out of [0, q) and out of order
+        for x in (1, 2, 3, 35, 36, 37, 168, 169, 182, 1000, 2000):
+            for q in range(1, 61):
+                residues = [*range(q), -1, 3 * q + 2, -q]
+                got = divisor_sums_ap(x, q, residues)
+                assert got == _brute_sums(taus, x, q, residues), (x, q)
+
+    def test_modulus_above_x(self, taus):
+        # each class holds at most one n <= x: tau(a) for 1 <= a <= x, else 0
+        q = 10**10 + 19
+        residues = [0, 1, 12, 1999, 2000, 2001, q - 1, -(q - 12), 720720]
+        assert divisor_sums_ap(2000, q, residues) == _brute_sums(taus, 2000, q, residues)
+
+    def test_residues_in_many_blocks(self, taus, monkeypatch):
+        # two rows a block at y = 44, across every gcd(a, q) of q = 60
+        monkeypatch.setattr(divisor_ap, "RESIDUE_BLOCK_ENTRIES", 100)
+        residues = [*range(60), *range(59, -1, -1)]
+        assert divisor_sums_ap(2000, 60, residues) == _brute_sums(taus, 2000, 60, residues)
+
+    def test_no_residues(self):
+        assert divisor_sums_ap(10**6, 15, []) == []
+
+    def test_a_cell_at_1e12_against_the_split_count(self):
+        # a 20-residue cell of the paper's range (q = 3 * 5 * ... * 23 = x^0.67),
+        # two of its rows recomputed by the oracle
+        x, q = 10**12, 111546435
+        rng = random.Random(q)
+        residues = sorted(a for a in rng.sample(range(q), 100) if math.gcd(a, q) == 1)[:20]
+        sums = divisor_sums_ap(x, q, residues)
+        assert len(sums) == 20
+        for i in (0, 19):
+            assert sums[i] == split_divisor_sum_ap(x, q, residues[i]), residues[i]
+
+    def test_bad_arguments(self):
+        for x, q in ((0, 5), (10, 0), (HYPERBOLA_X_CAP + 1, 5), (10, 1 << 63)):
+            with pytest.raises(DomainError):
+                divisor_sums_ap(x, q, [1])
 
 
 class TestMainTerm:

@@ -1,13 +1,14 @@
 import hashlib
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kloosterlab import kloosterman
+from kloosterlab import arith, kloosterman
 from kloosterlab.arith import factorize, inverse_table
 from kloosterlab.errors import DomainError, NotCoprime
 from kloosterlab.kloosterman import (
@@ -114,6 +115,16 @@ class TestKloostermanTable:
                 kloosterman.kloosterman_tables(residues, 11)
         assert np.array_equal(kloosterman.kloosterman_tables([2**63 - 1, -(2**63)], 11),
                               kloosterman.kloosterman_tables([7, 3], 11))
+
+    def test_unsigned_residues_past_int64_fail(self):
+        # 2^64 - 1 = 4 (mod 11); an int64 cast would wrap it to -1 = 10
+        with pytest.raises(DomainError, match="int64"):
+            kloosterman.kloosterman_tables(np.array([2**64 - 1], dtype=np.uint64), 11)
+        with pytest.raises(DomainError, match="int64"):
+            kloosterman.kloosterman_tables(np.array([3, 2**63], dtype=np.uint64), 11)
+        assert np.array_equal(
+            kloosterman.kloosterman_tables(np.array([4, 2**63 - 1], dtype=np.uint64), 11),
+            kloosterman.kloosterman_tables([4, 7], 11))
 
     def test_read_only(self):
         tab = kloosterman_table(1, 13)
@@ -262,6 +273,23 @@ class TestIncomplete:
                 continue
             m, n = rng.randrange(-10**15, 10**15), min(q, 300)
             assert incomplete_kloosterman(a, q, IntegerInterval(m, n)) == _python_int_sum(a, q, m, n)
+
+    @pytest.mark.parametrize("q", [10000019, 999999999989])
+    def test_blocked_inverses_keep_the_sum_and_bound_the_peak(self, q, monkeypatch):
+        # 2^18 terms inverted 2^12 at a time: the sum is bitwise the one-block
+        # sum, and the peak is the phases' arrays (48 bytes a term); Euclid's
+        # temporaries over the whole interval would take about 100
+        interval = IntegerInterval(123456789, 1 << 18)
+        whole = incomplete_kloosterman(3, q, interval)
+        monkeypatch.setattr(arith, "INVERSE_BLOCK", 1 << 12)
+        tracemalloc.start()
+        try:
+            blocked = incomplete_kloosterman(3, q, interval)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert blocked == whole
+        assert peak < 56 * interval.length, peak / interval.length
 
     def test_too_long(self):
         with pytest.raises(DomainError):
