@@ -2,8 +2,8 @@
 
 Everything here is pure integer arithmetic: factorization (trial
 division by the primes up to 10^4, then Pollard rho), vectorized
-modular inverses and inverse tables, Euler's phi, and sieves for smooth
-squarefree moduli.
+modular inverses and inverse tables, Euler's phi, the units mod q by
+mask or by rank, and sieves for smooth squarefree moduli.
 All heavier modules build on these.
 """
 
@@ -344,11 +344,49 @@ def inverse_table(q: int) -> np.ndarray:
     return inv
 
 
+def radical_divisors(n: FactoredInteger) -> list[tuple[int, int]]:
+    """(d, mu(d)) for each of the 2^omega(n) divisors d of rad n, (1, 1) first."""
+    divs = [(1, 1)]
+    for p in n.primes:
+        divs += [(d * p, -s) for d, s in divs]
+    return divs
+
+
 def unit_mask(q: int) -> np.ndarray:
-    """Boolean mask over [0, q) marking residues coprime to q, q <= INVERSE_TABLE_CAP."""
+    """Boolean mask over [0, q) marking residues coprime to q, q <= INVERSE_TABLE_CAP.
+
+    The multiples of each prime of q are struck out, one slice a prime.
+    """
     if q < 1:
         raise DomainError("modulus must be positive")
     if q > INVERSE_TABLE_CAP:
         raise DomainError(f"unit mask limited to q <= {INVERSE_TABLE_CAP}")
-    return np.gcd(np.arange(q, dtype=np.int64), q) == 1
+    mask = np.ones(q, dtype=bool)
+    for p in factorize(q).primes:
+        mask[::p] = False
+    return mask
 
+
+def units_by_rank(q: int, ranks) -> np.ndarray:
+    """The units mod q of the given 0-based ranks in [0, phi(q)), as int64.
+
+    The unit of rank k is the largest X with N(X) <= k, where
+    N(X) = #{0 <= n < X : gcd(n, q) = 1} = sum_{d | rad q} mu(d) ceil(X/d).
+    X is found one bit at a time, from the top bit of q down, with one
+    (ranks x 2^omega) int64 product per bit, so no array of size q is
+    built.  Every partial sum is below 2^(omega+1) q, which must stay
+    below 2^63 (q <= 10^12 has omega <= 11); a rank outside [0, phi(q))
+    or a larger q raises DomainError.
+    """
+    d, mu = np.array(radical_divisors(factorize(q)), dtype=np.int64).T
+    if q << len(d).bit_length() > MAX_VALUE:
+        raise DomainError(f"unit ranks limited to 2^(omega+1) q < 2^63, got q = {q}")
+    ranks = np.asarray(ranks, dtype=np.int64)
+    phi = int(q // d @ mu)  # N(q)
+    if np.any((ranks < 0) | (ranks >= phi)):
+        raise DomainError(f"unit ranks must lie in [0, phi({q}) = {phi})")
+    x = np.zeros(ranks.shape, dtype=np.int64)
+    for bit in reversed(range(q.bit_length())):
+        # X = x + 2^bit is kept iff N(X) <= rank, with ceil(X/d) = -(X // -d)
+        x += (1 << bit) * (((x + (1 << bit))[..., None] // -d) @ -mu <= ranks)
+    return x

@@ -37,6 +37,7 @@ from .arith import (
     smooth_squarefree_moduli,
     totient,
     unit_mask,
+    units_by_rank,
 )
 from .bounds_opt import (
     admissible,
@@ -239,24 +240,16 @@ def _cell_moduli(config: SweepConfig, x: int) -> list[int]:
 
 
 def _cell_residues(idx: int, q: int, config: SweepConfig) -> list[int]:
-    """The residues of cell idx, ascending: every unit mod q, or a sample
-    of m of them drawn with the cell's seed.  Up to the unit mask's cap
-    the sample picks m positions in the array of units; above it, by
-    rejection on gcd(a, q) = 1, which costs q/phi(q) draws a unit on
-    average (q <= Q_CAP, and run_sweep has checked that m < phi(q) there)."""
+    """The residues of cell idx, ascending: a sample of m units mod q, or
+    every unit (residues "all", or m >= phi(q)) listed by the unit mask.
+    A sample draws m of the ranks 0..phi(q)-1 with the cell's seed and
+    takes the units of those ranks, so one rule serves every q up to
+    Q_CAP and nothing of size q is built."""
     m = config.sample_size
-    if q <= INVERSE_TABLE_CAP:
-        units = np.flatnonzero(unit_mask(q))
-        if m is not None and m < len(units):
-            units = units[sorted(random.Random(config.seed ^ idx).sample(range(len(units)), m))]
-        return units.tolist()
-    rng = random.Random(config.seed ^ idx)
-    picked: set[int] = set()
-    while len(picked) < m:
-        a = rng.randrange(q)
-        if math.gcd(a, q) == 1:
-            picked.add(a)
-    return sorted(picked)
+    if m is None or m >= (phi := totient(factorize(q))):
+        return np.flatnonzero(unit_mask(q)).tolist()
+    ranks = sorted(random.Random(config.seed ^ idx).sample(range(phi), m))
+    return units_by_rank(q, ranks).tolist()
 
 
 def _usable_cpus() -> int:

@@ -23,7 +23,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .arith import factorize, inverse_mod, totient, unit_mask
+from .arith import factorize, inverse_mod, radical_divisors, totient, unit_mask
 from .errors import DomainError, NotCoprime
 
 HYPERBOLA_X_CAP = 10**12
@@ -176,12 +176,10 @@ def coprime_tau_sum(x: int, q: int, method: str = "hyperbola") -> int:
     if method != "hyperbola":
         raise DomainError(f"unknown method {method!r}")
     y, u, big_x = _hyperbola_split(x)
-    sf_divs: list[tuple[int, int]] = [(1, 1)]
-    for p in factorize(q).primes:
-        sf_divs += [(d * p, -s) for d, s in sf_divs]
+    divs = radical_divisors(factorize(q))
 
     def coprime_count(limit):
-        return sum(s * (limit // d) for d, s in sf_divs)
+        return sum(s * (limit // d) for d, s in divs)
 
     big_x = big_x[np.gcd(u, q) == 1]
     return int(2 * coprime_count(big_x).sum() - coprime_count(y) ** 2)

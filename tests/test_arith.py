@@ -20,10 +20,12 @@ from kloosterlab.arith import (
     inverse_mod,
     inverse_table,
     is_prime,
+    radical_divisors,
     smooth_squarefree_moduli,
     table_cache,
     totient,
     unit_mask,
+    units_by_rank,
 )
 from kloosterlab.errors import DomainError, NotSquarefree
 
@@ -297,6 +299,66 @@ class TestResidueTables:
         with pytest.raises(DomainError):
             inverse_mod(3, 0)
 
+
+
+
+def _gcd_units(q: int) -> np.ndarray:
+    """The units mod q by their definition, gcd(n, q) = 1 over [0, q)."""
+    return np.flatnonzero(np.gcd(np.arange(q, dtype=np.int64), q) == 1)
+
+
+def _legendre(n: int, primes: tuple[int, ...]) -> int:
+    """#{1 <= k <= n : no p in primes divides k}, by phi(n, a) = phi(n, a-1) - phi(n // p_a, a-1)."""
+    if not primes or n == 0:
+        return n
+    return _legendre(n, primes[:-1]) - _legendre(n // primes[-1], primes[:-1])
+
+
+class TestUnits:
+    def test_every_rank_below_3000(self):
+        for q in range(1, 3001):
+            want = _gcd_units(q)
+            assert np.array_equal(np.flatnonzero(unit_mask(q)), want), q
+            assert np.array_equal(units_by_rank(q, range(len(want))), want), q
+        assert units_by_rank(1, [0]).tolist() == [0]
+        assert units_by_rank(7, []).shape == (0,)
+
+    @pytest.mark.parametrize("q", [2**20, 3**12])
+    def test_every_rank_of_a_prime_power(self, q):
+        want = _gcd_units(q)
+        assert np.array_equal(units_by_rank(q, np.arange(len(want))), want)
+
+    @pytest.mark.parametrize("q", [9699690, 9999991, 10**7])
+    def test_seeded_ranks_at_the_cap(self, q):
+        # 2*3*...*19, the prime below the cap and the cap 2^7 * 5^7
+        want = _gcd_units(q)
+        assert np.array_equal(np.flatnonzero(unit_mask(q)), want)
+        ranks = sorted(random.Random(q).sample(range(len(want)), 50)) + [len(want) - 1]
+        assert np.array_equal(units_by_rank(q, ranks), want[ranks])
+
+    @pytest.mark.parametrize("q", [200560490130, 999999999989])
+    def test_ranks_past_the_cap(self, q):
+        # 2*3*...*31 (omega = 11) and the largest prime below 10^12
+        primes = factorize(q).primes
+        phi = totient(factorize(q))
+        rng = random.Random(q)
+        ranks = [0, 1, phi // 2, phi - 1] + rng.sample(range(phi), 12)
+        for k, a in zip(ranks, units_by_rank(q, ranks).tolist()):
+            assert math.gcd(a, q) == 1
+            assert _legendre(a - 1, primes) == k  # 0 is no unit of q > 1
+
+    def test_radical_divisors(self):
+        assert radical_divisors(factorize(12)) == [(1, 1), (2, -1), (3, -1), (6, 1)]
+        assert radical_divisors(factorize(1)) == [(1, 1)]
+
+    def test_domain(self):
+        phi = totient(factorize(360))
+        for ranks in ([-1], [0, phi]):
+            with pytest.raises(DomainError, match="ranks must lie"):
+                units_by_rank(360, ranks)
+        # the product of the first 15 primes: 2^16 q passes 2^63
+        with pytest.raises(DomainError, match="2\\^63"):
+            units_by_rank(614889782588491410, [0])
 
 
 class TestTableCache:

@@ -583,29 +583,26 @@ class TestSweep:
         assert pool_sizes == [3]
 
     def test_sampled_residues_above_the_unit_mask_cap(self, tmp_path, monkeypatch):
-        # q = 10000019 is prime and 10000030 = 2 5 1000003 is not; both are
-        # above the unit mask's cap, so residues are drawn by seeded
-        # rejection on gcd(a, q) = 1 and no unit listing is built
+        # 9999991 is prime and just below the unit mask's cap, 10000019 is
+        # prime and 10000030 = 2 5 1000003 is not; at each q a sample is the
+        # units at m seeded ranks, and no unit listing is built
         def no_mask(q):
             raise AssertionError("the sweep listed the units")
 
         monkeypatch.setattr(cli, "unit_mask", no_mask)
-        moduli = [10000019, 10000030]
+        moduli = [9999991, 10000019, 10000030]
         config = _config(tmp_path, x_values=[10**8], q_list=moduli, residues={"sample": 3})
         rows, summary = run_sweep(config)
-        assert len(rows) == 6 and not any(r["error"] for r in rows)
+        assert len(rows) == 9 and not any(r["error"] for r in rows)
         for idx, q in enumerate(moduli):
-            rng, want = random.Random(config.seed ^ idx), set()
-            while len(want) < 3:
-                a = rng.randrange(q)
-                if math.gcd(a, q) == 1:
-                    want.add(a)
-            assert [r["a"] for r in rows if r["q"] == q] == sorted(want)
+            units = np.flatnonzero(np.gcd(np.arange(q, dtype=np.int64), q) == 1)
+            ranks = sorted(random.Random(config.seed ^ idx).sample(range(len(units)), 3))
+            assert [r["a"] for r in rows if r["q"] == q] == units[ranks].tolist()
         assert run_sweep(config) == (rows, summary)
         path = tmp_path / "report.csv"
         path.write_text(render_report(config, rows, summary))
         assert verify_report(str(path), fraction=1.0) == (
-            True, ["verify: 6/6 rows recomputed, all exact"])
+            True, ["verify: 9/9 rows recomputed, all exact"])
 
     def test_sampled_residues_follow_cell_seed(self, tmp_path):
         # random.sample picks by a different algorithm for populations
