@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DomainError, NotSquarefree
 
-# factorize takes n < 2^63, the int64 range of the hyperbola's moduli
+# factorize takes n < 2^63, the int64 range of the divisor count's moduli
 MAX_VALUE = (1 << 63) - 1
 
 # Deterministic Miller-Rabin witnesses for all n < 3.3 * 10^24.
@@ -213,6 +213,12 @@ def factorize(n: int) -> FactoredInteger:
     return FactoredInteger(n, tuple(sorted(factors.items())))
 
 
+def factored(q: int | FactoredInteger) -> FactoredInteger:
+    """q's factorization; one already factored is passed through, so a
+    caller that factored q once can hand it to every function below."""
+    return q if isinstance(q, FactoredInteger) else factorize(q)
+
+
 def totient(n: FactoredInteger) -> int:
     """Euler's phi of a factored integer."""
     return math.prod((p - 1) * p ** (e - 1) for p, e in n.factors)
@@ -352,22 +358,23 @@ def radical_divisors(n: FactoredInteger) -> list[tuple[int, int]]:
     return divs
 
 
-def unit_mask(q: int) -> np.ndarray:
+def unit_mask(q: int | FactoredInteger) -> np.ndarray:
     """Boolean mask over [0, q) marking residues coprime to q, q <= INVERSE_TABLE_CAP.
 
     The multiples of each prime of q are struck out, one slice a prime.
     """
-    if q < 1:
+    value = q.value if isinstance(q, FactoredInteger) else q
+    if value < 1:
         raise DomainError("modulus must be positive")
-    if q > INVERSE_TABLE_CAP:
+    if value > INVERSE_TABLE_CAP:
         raise DomainError(f"unit mask limited to q <= {INVERSE_TABLE_CAP}")
-    mask = np.ones(q, dtype=bool)
-    for p in factorize(q).primes:
+    mask = np.ones(value, dtype=bool)
+    for p in factored(q).primes:
         mask[::p] = False
     return mask
 
 
-def units_by_rank(q: int, ranks) -> np.ndarray:
+def units_by_rank(q: int | FactoredInteger, ranks) -> np.ndarray:
     """The units mod q of the given 0-based ranks in [0, phi(q)), as int64.
 
     The unit of rank k is the largest X with N(X) <= k, where
@@ -378,7 +385,9 @@ def units_by_rank(q: int, ranks) -> np.ndarray:
     below 2^63 (q <= 10^12 has omega <= 11); a rank outside [0, phi(q))
     or a larger q raises DomainError.
     """
-    d, mu = np.array(radical_divisors(factorize(q)), dtype=np.int64).T
+    fq = factored(q)
+    q = fq.value
+    d, mu = np.array(radical_divisors(fq), dtype=np.int64).T
     if q << len(d).bit_length() > MAX_VALUE:
         raise DomainError(f"unit ranks limited to 2^(omega+1) q < 2^63, got q = {q}")
     ranks = np.asarray(ranks, dtype=np.int64)

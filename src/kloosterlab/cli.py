@@ -31,6 +31,7 @@ import numpy as np
 from . import __version__
 from .arith import (
     INVERSE_TABLE_CAP,
+    FactoredInteger,
     ModulusSplit,
     factorize,
     is_prime,
@@ -59,6 +60,7 @@ from .checks import (
 )
 from .divisor_ap import (
     HYPERBOLA_X_CAP,
+    MEMBER_CAP,
     ApQuery,
     divisor_main_term,
     divisor_sum_ap,
@@ -95,11 +97,6 @@ def _fmt_cell(v: object) -> object:
 
 def _fmt_fraction(f: Fraction) -> str:
     return f"{f.numerator}/{f.denominator}"
-
-
-def _parse_fraction(s: str) -> Fraction:
-    num, den = s.split("/")
-    return Fraction(int(num), int(den))
 
 
 # --------------------------------------------------------------------------
@@ -239,17 +236,17 @@ def _cell_moduli(config: SweepConfig, x: int) -> list[int]:
                           "narrow it with --q-lo-exp/--q-hi-exp") from None
 
 
-def _cell_residues(idx: int, q: int, config: SweepConfig) -> list[int]:
+def _cell_residues(idx: int, fq: FactoredInteger, config: SweepConfig) -> list[int]:
     """The residues of cell idx, ascending: a sample of m units mod q, or
     every unit (residues "all", or m >= phi(q)) listed by the unit mask.
     A sample draws m of the ranks 0..phi(q)-1 with the cell's seed and
     takes the units of those ranks, so one rule serves every q up to
     Q_CAP and nothing of size q is built."""
     m = config.sample_size
-    if m is None or m >= (phi := totient(factorize(q))):
-        return np.flatnonzero(unit_mask(q)).tolist()
+    if m is None or m >= (phi := totient(fq)):
+        return np.flatnonzero(unit_mask(fq)).tolist()
     ranks = sorted(random.Random(config.seed ^ idx).sample(range(phi), m))
-    return units_by_rank(q, ranks).tolist()
+    return units_by_rank(fq, ranks).tolist()
 
 
 def _usable_cpus() -> int:
@@ -259,17 +256,19 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _compute_cell(payload: tuple) -> list[dict]:
-    """All rows of one (x, q) cell.  It shares no state with other cells,
-    so pool threads may run cells in any order without changing a row."""
-    idx, x, q, config = payload
-    units = _cell_residues(idx, q, config)
+def _compute_cell(payload: tuple) -> tuple[list[dict], Fraction]:
+    """All rows of one (x, q) cell and the sum of their E.  It shares no
+    state with other cells, so pool threads may run cells in any order
+    without changing a row.  q comes factored, once for the whole cell."""
+    idx, x, fq, config = payload
+    q = fq.value
+    units = _cell_residues(idx, fq, config)
     qs = target_sizes(x, q)
     split = None
     split_error = ""
     try:
         windows = target_windows(x, q, config.eta)
-        split = factorize_to_windows(factorize(q), windows)
+        split = factorize_to_windows(fq, windows)
     except KloosterlabError as exc:
         split_error = f"{type(exc).__name__}: {exc}"
 
@@ -280,36 +279,47 @@ def _compute_cell(payload: tuple) -> list[dict]:
         except KloosterlabError:
             bound_total = None
 
-    # SweepConfig and run_sweep keep x and q <= 10^12: neither call raises
-    main = divisor_main_term(x, q).rational
+    # SweepConfig and run_sweep keep x, q <= 10^12 and every row within
+    # MEMBER_CAP members: neither call raises
+    main = divisor_main_term(x, fq).rational
+    num, den = main.numerator, main.denominator
     parts = (None,) * 4 if split is None else split.parts
+    sums = divisor_sums_ap(x, q, units)
     rows = []
-    for a, d in zip(units, divisor_sums_ap(x, q, units)):
-        e = Fraction(d) - main
-        abs_e = abs(float(e))
+    for a, d in zip(units, sums):
+        e = d * den - num  # E = e / den
+        g = math.gcd(e, den)
+        abs_e = abs(e) / den
         rows.append({
             "x": x, "q": q, "a": a,
-            "E_exact": _fmt_fraction(e), "abs_E": abs_e, "scaled_E": q * abs_e / x,
+            "E_exact": f"{e // g}/{den // g}", "abs_E": abs_e, "scaled_E": q * abs_e / x,
             "bound_total": bound_total,
             "ratio": abs_e / bound_total if bound_total is not None and bound_total > 0 else None,
             "q0": parts[0], "q1": parts[1], "q2": parts[2], "q3": parts[3],
             "Q0": qs[0], "Q1": qs[1], "Q2": qs[2], "Q3": qs[3],
             "error": split_error,
         })
-    return rows
+    return rows, Fraction(sum(sums) * den - len(sums) * num, den)
 
 
 def run_sweep(config: SweepConfig) -> tuple[list[dict], dict]:
     """Execute a sweep; returns (rows sorted by (x, q, a), summary).
 
-    A cell whose residues cannot be drawn raises DomainError before any
-    cell is computed.  Every row has an exact E_exact; error names only a
-    failed window split."""
+    A cell whose residues cannot be drawn, or whose rows can exceed the
+    divisor count's MEMBER_CAP, raises DomainError before any cell is
+    computed.  Every row has an exact E_exact; error names only a failed
+    window split."""
     cells = []
     m = config.sample_size
     for x in sorted(set(config.x_values)):
         for q in _cell_moduli(config, x):
-            cells.append((x, q))
+            if (longest := (x - 1) // q + 1) > MEMBER_CAP:  # the row of a = 1 mod q
+                raise DomainError(
+                    f"x = {x}, q = {q}: a row holds up to {longest} members; the divisor "
+                    f"count takes at most {MEMBER_CAP}, so q >= x / {MEMBER_CAP}"
+                )
+            fq = factorize(q)  # once a cell: its residues, windows and main term share it
+            cells.append((x, fq))
             if q <= INVERSE_TABLE_CAP:  # its residues come from the unit mask
                 continue
             if m is None:
@@ -317,13 +327,13 @@ def run_sweep(config: SweepConfig) -> tuple[list[dict], dict]:
                     f'residues "all" at q = {q} needs the unit mask, limited to '
                     f'q <= {INVERSE_TABLE_CAP}; use residues {{"sample": m}}'
                 )
-            phi = totient(factorize(q))
+            phi = totient(fq)
             if m >= phi:
                 raise DomainError(
                     f"residues sample {m} >= phi({q}) = {phi} lists every unit, which "
                     f"needs the unit mask, limited to q <= {INVERSE_TABLE_CAP}"
                 )
-    payloads = [(idx, x, q, config) for idx, (x, q) in enumerate(cells)]
+    payloads = [(idx, x, fq, config) for idx, (x, fq) in enumerate(cells)]
     # cells run on threads: their numpy passes release the GIL, and threads
     # need no fork, no pickling and no second copy of the interpreter
     workers = min(config.jobs, len(payloads), _usable_cpus())
@@ -334,15 +344,15 @@ def run_sweep(config: SweepConfig) -> tuple[list[dict], dict]:
 
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_compute_cell, payloads))
-    rows = [row for cell_rows in results for row in cell_rows]
+    rows = [row for cell_rows, _ in results for row in cell_rows]
     rows.sort(key=lambda r: (r["x"], r["q"], r["a"]))
-    return rows, _summarize(rows)
+    return rows, _summarize(rows, sum((e_sum for _, e_sum in results), start=Fraction(0)))
 
 
-def _summarize(rows: list[dict]) -> dict:
+def _summarize(rows: list[dict], e_sum: Fraction) -> dict:
+    """The summary of a sweep's rows; e_sum is the sum of their E."""
     ratios = [r["ratio"] for r in rows if r["ratio"] is not None]
     infeasible = sum(1 for r in rows if r["q0"] is None)
-    e_sum = sum((_parse_fraction(r["E_exact"]) for r in rows), start=Fraction(0))
     per_x: dict[int, float] = {}
     for r in rows:
         per_x[r["x"]] = max(per_x.get(r["x"], 0.0), r["scaled_E"])
@@ -440,10 +450,11 @@ def verify_report(path: str, seed: int = 0, fraction: float = 0.01) -> tuple[boo
     """Recompute a seeded sample of a report's rows and demand exact E values.
 
     The sample is drawn from every row with an E_exact, whatever its error
-    (old reports have rows without one).  Sweeps compute every row by the
-    hyperbola, so each is recomputed by the pure-Python split count of
-    `oracle`, which shares no code with it: split_divisor_sum_ap, about
-    2 sqrt(x) steps a row, and split_main_term once per (x, q) cell.
+    (old reports have rows without one).  Sweeps count every row's D by
+    factoring its progression and its main term by the hyperbola, so each
+    is recomputed by the pure-Python split count of `oracle`, which shares
+    no code with either: split_divisor_sum_ap, about 2 sqrt(x) steps a
+    row, and split_main_term once per (x, q) cell.
     """
     if not 0 < fraction <= 1:
         raise DomainError(f"fraction = {fraction} outside (0, 1]")

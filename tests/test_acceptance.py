@@ -33,6 +33,7 @@ from kloosterlab.divisor_ap import (
     divisor_main_term,
     divisor_sum_ap,
     divisor_sum_ap_all,
+    divisor_sums_ap,
     error_term,
 )
 from kloosterlab.kloosterman import _direct_sum, complete_kloosterman
@@ -106,9 +107,8 @@ def test_c04_divisor_dual_algorithms():
     for x in (10**3, 10**4, 10**5):
         for q in range(1, 101):
             sieve_all = divisor_sum_ap_all(x, q)
-            for a in range(q):
-                h = divisor_sum_ap(ApQuery(x, q, a), "hyperbola")
-                if h != sieve_all[a]:
+            for a, d in enumerate(divisor_sums_ap(x, q, range(q))):
+                if d != sieve_all[a]:
                     worst_cells += 1
             main = divisor_main_term(x, q, "hyperbola")
             total = sum(
@@ -125,7 +125,7 @@ def test_c04_divisor_dual_algorithms():
     _report(
         4,
         ok,
-        f"hyperbola == sieve for x in {{1e3,1e4,1e5}}, q <= 100, all a "
+        f"progression count == sieve for x in {{1e3,1e4,1e5}}, q <= 100, all a "
         f"({worst_cells} mismatches); zero-sum of E over units exact: "
         f"{zero_sums_ok}",
     )

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -81,7 +82,7 @@ class TestSingleQueries:
 
     @pytest.mark.parametrize("q", [2**62 + 1, 2**63 - 1])
     def test_error_term_beyond_two_to_the_62(self, capsys, q):
-        # factorize takes every q < 2^63 that the hyperbola counts with
+        # factorize takes every q < 2^63 that the divisor count takes
         assert main(["error-term", "--x", "100", "--q", str(q), "--a", "1"]) == 0
         assert capsys.readouterr().out.startswith(f"E(100, {q}, 1) = ")
 
@@ -313,6 +314,10 @@ class TestSingleQueries:
          "eta must be finite"),
         (None, ["targets", "--x", "1000000", "--q", "10000", "--eta", "100"], "float range"),
         (None, ["divisor", "--x", "100", "--q", str(2**70), "--a", "1"], "q < 2^63"),
+        (None, ["divisor", "--x", "1000000000000", "--q", "7", "--a", "1"],
+         "holds 142857142858 members; the divisor count takes at most 10000000"),
+        (None, ["error-term", "--x", "1000000000000", "--q", "7", "--a", "1"],
+         "holds 142857142858 members; the divisor count takes at most 10000000"),
         (None, ["error-term", "--x", "100", "--q", str(2**70), "--a", "1"], "q < 2^63"),
         ('{"rows":[{"x":10,"q":3,"a":1,"E_exact":0}]}',
          ["verify-report", "{cfg}", "--fraction", "1"], "config.json: row 1: E_exact = 0"),
@@ -347,6 +352,7 @@ class TestSingleQueries:
             "out-is-a-dir", "nan-varpi", "inf-varpi", "targets-x-past-floats",
             "factorize-x-past-floats", "divisor-bound-x-past-floats", "targets-nan-eta",
             "factorize-nan-eta", "targets-huge-eta", "divisor-q-past-int64",
+            "divisor-past-member-cap", "error-term-past-member-cap",
             "error-term-q-past-int64", "report-falsy-non-string-e", "q-list-and-q-exps",
             "targets-varpi-without-eta", "factorize-x-without-eta", "factorize-eta-without-x",
             "short-kloosterman-bound-x-and-a", "short-kloosterman-bound-q-and-eta",
@@ -368,7 +374,10 @@ class TestSingleQueries:
          "split count's cap"),
         (["--x", "100000000", "--q", "15,10000019"], "unit mask"),
         (["--x", "100000000", "--q", "15,10000019", "--residues", "10000018"], "phi(10000019)"),
-    ], ids=["past-oracle-cap", "all-residues-past-cap", "sample-of-every-unit-past-cap"])
+        (["--x", "1000000000000", "--q", "111546435,7", "--residues", "3"],
+         "x = 1000000000000, q = 7: a row holds up to 142857142858 members"),
+    ], ids=["past-oracle-cap", "all-residues-past-cap", "sample-of-every-unit-past-cap",
+            "rows-past-member-cap"])
     def test_sweep_rejects_a_bad_cell_before_any_cell(self, capsys, monkeypatch, argv, needle):
         calls = []
         monkeypatch.setattr(cli, "_compute_cell", calls.append)
@@ -668,7 +677,7 @@ class TestSweep:
         assert [r["q"] for r in rows if r["error"]] == [12, 12, 12, 12]
         assert summary["errors"] == 4
         assert summary["sum_E_exact"] == cli._fmt_fraction(
-            sum(cli._parse_fraction(r["E_exact"]) for r in rows))
+            sum(Fraction(r["E_exact"]) for r in rows))
         rows, summary = run_sweep(_config(tmp_path, x_values=[1000, 2000], q_list=[12],
                                           residues={"sample": 2}))
         per_x = [max(r["scaled_E"] for r in rows if r["x"] == x) for x in (1000, 2000)]
@@ -696,7 +705,7 @@ class TestSweep:
             assert r["bound_total"] == divisorthm_rhs(r["x"], split, 0.05, 0.1).bound_total
 
     def test_rows_do_not_depend_on_the_tau_sieve(self, tmp_path, monkeypatch):
-        # every cell takes the hyperbola, also at x <= SIEVE_X_CAP
+        # every cell takes the progression count, also at x <= SIEVE_X_CAP
         config = _config(tmp_path, x_values=[2000, 10**5], residues={"sample": 4})
         rows, _ = run_sweep(config)
         monkeypatch.setattr(divisor_ap, "tau_table",
@@ -761,7 +770,7 @@ class TestVerifyReport:
 
     def test_flags_a_wrong_hyperbola(self, tmp_path, monkeypatch):
         # the rows are recomputed by the split count of kloosterlab.oracle, so
-        # an error in the hyperbola that wrote them cannot hide from the check
+        # an error in the divisor count that wrote them cannot hide from the check
         sums = cli.divisor_sums_ap
         monkeypatch.setattr(cli, "divisor_sums_ap",
                             lambda x, q, residues: [d + 1 for d in sums(x, q, residues)])
@@ -775,7 +784,7 @@ class TestVerifyReport:
 
     def test_flags_a_wrong_hyperbola_above_the_sieve_cap(self, tmp_path, monkeypatch):
         # above SIEVE_X_CAP, where no tau table can be built, the split count
-        # still recomputes the rows without the hyperbola that wrote them
+        # still recomputes the rows without the divisor count that wrote them
         config = _config(tmp_path, q_list=[15], x_values=[divisor_ap.SIEVE_X_CAP + 7])
         path = tmp_path / "report.csv"
         path.write_text(render_report(config, *run_sweep(config)))

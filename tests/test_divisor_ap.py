@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kloosterlab import divisor_ap
+from kloosterlab import cli, divisor_ap
 from kloosterlab.arith import factorize
+from kloosterlab.cli import SweepConfig
 from kloosterlab.divisor_ap import (
     HYPERBOLA_X_CAP,
     ApQuery,
@@ -31,7 +32,7 @@ class TestDivisorSum:
 
     def test_progression_example(self):
         q = ApQuery(10, 3, 1)
-        assert divisor_sum_ap(q, "hyperbola") == 10
+        assert divisor_sum_ap(q, "progression") == 10
         assert divisor_sum_ap(q, "sieve") == 10
 
     def test_empty_progression(self):
@@ -44,41 +45,43 @@ class TestDivisorSum:
             ApQuery(10, 0, 1)
 
     def test_unknown_method(self):
-        with pytest.raises(DomainError):
-            divisor_sum_ap(ApQuery(10, 3, 1), "closed-form")
+        # the hyperbola no longer counts D; only the main term takes it
+        for method in ("closed-form", "hyperbola"):
+            with pytest.raises(DomainError):
+                divisor_sum_ap(ApQuery(10, 3, 1), method)
 
     def test_against_brute(self):
         cases = [(50, 7, 3), (100, 12, 0), (73, 10, 9), (40, 41, 1)]
-        # the hyperbola splits at y = isqrt(x): x = k^2 - 1, k^2, k^2 + k
+        # the count sieves p <= isqrt(x): x = k^2 - 1, k^2, k^2 + k
         cases += [(x, q, a) for x in (168, 169, 182) for q, a in ((10, 3), (12, 8), (9, 6))]
         cases += [(120, 7, -3), (99, 12, -4)]
         for x, q, a in cases:
             want = divisor_sum_brute(x, q, a)
-            assert divisor_sum_ap(ApQuery(x, q, a), "hyperbola") == want
+            assert divisor_sum_ap(ApQuery(x, q, a), "progression") == want
             assert divisor_sum_ap(ApQuery(x, q, a), "sieve") == want
 
     @given(st.integers(1, 3000), st.integers(1, 120), st.integers(-5, 200))
     @settings(max_examples=80, deadline=None)
     def test_methods_agree(self, x, q, a):
         query = ApQuery(x, q, a)
-        assert divisor_sum_ap(query, "hyperbola") == divisor_sum_ap(query, "sieve")
+        assert divisor_sum_ap(query, "progression") == divisor_sum_ap(query, "sieve")
 
     def test_modulus_beyond_int64_products(self):
-        # q^2 >= 2^63, so a * inv(u) mod q would overflow int64; the hyperbola
-        # inverts only residues mod u/g and never forms it
+        # q^2 >= 2^63, so a product of two residues mod q would overflow
+        # int64; the count inverts q only modulo primes p <= sqrt(x)
         q = 10**10 + 19
         x = 10**6
         for a in (1, 720720, 997920, 10**6 + 1, -5, q - 1):
             query = ApQuery(x, q, a)
-            assert divisor_sum_ap(query, "hyperbola") == divisor_sum_ap(query, "sieve")
+            assert divisor_sum_ap(query, "progression") == divisor_sum_ap(query, "sieve")
         # q is a prime above x, so every n <= x is coprime to q
         assert coprime_tau_sum(x, q) == int(tau_table(x).sum())
 
     @pytest.mark.parametrize("q", [210, 30030, 3037000493, 3037000499, 10**10 + 19, 10**12 + 39])
     def test_hyperbola_against_the_split_counts(self, q):
         # q^2 below and above 2^63; 3037000499 = 13 * 233615423 and 720720 = 13 * 55440,
-        # so u = 13k divides the residue by g = 13.  Past the oracle's Q_CAP the
-        # test-side split count stands in.
+        # so 13 divides q, a and every member of the progression.  Past the
+        # oracle's Q_CAP the test-side split count stands in.
         for x in (1, 2, 10**6):
             for a in (0, 1, -5, q - 1, 720720):
                 if q <= Q_CAP:
@@ -89,8 +92,8 @@ class TestDivisorSum:
 
     @pytest.mark.parametrize("q", [3037000493, 3037000499, 10**10 + 19])
     def test_hyperbola_past_int64_products_term_by_term(self, q):
-        # x > q, so every class of v counts: D(x, q, a) adds tau over the
-        # x/q or so terms a + jq <= x, each factorized
+        # x > q: D(x, q, a) adds tau over the x/q or so terms a + jq <= x,
+        # each factorized here by arith.factorize
         x = 4 * 10**10
         for a in (1, q - 1, 720720, random.Random(q).randrange(q)):
             terms = range(a % q or q, x + 1, q)
@@ -193,8 +196,10 @@ class TestDivisorSums:
         assert divisor_sums_ap(2000, q, residues) == _brute_sums(taus, 2000, q, residues)
 
     def test_residues_in_many_blocks(self, taus, monkeypatch):
-        # two rows a block at y = 44, across every gcd(a, q) of q = 60
-        monkeypatch.setattr(divisor_ap, "RESIDUE_BLOCK_ENTRIES", 100)
+        # rows of 34 members: two rows a band and 3 primes a chunk, across
+        # every gcd(a, q) of q = 60
+        monkeypatch.setattr(divisor_ap, "MEMBER_BLOCK", 100)
+        monkeypatch.setattr(divisor_ap, "START_BLOCK", 6)
         residues = [*range(60), *range(59, -1, -1)]
         assert divisor_sums_ap(2000, 60, residues) == _brute_sums(taus, 2000, 60, residues)
 
@@ -216,6 +221,109 @@ class TestDivisorSums:
         for x, q in ((0, 5), (10, 0), (HYPERBOLA_X_CAP + 1, 5), (10, 1 << 63)):
             with pytest.raises(DomainError):
                 divisor_sums_ap(x, q, [1])
+
+
+# D(x, q, a) of the hyperbola kernel (`divisor_sums_ap` before it
+# factored the progression), pinned on seeded cells: per x a prime, a smooth
+# squarefree and a rough q (a prime factor above x^0.2) near x^0.67, six
+# seeded residues each (units and non-units) with a = 0 and a = q - 1
+HYPERBOLA_PINS = [
+    (10**8, 229093, [7372, 60643, 88294, 98707, 104352, 180346, 0, 229092],
+     [7960, 8156, 8104, 7970, 8312, 8298, 5444, 7900]),
+    (10**8, 255255, [53851, 86622, 130245, 143056, 145483, 230206, 0, 255254],
+     [6056, 7146, 14396, 3163, 5818, 3104, 108384, 3212]),
+    (10**8, 229101, [106996, 155790, 173222, 191813, 215465, 226281, 0, 229100],
+     [5648, 12906, 5592, 5638, 5760, 12994, 9388, 5688]),
+    (10**10, 5011879, [683357, 1058443, 1182606, 1915274, 2619041, 3776032, 0, 5011878],
+     [46344, 46674, 46292, 46186, 46370, 46392, 30944, 46254]),
+    (10**10, 4849845, [86189, 454831, 1474778, 2366805, 2558462, 2805332, 0, 4849844],
+     [19328, 36088, 19272, 177310, 19264, 19062, 1389216, 19080]),
+    (10**10, 5011887, [810595, 1417253, 1945048, 2110413, 3620822, 4090856, 0, 5011886],
+     [32068, 32184, 32178, 74258, 32208, 32432, 53030, 32002]),
+    (10**12, 109647821,
+     [31746343, 46326266, 63155878, 68639143, 73001774, 109143741, 0, 109647820],
+     [253286, 253106, 253062, 254392, 253866, 252028, 169198, 254034]),
+    (10**12, 111546435,
+     [503465, 20318343, 43254925, 93993255, 94274073, 99462356, 0, 111546434],
+     [197986, 221640, 716680, 847942, 220794, 189296, 13910288, 94576]),
+    (10**12, 109647849,
+     [7237659, 18998798, 19483987, 42599326, 48583690, 79435347, 0, 109647848],
+     [406022, 175588, 175508, 175284, 175412, 410254, 288670, 175952]),
+]
+
+
+def _c11_cells():
+    """The (x, q, residues) cells of the acceptance sweep c11."""
+    config = SweepConfig(x_values=[10**5, 3 * 10**5, 10**6], q_lo_exp=0.60, q_hi_exp=0.64,
+                         eta=0.25, residues={"sample": 20}, seed=20260809)
+    moduli = [(x, q) for x in config.x_values for q in cli._cell_moduli(config, x)]
+    return [(x, q, cli._cell_residues(idx, factorize(q), config))
+            for idx, (x, q) in enumerate(moduli)]
+
+
+class TestProgressionCount:
+    """The count of D by factoring each progression, against the split
+    counts (oracle and tests/brute.py), brute force and pinned values."""
+
+    def test_every_c11_cell_against_the_split_counts(self):
+        cells = _c11_cells()
+        assert len(cells) == 104 and sum(len(r) for _, _, r in cells) == 2080
+        for x, q, residues in cells:
+            sums = divisor_sums_ap(x, q, residues)
+            assert sums == [split_divisor_sum_ap(x, q, a) for a in residues], (x, q)
+            # the brute split at another point, on the cell's first and last row
+            for i in (0, -1):
+                assert sums[i] == divisor_sum_split(x, q, residues[i], math.isqrt(x) // 3)
+
+    @pytest.mark.parametrize("q", [2**10, 3**7, 5**4 * 7, 2**5 * 3**3, 9699690, 49])
+    def test_non_units_and_prime_powers(self, taus, q):
+        # every residue, so a = 0 and every gcd(a, q); the primes of q divide
+        # each member of a row with their own varying valuations
+        residues = range(q) if q < 5000 else [0, 1, 2, 15, 210, 4849845, q - 1]
+        assert divisor_sums_ap(2000, q, residues) == _brute_sums(taus, 2000, q, residues)
+        x = 10**6
+        assert divisor_sums_ap(x, q, residues[:60]) == [
+            split_divisor_sum_ap(x, q, a) for a in residues[:60]]
+
+    def test_progressions_of_zero_and_one_member(self, taus):
+        # q > x: K = 1 for 1 <= a mod q <= x, else K = 0 (a = 0 starts at q > x)
+        for x, q in ((2000, 2001), (2000, 10**6), (1, 2), (10**12, 10**12 + 39)):
+            residues = [0, 1, 2, x, x + 1, q - 1]
+            want = [_brute_sums(taus, x, q, [a])[0] if x <= 2000 else None for a in residues]
+            got = divisor_sums_ap(x, q, residues)
+            assert all(w is None or g == w for g, w in zip(got, want)), (x, q)
+            assert got[0] == got[4] == 0 and got[-1] == (tau_brute(x) if q == x + 1 else 0)
+        # K = 1 at a huge x: tau of the one member a itself; 2 * 10^11 = 2^12 * 5^11
+        assert divisor_sums_ap(10**12, 10**12 + 39, [999999999989, 2 * 10**11]) == [2, 156]
+        # q = 2^63 - 1 = 7^2 * 73 * 127 * 337 * 92737 * 649657 is the largest int64 modulus
+        q = 2**63 - 1
+        assert divisor_sums_ap(10**12, q, [1, 49, 10**12, 0, q - 1]) == [1, 3, 169, 0, 0]
+        assert divisor_sums_ap(10**12, q, [999999999989, 2**62]) == [2, 0]  # a prime; 2^62 > x
+
+    def test_pinned_hyperbola_values(self):
+        for x, q, residues, want in HYPERBOLA_PINS:
+            assert divisor_sums_ap(x, q, residues) == want, (x, q)
+
+    def test_small_blocks(self, monkeypatch):
+        # windows of 7 members and chunks of 40 primes: rows split across
+        # windows, every start recomputed from the window's first member
+        cases = [(10**6, 4003, [1, 2, 4002, 0, 2001]), (10**6, 6000, [0, 1, 6, 30, 5999]),
+                 (10**8, 255255, [145483, 0])]
+        want = [divisor_sums_ap(x, q, r) for x, q, r in cases]
+        monkeypatch.setattr(divisor_ap, "MEMBER_BLOCK", 7)
+        monkeypatch.setattr(divisor_ap, "START_BLOCK", 40)
+        assert [divisor_sums_ap(x, q, r) for x, q, r in cases] == want
+        assert want[2] == [5818, 108384]
+
+    def test_member_cap(self, monkeypatch):
+        # x = 10^12, q = 7 has 1.4 * 10^11 members a row; the cap says so
+        with pytest.raises(DomainError, match="mod q = 7 up to x = 1000000000000 holds 142857142858 members"):
+            divisor_sum_ap(ApQuery(10**12, 7, 1))
+        monkeypatch.setattr(divisor_ap, "MEMBER_CAP", 100)
+        assert divisor_sums_ap(1000, 10, [0, 5]) == divisor_sums_ap(1000, 10, [10, 5])
+        with pytest.raises(DomainError, match="holds 112 members"):
+            divisor_sums_ap(1000, 9, [1])
+        assert divisor_sums_ap(1000, 9, []) == []
 
 
 class TestMainTerm:

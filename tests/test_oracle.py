@@ -1,6 +1,6 @@
 """The oracle of verify-report stays independent of the code it checks.
 
-Its values are tested against the sieve and the hyperbola in
+Its values are tested against the sieve and the progression count in
 test_divisor_ap.py; here, that its imports keep it apart from them and
 that its caps cover every row a sweep can write.
 """
@@ -28,7 +28,7 @@ def test_imports_only_the_standard_library_and_errors():
 
 
 def test_caps_cover_every_sweep_row():
-    # a sweep rejects x above the hyperbola's cap, and its cells list their
+    # a sweep rejects x above the count's and hyperbola's cap, and its cells list their
     # units by arith.unit_mask, which stops at INVERSE_TABLE_CAP
     assert oracle.X_CAP >= divisor_ap.HYPERBOLA_X_CAP
     assert oracle.Q_CAP >= arith.INVERSE_TABLE_CAP
